@@ -54,9 +54,9 @@ class BatchedSimulator {
     /// rounds. A divisor ≥ population gives rounds of a single interaction,
     /// which reproduces the sequential chain exactly.
     Interactions round_divisor = 16;
-    /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is
-    /// bit-identical to the historical draw sequence; kAvx2 throws at
-    /// construction when the build or CPU lacks it.
+    /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is the
+    /// determinism anchor every golden pin is recorded against; kAvx2
+    /// throws at construction when the build or CPU lacks it.
     kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   };
 

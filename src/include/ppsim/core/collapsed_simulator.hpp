@@ -71,9 +71,9 @@ class CollapsedSimulator {
     /// max_round = 1 forces single-interaction rounds, i.e. the exact
     /// sequential chain.
     Interactions max_round = 0;
-    /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is
-    /// bit-identical to the historical draw sequence; kAvx2 throws at
-    /// construction when the build or CPU lacks it.
+    /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is the
+    /// determinism anchor every golden pin is recorded against; kAvx2
+    /// throws at construction when the build or CPU lacks it.
     kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   };
 

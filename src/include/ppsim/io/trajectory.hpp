@@ -53,7 +53,7 @@ inline constexpr std::string_view kTrajectoryMagic = "PPTRAJ1\n";
 inline constexpr std::uint64_t kTrajectoryFormatVersion = 1;
 /// Stamped into every header; bump when the producing code changes in a way
 /// that affects archived bytes.
-inline constexpr std::string_view kBuildVersion = "ppsim-0.8";
+inline constexpr std::string_view kBuildVersion = "ppsim-0.9";
 
 struct TrajectoryHeader {
   std::string engine;                  ///< to_string(EngineKind)
@@ -142,7 +142,10 @@ class TrajectoryWriter {
   /// Re-opens a (possibly torn) archive for continuation: parses it
   /// tolerantly, truncates everything after the last complete checkpoint
   /// record — data past it is regenerated bit-for-bit by the resumed run —
-  /// and returns an append-mode writer plus the state to restore.
+  /// and returns an append-mode writer plus the state to restore. Throws
+  /// CheckFailure, leaving the file untouched, when the header's
+  /// build_version is not kBuildVersion: another build's engines draw a
+  /// different sequence, so continuing would splice two runs together.
   static Resumed resume(const std::string& path);
   static Resumed resume(const std::string& path, Options options);
 

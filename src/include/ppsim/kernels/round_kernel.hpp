@@ -10,10 +10,9 @@
 // the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell), and it
 // is what a RoundKernel implements. The layer follows the classic
 // accelerator-dispatch shape: a scalar CPU baseline that is *always* built
-// and bit-identical to the historical inline draw sequence (so every
-// byte-identical-JSON determinism pin keeps holding), plus optional
-// accelerated backends compiled behind CMake feature checks and selected at
-// *runtime* from CPU capability bits. Today's accelerated backend is kAvx2
+// and whose draw sequence every byte-identical-JSON determinism pin is
+// recorded against, plus optional accelerated backends compiled behind CMake
+// feature checks and selected at *runtime* from CPU capability bits. Today's accelerated backend is kAvx2
 // (4-lane SIMD xoshiro256++ feeding batched BTRS/inversion binomial
 // variates, advancing 4 lockstep trials per uniform block); a CUDA/OpenCL
 // backend plugs in by adding a KernelKind, an implementation file gated in
@@ -21,13 +20,15 @@
 // already written against the interface.
 //
 // Determinism contract:
-//   * kScalar consumes the engine RNG exactly as the pre-kernel engines did:
-//     one std::binomial_distribution draw for the null split, then the
-//     conditional-binomial multinomial chain. Bit-identical, always.
-//   * kAvx2 consumes the engine RNG differently (it runs the trial's
-//     generator as SIMD lanes), so its draw sequence legitimately differs;
-//     it is validated distributionally (chi-square on the exact pair law,
-//     KS against scalar hitting times — tests/kernel_distribution_test.cpp).
+//   * kScalar consumes the engine RNG through util/random_variates: one
+//     binomial() for the null split, then the conditional-binomial
+//     multinomial chain. The sampler is the library's own, so the sequence
+//     is the same on every build type and standard library.
+//   * kAvx2 runs the same inversion/BTRS sampler, but feeds it from the
+//     trial's generator run as SIMD lanes, so its draw sequence
+//     legitimately differs; it is validated distributionally (chi-square on
+//     the exact pair law, KS against scalar hitting times —
+//     tests/kernel_distribution_test.cpp).
 //     Results are still deterministic per (seed, kernel, lockstep group):
 //     lockstep groups are formed by trial index, never by schedule order,
 //     so sweep JSON stays byte-identical at any --threads for kAvx2 too.

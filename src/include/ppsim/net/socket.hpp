@@ -11,6 +11,7 @@
 // never as SIGPIPE killing the daemon.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -71,7 +72,9 @@ class Listener {
  private:
   Listener(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
 
-  int fd_ = -1;
+  // Atomic because close() runs on the stopping thread while accept()
+  // blocks on the serving one.
+  std::atomic<int> fd_{-1};
   std::string path_;
 };
 

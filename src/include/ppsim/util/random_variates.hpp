@@ -1,12 +1,14 @@
 // Exact samplers for the discrete distributions the synchronous engines and
-// workload generators need: binomial, multinomial, hypergeometric.
+// workload generators need: binomial and multinomial.
 //
 // Exactness matters: the Gossip engine's correctness proof (tests/
 // gossip_test.cpp) relies on each round being distributed *exactly* as the
 // model prescribes, so approximations (normal/Poisson) are not used here.
-// Binomial sampling delegates to std::binomial_distribution, which libstdc++
-// implements exactly; multinomial and hypergeometric are reduced to
-// sequential conditional binomial/inverse-CDF draws.
+// binomial() is the library's own inversion/BTRS sampler — the same
+// algorithm the AVX2 round kernel runs in its lanes — so its draw sequence
+// is a function of the RNG state alone, not of the C++ standard library
+// that built the binary. The multinomial is a chain of conditional
+// binomials.
 #pragma once
 
 #include <cstdint>
@@ -17,15 +19,17 @@
 namespace ppsim {
 
 /// Exact Binomial(trials, p) sample. p is clamped to [0, 1]; NaN p throws
-/// (a NaN would silently pass the clamp and hand std::binomial_distribution
-/// an invalid parameter — undefined behavior, not a bad sample).
+/// (a NaN would silently pass the clamp and yield a meaningless draw).
+/// Trivial draws (trials = 0, or p clamped to 0 or 1) consume no randomness.
 ///
-/// Stability at paper scale (audited for n up to 2^53, the engines' count
-/// cap): libstdc++'s implementation reflects p > 0.5 internally, switches
-/// between a waiting-time walk (small n·p) and a rejection sampler, and
-/// computes with log-space intermediates — no overflow or precision cliff
-/// at n = 10^11-scale trials with extreme p. tests/random_variates_test.cpp
-/// pins moments and tails at exactly those parameters.
+/// p > 0.5 is reflected (the draw is trials − Binomial(trials, 1 − p)).
+/// With the reflected p, n·p < 10 runs inversion on one 52-bit uniform
+/// (rng() >> 12)·2⁻⁵²; otherwise BTRS transformed rejection (Hörmann 1993)
+/// draws (u, v) pairs of such uniforms until one is accepted. Stable up to
+/// n = 2^53, the engines' count cap: the inversion start q^n stays above
+/// e^-20, and BTRS works in log space with Stirling-series tails.
+/// tests/random_variates_test.cpp pins moments, tails and the pmf in those
+/// regimes, and the draw sequence itself at a fixed seed.
 std::int64_t binomial(Xoshiro256pp& rng, std::int64_t trials, double p);
 
 /// Exact multinomial: partitions `trials` into weights.size() buckets where
@@ -47,11 +51,5 @@ void multinomial_into(Xoshiro256pp& rng, std::int64_t trials,
 /// Convenience overload with integer weights (counts).
 std::vector<std::int64_t> multinomial(Xoshiro256pp& rng, std::int64_t trials,
                                       const std::vector<std::int64_t>& weights);
-
-/// Exact hypergeometric: number of "successes" when drawing `draws` items
-/// without replacement from a pool of `successes` + `failures` items.
-/// Implemented by inverse-CDF walk from the mode-adjacent tail; O(result).
-std::int64_t hypergeometric(Xoshiro256pp& rng, std::int64_t successes,
-                            std::int64_t failures, std::int64_t draws);
 
 }  // namespace ppsim

@@ -34,9 +34,9 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// xoshiro256++ generator. Satisfies std::uniform_random_bit_generator, so it
-/// can also drive <random> distributions where exactness matters more than
-/// raw speed (e.g. std::binomial_distribution in the Gossip engine).
+/// xoshiro256++ generator. Satisfies std::uniform_random_bit_generator. The
+/// library's own variates (util/random_variates) consume it directly, so a
+/// seed's draw sequence does not depend on the C++ standard library.
 class Xoshiro256pp {
  public:
   using result_type = std::uint64_t;

@@ -414,6 +414,10 @@ TrajectoryWriter::Resumed TrajectoryWriter::resume(const std::string& path,
   Resumed resumed;
   TrajectoryReader reader(path);
   resumed.header = reader.header();
+  PPSIM_CHECK(resumed.header.build_version == kBuildVersion,
+              "cannot resume " + path + ": it was written by " +
+                  resumed.header.build_version + ", this build is " +
+                  std::string(kBuildVersion));
   if (reader.finished()) {
     resumed.finished = true;
     return resumed;

@@ -12,14 +12,13 @@
 //     trial's randomness still flows through its own checkpointable RNG —
 //     the lanes just advance in lockstep, one _mm256 step producing one
 //     52-bit uniform per trial via the exponent-splice bit trick.
-//   * Binomial draws are exact: inversion (one uniform, CDF walk) when
-//     n·min(p,1−p) < 10, else the BTRS transformed-rejection sampler
-//     (Hörmann 1993, the TensorFlow/JAX formulation with the Stirling-tail
-//     series — no lgamma on the hot path, unlike
-//     std::binomial_distribution's per-call distribution setup). All lanes
-//     draw from shared (u, v) uniform blocks and iterate until every lane's
-//     rejection loop accepts, so a group's draw count is a deterministic
-//     function of the group's RNG states alone.
+//   * Binomial draws are exact and use the library's one sampler
+//     (src/util/binomial_sampler.hpp, shared with the scalar binomial()):
+//     inversion (one uniform, CDF walk) when n·min(p,1−p) < 10, else BTRS
+//     transformed rejection. All lanes draw from shared (u, v) uniform
+//     blocks and iterate until every lane's rejection loop accepts, so a
+//     group's draw count is a deterministic function of the group's RNG
+//     states alone.
 //   * The multinomial is the same conditional-binomial chain as the scalar
 //     kernel, walked bucket-by-bucket across all lanes so the per-bucket
 //     binomials vectorize their uniform supply.
@@ -40,8 +39,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
+
+#include "../util/binomial_sampler.hpp"
 
 namespace ppsim::kernels {
 namespace {
@@ -108,112 +108,18 @@ class Xoshiro4 {
   __m256i s_[4];
 };
 
-/// Stirling series tail t(k) = lgamma(k+1) − (k+½)·log(k) + k − ½·log(2π):
-/// tabulated for k < 10, three-term asymptotic series beyond. The BTRS
-/// acceptance bound is built from these tails instead of lgamma calls.
-double stirling_tail(double k) {
-  static constexpr double kTable[] = {
-      0.0810614667953272,  0.0413406959554092,  0.0276779256849983,
-      0.02079067210376509, 0.0166446911898211,  0.0138761288230707,
-      0.0118967099458917,  0.0104112652619720,  0.00925546218271273,
-      0.00833056343336287};
-  if (k < 10.0) return kTable[static_cast<int>(k)];
-  const double inv = 1.0 / (k + 1.0);
-  const double inv2 = inv * inv;
-  return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0) * inv2) * inv2) * inv;
-}
-
-/// BTRS per-(n, p) setup, shared by every attempt of one draw. Requires
-/// 0 < p ≤ 0.5 and n·p ≥ 10.
-struct BtrsSetup {
-  double r, b, a, c, vr, alpha, m;
-  double n;
-
-  void init(std::int64_t trials, double p) {
-    n = static_cast<double>(trials);
-    const double q = 1.0 - p;
-    r = p / q;
-    const double spq = std::sqrt(n * p * q);
-    b = 1.15 + 2.53 * spq;
-    a = -0.0873 + 0.0248 * b + 0.01 * p;
-    c = n * p + 0.5;
-    vr = 0.92 - 4.2 / b;
-    alpha = (2.83 + 5.1 / b) * spq;
-    m = std::floor((n + 1.0) * p);
-  }
-
-  /// One transformed-rejection attempt from the uniform pair (u, v).
-  bool attempt(double u, double v, std::int64_t& out) const {
-    u -= 0.5;
-    const double us = 0.5 - std::abs(u);
-    const double kd = std::floor((2.0 * a / us + b) * u + c);
-    if (kd < 0.0 || kd > n) return false;
-    if (us >= 0.07 && v <= vr) {
-      out = static_cast<std::int64_t>(kd);
-      return true;
-    }
-    const double lv = std::log(v * alpha / (a / (us * us) + b));
-    const double bound =
-        (m + 0.5) * std::log((m + 1.0) / (r * (n - m + 1.0))) +
-        (n + 1.0) * std::log((n - m + 1.0) / (n - kd + 1.0)) +
-        (kd + 0.5) * std::log(r * (n - kd + 1.0) / (kd + 1.0)) +
-        stirling_tail(m) + stirling_tail(n - m) - stirling_tail(kd) -
-        stirling_tail(n - kd);
-    if (lv > bound) return false;
-    out = static_cast<std::int64_t>(kd);
-    return true;
-  }
-};
-
-/// Inversion sampler: walks the CDF with a single uniform. Requires
-/// 0 < p ≤ 0.5 and n·p < 10 (so the start probability q^n cannot
-/// underflow: n·|log1p(−p)| ≤ 2·n·p < 20).
-std::int64_t binomial_inversion(std::int64_t n, double p, double u) {
-  const double r = p / (1.0 - p);
-  const double nd = static_cast<double>(n);
-  double pmf = std::exp(nd * std::log1p(-p));
-  double cdf = pmf;
-  std::int64_t k = 0;
-  while (u > cdf && k < n) {
-    ++k;
-    pmf *= (nd - static_cast<double>(k) + 1.0) * r / static_cast<double>(k);
-    cdf += pmf;
-  }
-  return k;
-}
-
 /// One pending per-lane binomial request; resolve_binomials() drains a set
 /// of these against the shared uniform supply.
 struct BinomialReq {
-  std::int64_t n = 0;
-  double p = 0.0;      ///< min(p, 1−p) after the reflection
-  bool flip = false;   ///< result = n − draw(n, 1−p)
-  bool use_btrs = false;
-  BtrsSetup btrs;
+  detail::BinomialPlan plan;
   std::int64_t result = 0;
   bool pending = false;
 
   void init(std::int64_t trials, double prob) {
-    prob = std::clamp(prob, 0.0, 1.0);
-    if (trials <= 0 || prob == 0.0) {
-      result = 0;
-      pending = false;
-      return;
-    }
-    if (prob == 1.0) {
-      result = trials;
-      pending = false;
-      return;
-    }
-    n = trials;
-    flip = prob > 0.5;
-    p = flip ? 1.0 - prob : prob;
-    use_btrs = static_cast<double>(n) * p >= 10.0;
-    if (use_btrs) btrs.init(n, p);
-    pending = true;
+    pending = plan.init(trials, prob, result);
   }
 
-  std::int64_t value() const { return flip ? n - result : result; }
+  std::int64_t value() const { return plan.value(result); }
 };
 
 /// Drains up to kLanes pending requests: every iteration draws one shared
@@ -234,13 +140,13 @@ void resolve_binomials(Xoshiro4& gen, BinomialReq* reqs, std::size_t count) {
     for (std::size_t l = 0; l < count; ++l) {
       BinomialReq& req = reqs[l];
       if (!req.pending) continue;
-      if (req.use_btrs) {
-        if (!req.btrs.attempt(u[l], v[l], req.result)) {
+      if (req.plan.use_btrs) {
+        if (!req.plan.btrs.attempt(u[l], v[l], req.result)) {
           pending = true;
           continue;
         }
       } else {
-        req.result = binomial_inversion(req.n, req.p, u[l]);
+        req.result = detail::binomial_inversion(req.plan.n, req.plan.p, u[l]);
       }
       req.pending = false;
     }
@@ -295,8 +201,6 @@ class Avx2Kernel final : public RoundKernel {
         const std::vector<double>& w = tasks[l]->law->weights();
         if (remaining[l] <= 0 || i + 1 >= w.size()) {
           reqs[l].pending = false;
-          reqs[l].result = 0;
-          reqs[l].flip = false;
           continue;
         }
         const double p = mass[l] > 0.0 ? w[i] / mass[l] : 0.0;

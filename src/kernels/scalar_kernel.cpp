@@ -1,11 +1,11 @@
 // The scalar baseline kernel: always built, and the determinism anchor.
 //
-// Its draw sequence is exactly the engines' historical inline code — one
-// std::binomial_distribution draw for the null split, then the
-// conditional-binomial multinomial chain (multinomial_into) — so every
-// byte-identical-JSON pin and golden trajectory recorded before the kernels
-// layer existed reproduces bit for bit (tests/engine_equivalence_test.cpp
-// pins captured pre-refactor values against this kernel).
+// Its draw sequence is one binomial() for the null split, then the
+// conditional-binomial multinomial chain (multinomial_into), both on the
+// library's own inversion/BTRS sampler. Every byte-identical-JSON pin and
+// golden trajectory is therefore a function of the seed alone, whichever
+// standard library built the binary (tests/engine_equivalence_test.cpp
+// pins draw-for-draw values against this kernel).
 #include "ppsim/kernels/round_kernel.hpp"
 #include "ppsim/util/random_variates.hpp"
 

@@ -86,8 +86,7 @@ Listener Listener::listen_on(const std::string& path, int backlog) {
 }
 
 Listener::Listener(Listener&& other) noexcept
-    : fd_(other.fd_), path_(std::move(other.path_)) {
-  other.fd_ = -1;
+    : fd_(other.fd_.exchange(-1)), path_(std::move(other.path_)) {
   other.path_.clear();
 }
 
@@ -95,9 +94,8 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     close();
     if (!path_.empty()) ::unlink(path_.c_str());
-    fd_ = other.fd_;
+    fd_ = other.fd_.exchange(-1);
     path_ = std::move(other.path_);
-    other.fd_ = -1;
     other.path_.clear();
   }
   return *this;
@@ -118,11 +116,11 @@ Socket Listener::accept() noexcept {
 }
 
 void Listener::close() noexcept {
-  if (fd_ >= 0) {
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() wakes a thread blocked in accept(); close alone may not.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

@@ -1,10 +1,8 @@
 #include "ppsim/util/random_variates.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <random>
 
+#include "binomial_sampler.hpp"
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
@@ -12,12 +10,18 @@ namespace ppsim {
 std::int64_t binomial(Xoshiro256pp& rng, std::int64_t trials, double p) {
   PPSIM_CHECK(trials >= 0, "binomial trials must be non-negative");
   PPSIM_CHECK(!std::isnan(p), "binomial p must not be NaN");
-  if (trials == 0) return 0;
-  p = std::clamp(p, 0.0, 1.0);
-  if (p == 0.0) return 0;
-  if (p == 1.0) return trials;
-  std::binomial_distribution<std::int64_t> dist(trials, p);
-  return dist(rng);
+  detail::BinomialPlan plan;
+  std::int64_t draw = 0;
+  if (!plan.init(trials, p, draw)) return draw;
+  if (!plan.use_btrs) {
+    return plan.value(
+        detail::binomial_inversion(plan.n, plan.p, detail::uniform52(rng())));
+  }
+  for (;;) {
+    const double u = detail::uniform52(rng());
+    const double v = detail::uniform52(rng());
+    if (plan.btrs.attempt(u, v, draw)) return plan.value(draw);
+  }
 }
 
 void multinomial_into(Xoshiro256pp& rng, std::int64_t trials,
@@ -62,47 +66,6 @@ std::vector<std::int64_t> multinomial(Xoshiro256pp& rng, std::int64_t trials,
     w[i] = static_cast<double>(weights[i]);
   }
   return multinomial(rng, trials, w);
-}
-
-std::int64_t hypergeometric(Xoshiro256pp& rng, std::int64_t successes,
-                            std::int64_t failures, std::int64_t draws) {
-  PPSIM_CHECK(successes >= 0 && failures >= 0, "pool sizes must be non-negative");
-  PPSIM_CHECK(draws >= 0 && draws <= successes + failures,
-              "draws must not exceed the pool");
-
-  // Symmetry reductions keep the inverse-CDF walk short.
-  const std::int64_t pool = successes + failures;
-  if (draws == 0 || successes == 0) return 0;
-  if (failures == 0) return draws;
-  if (draws > pool / 2) {
-    // Drawing d is the complement of leaving pool-d behind.
-    return successes - hypergeometric(rng, successes, failures, pool - draws);
-  }
-
-  // Inverse CDF from k = max(0, draws - failures) upward using the ratio
-  //   P(k+1)/P(k) = (successes-k)(draws-k) / ((k+1)(failures-draws+k+1)).
-  const std::int64_t lo = std::max<std::int64_t>(0, draws - failures);
-  const std::int64_t hi = std::min(successes, draws);
-
-  // log P(lo) via lgamma to avoid underflow for large pools.
-  auto lchoose = [](std::int64_t a, std::int64_t b) {
-    return std::lgamma(static_cast<double>(a + 1)) -
-           std::lgamma(static_cast<double>(b + 1)) -
-           std::lgamma(static_cast<double>(a - b + 1));
-  };
-  double logp = lchoose(successes, lo) + lchoose(failures, draws - lo) - lchoose(pool, draws);
-  double p = std::exp(logp);
-  double u = rng.canonical();
-  std::int64_t k = lo;
-  while (k < hi && u >= p) {
-    u -= p;
-    const double ratio =
-        (static_cast<double>(successes - k) * static_cast<double>(draws - k)) /
-        (static_cast<double>(k + 1) * static_cast<double>(failures - draws + k + 1));
-    p *= ratio;
-    ++k;
-  }
-  return k;
 }
 
 }  // namespace ppsim

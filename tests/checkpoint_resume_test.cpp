@@ -174,6 +174,53 @@ TEST(ArchiveResumeTest, ResumeRejectsMismatchedShape) {
   EXPECT_THROW(io::resume_run(usd, wrong_n, channels, path), CheckFailure);
 }
 
+TEST(ArchiveResumeTest, ResumeRejectsAnotherBuildVersion) {
+  const UndecidedStateDynamics usd(3);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration({500, 300, 200});
+  const io::ArchiveChannels channels = io::usd_archive_channels(3);
+  io::ArchiveRunSpec spec = acceptance_spec();
+  spec.seed = 13;
+
+  const std::string path = tmp_path("stale.pptraj");
+  io::record_run(usd, initial, channels, spec, path);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  bytes.resize(bytes.size() - 4);  // torn end record: there is work to resume
+
+  // Re-stamp the header as another build. The frame after the magic is
+  // [type u8][varint size][payload][fnv1a(payload) fixed64]; the version
+  // string keeps its length, so only the payload and its checksum change.
+  const std::size_t size_at = io::kTrajectoryMagic.size() + 1;
+  io::ByteReader reader(bytes.data() + size_at, bytes.size() - size_at);
+  const std::uint64_t payload_size = reader.varint();
+  io::Bytes size_bytes;
+  io::put_varint(size_bytes, payload_size);
+  const auto payload = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                           size_at + size_bytes.size());
+  const auto payload_end = payload + static_cast<std::ptrdiff_t>(payload_size);
+  const std::string current(io::kBuildVersion);
+  const std::string stale = "ppsim-0.0";
+  ASSERT_EQ(stale.size(), current.size());
+  const auto at = std::search(payload, payload_end, current.begin(), current.end());
+  ASSERT_NE(at, payload_end);
+  std::copy(stale.begin(), stale.end(), at);
+  io::Bytes checksum;
+  io::put_fixed64(checksum, io::fnv1a(&*payload, payload_size));
+  std::copy(checksum.begin(), checksum.end(), payload_end);
+  write_file(path, bytes, bytes.size());
+  ASSERT_EQ(io::TrajectoryReader(path).header().build_version, stale);
+
+  try {
+    io::resume_run(usd, initial, channels, path);
+    FAIL() << "resume_run accepted an archive from another build";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(stale), std::string::npos) << what;
+    EXPECT_NE(what.find(current), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_file(path), bytes);  // rejected before any truncation
+}
+
 // Archive replay reproduces live-run statistics without re-simulating.
 // record_stride = 1 makes the recorder sample at every engine observation
 // (once per round), so the archived channels see exactly the clocks the

@@ -234,21 +234,22 @@ TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
 
 // --------------------------------------- scalar-kernel determinism anchor --
 
-// Golden trajectories captured from the engines *before* the round-sampling
-// hot path moved into the ppsim::kernels layer. The scalar kernel's contract
-// is bit-identical draws to that historical inline code — these pins hold
-// the anchor in place across any future kernel-layer refactor. (The values
-// are draw-for-draw, not distributional: any change here means recorded
-// archives and byte-identical-JSON sweep pins silently broke too.)
+// Golden trajectories of the scalar kernel, whose binomials come from the
+// library's own inversion/BTRS sampler (util/random_variates). These pins
+// hold the anchor in place across any kernel-layer refactor, and because no
+// standard-library distribution is involved they hold on every toolchain and
+// build type. (The values are draw-for-draw, not distributional: any change
+// here means recorded archives and byte-identical-JSON sweep pins silently
+// broke too, and io::kBuildVersion must move with it.)
 
 TEST(ScalarKernelGoldenTest, CollapsedAdaptiveRounds) {
   const UndecidedStateDynamics usd(3);
   CollapsedSimulator s(usd, Configuration({0, 40000, 35000, 25000}), 20250808);
   for (int r = 0; r < 25; ++r) s.step_round(1'000'000'000);
-  EXPECT_EQ(s.interactions(), 83226);
+  EXPECT_EQ(s.interactions(), 83428);
   EXPECT_EQ(s.clamped_interactions(), 0);
   EXPECT_EQ(s.configuration().counts(),
-            (std::vector<Count>{34971, 28142, 22808, 14079}));
+            (std::vector<Count>{35133, 28207, 22923, 13737}));
 }
 
 TEST(ScalarKernelGoldenTest, CollapsedSingleDrawAliasPath) {
@@ -267,7 +268,7 @@ TEST(ScalarKernelGoldenTest, BatchedFixedRounds) {
   EXPECT_EQ(s.interactions(), 156250);
   EXPECT_EQ(s.clamped_interactions(), 0);
   EXPECT_EQ(s.configuration().counts(),
-            (std::vector<Count>{38294, 28796, 21403, 11507}));
+            (std::vector<Count>{38025, 29136, 21378, 11461}));
 }
 
 TEST(ScalarKernelGoldenTest, FullRunsToStabilization) {
@@ -276,14 +277,14 @@ TEST(ScalarKernelGoldenTest, FullRunsToStabilization) {
     CollapsedSimulator s(usd, Configuration({0, 4000, 3500, 2500}), 99);
     const RunOutcome out = s.run_until_stable(100'000'000);
     EXPECT_TRUE(out.stabilized);
-    EXPECT_EQ(out.interactions, 111835);
+    EXPECT_EQ(out.interactions, 106072);
     EXPECT_EQ(out.consensus, std::optional<Opinion>(0));
   }
   {
     BatchedSimulator s(usd, Configuration({0, 4000, 3500, 2500}), 99);
     const RunOutcome out = s.run_until_stable(100'000'000);
     EXPECT_TRUE(out.stabilized);
-    EXPECT_EQ(out.interactions, 122500);
+    EXPECT_EQ(out.interactions, 109375);
     EXPECT_EQ(out.consensus, std::optional<Opinion>(0));
   }
 }

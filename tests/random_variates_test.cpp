@@ -1,5 +1,6 @@
-// Alias table + binomial/multinomial/hypergeometric samplers: moment checks,
-// conservation, degenerate cases, and distribution-shape chi-square tests.
+// Alias table + binomial/multinomial samplers: moment checks, conservation,
+// degenerate cases, distribution-shape chi-square tests, and draw-for-draw
+// pins of the binomial sampler.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -140,65 +141,13 @@ TEST(Multinomial, MarginalsAreBinomial) {
   EXPECT_NEAR(stats.variance(), 200 * 0.25 * 0.75, 0.1 * 37.5);
 }
 
-// -------------------------------------------------------- hypergeometric ----
-
-TEST(Hypergeometric, DegenerateCases) {
-  Xoshiro256pp rng(10);
-  EXPECT_EQ(hypergeometric(rng, 5, 5, 0), 0);
-  EXPECT_EQ(hypergeometric(rng, 0, 10, 4), 0);
-  EXPECT_EQ(hypergeometric(rng, 10, 0, 4), 4);
-  EXPECT_EQ(hypergeometric(rng, 3, 3, 6), 3);  // draw everything
-  EXPECT_THROW(hypergeometric(rng, 2, 2, 5), CheckFailure);
-  EXPECT_THROW(hypergeometric(rng, -1, 2, 1), CheckFailure);
-}
-
-TEST(Hypergeometric, StaysInSupport) {
-  Xoshiro256pp rng(11);
-  for (int i = 0; i < 5000; ++i) {
-    const std::int64_t x = hypergeometric(rng, 7, 5, 6);
-    EXPECT_GE(x, 1);  // max(0, draws - failures) = 1
-    EXPECT_LE(x, 6);  // min(successes, draws)
-  }
-}
-
-TEST(Hypergeometric, MomentsMatchTheory) {
-  Xoshiro256pp rng(12);
-  constexpr std::int64_t kS = 300;
-  constexpr std::int64_t kF = 700;
-  constexpr std::int64_t kD = 100;
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) {
-    stats.add(static_cast<double>(hypergeometric(rng, kS, kF, kD)));
-  }
-  const double n = kS + kF;
-  const double mean = kD * kS / n;
-  const double var = kD * (kS / n) * (kF / n) * (n - kD) / (n - 1);
-  EXPECT_NEAR(stats.mean(), mean, 0.2);
-  EXPECT_NEAR(stats.variance(), var, 0.1 * var);
-}
-
-TEST(Hypergeometric, LargeDrawBranchMatchesMoments) {
-  // draws > pool/2 exercises the complement reduction.
-  Xoshiro256pp rng(13);
-  constexpr std::int64_t kS = 40;
-  constexpr std::int64_t kF = 60;
-  constexpr std::int64_t kD = 80;
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) {
-    stats.add(static_cast<double>(hypergeometric(rng, kS, kF, kD)));
-  }
-  const double n = kS + kF;
-  const double mean = kD * kS / n;
-  EXPECT_NEAR(stats.mean(), mean, 0.1);
-}
-
 // --------------------------- binomial stability at paper-scale parameters --
 
 // The collapsed engine feeds the null-split binomial n up to the 2^53 count
 // cap with p that can be extreme on both ends (active weight is a vanishing
-// or an overwhelming fraction of n(n−1)). These pin libstdc++'s sampler in
-// exactly those regimes: no overflow, no silent saturation, and the right
-// first two moments.
+// or an overwhelming fraction of n(n−1)). These check the library's
+// inversion/BTRS sampler in exactly those regimes: no overflow, no silent
+// saturation, and the right first two moments.
 
 TEST(BinomialStability, RejectsNaNProbability) {
   Xoshiro256pp rng(1);
@@ -226,8 +175,8 @@ TEST(BinomialStability, TinyPAtHugeNMatchesThePoissonLimit) {
 }
 
 TEST(BinomialStability, ReflectionAtPNearOne) {
-  // p > 0.5 exercises the sampler's internal reflection: the complement
-  // count Binomial(n, 1−p) must come out right, not the raw walk.
+  // p > 0.5 exercises the sampler's reflection: the complement count
+  // Binomial(n, 1−p) must come out right, not the raw walk.
   Xoshiro256pp rng(2025);
   constexpr std::int64_t kN = 100'000'000'000;
   constexpr double kP = 1.0 - 1e-9;
@@ -290,6 +239,103 @@ TEST(BinomialStability, ExtremeTailsStayInBounds) {
     EXPECT_NEAR(stats.mean(), mean, 6.0 * sd / std::sqrt(kSamples) + 1e-9)
         << "n=" << c.n << " p=" << c.p;
   }
+}
+
+// ------------------------------------------- binomial pmf goodness of fit --
+
+// Chi-square p-value of `draws` Binomial(n, p) samples against the exact pmf.
+// Outcomes are pooled from each tail inward until every bin expects at
+// least 5 hits, so the statistic's chi-square approximation holds.
+double binomial_fit_pvalue(Xoshiro256pp& rng, std::int64_t n, double p,
+                           int draws) {
+  const auto size = static_cast<std::size_t>(n) + 1;
+  std::vector<double> pmf(size);
+  for (std::size_t k = 0; k < size; ++k) {
+    const double kd = static_cast<double>(k);
+    const double nd = static_cast<double>(n);
+    pmf[k] = std::exp(std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                      std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                      (nd - kd) * std::log1p(-p));
+  }
+  std::vector<std::int64_t> hits(size, 0);
+  for (int i = 0; i < draws; ++i) {
+    const std::int64_t x = binomial(rng, n, p);
+    EXPECT_GE(x, 0);
+    EXPECT_LE(x, n);
+    ++hits[static_cast<std::size_t>(x)];
+  }
+  std::vector<std::int64_t> observed;
+  std::vector<double> expected;
+  std::int64_t bin_hits = 0;
+  double bin_expect = 0.0;
+  for (std::size_t k = 0; k < size; ++k) {
+    bin_hits += hits[k];
+    bin_expect += pmf[k] * draws;
+    if (bin_expect >= 5.0) {
+      observed.push_back(bin_hits);
+      expected.push_back(bin_expect);
+      bin_hits = 0;
+      bin_expect = 0.0;
+    }
+  }
+  // The upper tail left over joins the last full bin.
+  observed.back() += bin_hits;
+  expected.back() += bin_expect;
+  const double stat = chi_square_statistic(observed, expected);
+  return chi_square_sf(stat, static_cast<int>(observed.size()) - 1);
+}
+
+TEST(BinomialSampler, PmfFitsOnBothSidesOfTheInversionSwitch) {
+  // n·p = 9.9 runs inversion, n·p = 10.1 runs BTRS.
+  Xoshiro256pp rng(31);
+  EXPECT_GT(binomial_fit_pvalue(rng, 99, 0.1, 100000), 1e-4);
+  EXPECT_GT(binomial_fit_pvalue(rng, 101, 0.1, 100000), 1e-4);
+  // Far inside each regime as well.
+  EXPECT_GT(binomial_fit_pvalue(rng, 20, 0.05, 100000), 1e-4);
+  EXPECT_GT(binomial_fit_pvalue(rng, 2000, 0.3, 100000), 1e-4);
+}
+
+TEST(BinomialSampler, PmfFitsUnderReflection) {
+  // p > 0.5 is drawn as n − Binomial(n, 1 − p): p = 0.95 reflects onto the
+  // inversion side (n·0.05 = 5), p = 0.7 onto the BTRS side (n·0.3 = 30).
+  Xoshiro256pp rng(32);
+  EXPECT_GT(binomial_fit_pvalue(rng, 100, 0.95, 100000), 1e-4);
+  EXPECT_GT(binomial_fit_pvalue(rng, 100, 0.7, 100000), 1e-4);
+}
+
+TEST(BinomialSampler, DrawSequenceIsPinned) {
+  // Draw-for-draw golden at a fixed seed in the five regimes the engines
+  // reach: small n·p (inversion), moderate BTRS, the 2^53 count cap, the
+  // Poisson limit and its reflection. The sampler owns every arithmetic step
+  // from the raw 64-bit outputs onward, so these values do not depend on the
+  // standard library, the compiler or the build type.
+  struct Regime {
+    std::int64_t n;
+    double p;
+  };
+  const std::vector<Regime> regimes = {
+      {50, 0.1},
+      {1000, 0.3},
+      {std::int64_t{1} << 53, 0.5},
+      {100'000'000'000, 1e-9},
+      {100'000'000'000, 1.0 - 1e-9},
+  };
+  Xoshiro256pp rng(20261016);
+  std::vector<std::int64_t> draws;
+  for (const Regime& r : regimes) {
+    for (int i = 0; i < 4; ++i) draws.push_back(binomial(rng, r.n, r.p));
+  }
+  const std::vector<std::int64_t> golden = {
+      5,                2,                3,                6,
+      297,              306,              312,              290,
+      4503599637226979, 4503599614268224, 4503599581223405, 4503599619636433,
+      93,               96,               106,              82,
+      99999999884,      99999999895,      99999999909,      99999999902,
+  };
+  EXPECT_EQ(draws, golden);
+  // The stream position after the last draw pins how many uniforms BTRS
+  // rejected along the way.
+  EXPECT_EQ(rng(), 16675346312551007463ull);
 }
 
 TEST(MultinomialInto, MatchesTheAllocatingOverloadDrawForDraw) {
