@@ -18,8 +18,7 @@
 // the bench surface: TSV identical to ppsim_run --series, JSON via the same
 // insertion-ordered writer as the sweep reports. --jsonl streams the same
 // per-archive objects one JSON document per line to stdout (the summaries
-// arrive as archives are read, and downstream tools get line-framed input —
-// the same framing the ppsim_serve protocol uses).
+// arrive as archives are read, and downstream tools get line-framed input).
 #include <algorithm>
 #include <filesystem>
 #include <fstream>

@@ -10,6 +10,7 @@
 //   ppsim_run --protocol usd --n 1000000000 --k 32 --engine collapsed
 //   ppsim_run --protocol usd --n 100000 --trials 64 --threads 8
 //   ppsim_run --protocol usd --n 100000 --k 4 --adversary 0.3 --churn 0.001
+//   ppsim_run --protocol usd --n 100000 --k 8 --trials 16 --cache-dir cache/
 //
 // Protocols: usd | usd-gossip | three-majority | four-state | averaging |
 //            cancel-duplicate | leader-election | epidemic.
@@ -26,6 +27,10 @@
 // the scenario layer (core/scenario.hpp): the adaptive adversary on the
 // sequential engine, churn on sequential or collapsed (--regraph is for the
 // graph benches and is rejected here).
+// --cache-dir DIR serves the cell through the content-addressed cell cache
+// (cache/cell_cache.hpp): a rerun with the same flags executes zero trials
+// and writes byte-identical --json. It cannot be combined with --record-to,
+// --resume-from or --series, whose side effects a cache hit would skip.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -35,6 +40,7 @@
 
 #include "ppsim/analysis/bounds.hpp"
 #include "ppsim/analysis/initial.hpp"
+#include "ppsim/cache/cell_cache.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/gossip.hpp"
@@ -52,6 +58,7 @@
 #include "ppsim/protocols/usd_gossip.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/cli.hpp"
+#include "ppsim/util/json.hpp"
 #include "ppsim/util/table.hpp"
 
 namespace {
@@ -102,23 +109,6 @@ void print_cell(const SweepCellResult& cr) {
   }
 }
 
-/// Runs a one-cell sweep over the shared flags and prints the aggregate.
-/// `stopping_metric` overrides the --trials auto target for protocols whose
-/// trials report rounds instead of parallel time.
-SweepCellResult run_one_cell(const std::string& name, SweepCell cell,
-                             const SweepCliOptions& opts, const SweepTrialFn& fn,
-                             const std::string& stopping_metric = "") {
-  SweepSpec spec;
-  spec.name = name;
-  spec.cells.push_back(std::move(cell));
-  opts.configure(spec);
-  if (!stopping_metric.empty()) spec.stopping.metric = stopping_metric;
-  SweepResult result = SweepRunner(spec).run(fn);
-  result.write_json(opts.json);
-  print_cell(result.cells[0]);
-  return std::move(result.cells[0]);
-}
-
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string protocol = cli.get_string("protocol", "usd");
@@ -130,8 +120,13 @@ int run(int argc, char** argv) {
   const std::string engine_flag = cli.get_string("engine", "auto");
   const Interactions record_stride = cli.get_int("record-stride", 0);
   const std::string resume_from = cli.get_string("resume-from", "");
+  const std::string cache_dir = cli.get_string("cache-dir", "");
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 1, "");
   cli.validate_no_unknown_flags();
+  PPSIM_CHECK(cache_dir.empty() || (opts.record_to.empty() &&
+                                    resume_from.empty() && series_path.empty()),
+              "--cache-dir cannot be combined with --record-to/--resume-from/"
+              "--series: a cache hit would skip their side effects");
   PPSIM_CHECK((opts.record_to.empty() && resume_from.empty()) || protocol == "usd",
               "--record-to/--resume-from are implemented for --protocol usd");
   PPSIM_CHECK(opts.record_to.empty() || resume_from.empty(),
@@ -165,6 +160,38 @@ int run(int argc, char** argv) {
   std::cout << "protocol=" << protocol << " n=" << n << " k=" << k << " bias=" << bias
             << " seed=" << seed << " trials=" << trials << " threads="
             << opts.threads << "\n";
+
+  // Runs a one-cell sweep over the shared flags (through the cell cache
+  // under --cache-dir) and prints the aggregate. `stopping_metric` overrides
+  // the --trials auto target for protocols whose trials report rounds
+  // instead of parallel time.
+  auto run_one_cell = [&](SweepCell cell, const SweepTrialFn& fn,
+                          const std::string& stopping_metric = "") {
+    SweepSpec spec;
+    spec.name = "ppsim_run";
+    spec.cells.push_back(std::move(cell));
+    opts.configure(spec);
+    if (!stopping_metric.empty()) spec.stopping.metric = stopping_metric;
+    const SweepRunner runner(spec);
+    SweepResult result;
+    if (cache_dir.empty()) {
+      result = runner.run(fn);
+    } else {
+      // Beyond what the canonical cell key holds (n, k, bias, engine kind,
+      // kernel, scenario params, seed, trial count), the trial closures
+      // capture only the engine flag and the budget.
+      const std::string fn_id = "ppsim_run/v1;engine=" + engine_flag +
+                                ";max_parallel=" +
+                                JsonObject::render_double(max_parallel);
+      cache::CellCache cache({.disk_dir = cache_dir});
+      result = cache::run_cached(runner, fn, fn_id, cache);
+      std::cerr << "cell cache " << cache_dir << ": " << cache.stats().hits
+                << " of " << result.cells.size() << " cells replayed\n";
+    }
+    result.write_json(opts.json);
+    print_cell(result.cells[0]);
+    return std::move(result.cells[0]);
+  };
 
   auto base_cell = [&](EngineKind kind) {
     SweepCell cell;
@@ -205,7 +232,7 @@ int run(int argc, char** argv) {
             UndecidedStateDynamics::initial_configuration(init.opinion_counts);
         SweepCell cell = base_cell(EngineKind::kCollapsed);
         cell.params = sc.params();
-        run_one_cell("ppsim_run", std::move(cell), opts,
+        run_one_cell(std::move(cell),
                      [&](const SweepTrial& ctx) {
                        CollapsedSimulator::Options copts;
                        copts.kernel = ctx.cell.kernel.value_or(opts.kernel);
@@ -234,7 +261,7 @@ int run(int argc, char** argv) {
       }
       SweepCell cell = base_cell(EngineKind::kSequential);
       cell.params = sc.params();
-      run_one_cell("ppsim_run", std::move(cell), opts,
+      run_one_cell(std::move(cell),
                    [&](const SweepTrial& ctx) {
                      UsdEngine engine(init.opinion_counts, ctx.seed);
                      AdversarialScheduler adversary(sc.adversary_strength,
@@ -385,7 +412,7 @@ int run(int argc, char** argv) {
       const UndecidedStateDynamics usd(k);
       const Configuration initial =
           UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-      run_one_cell("ppsim_run", base_cell(*engine_override), opts,
+      run_one_cell(base_cell(*engine_override),
                    [&](const SweepTrial& ctx) {
                      const kernels::KernelKind kernel =
                          ctx.cell.kernel.value_or(opts.kernel);
@@ -395,7 +422,7 @@ int run(int argc, char** argv) {
                    });
       return 0;
     }
-    run_one_cell("ppsim_run", base_cell(EngineKind::kSequential), opts,
+    run_one_cell(base_cell(EngineKind::kSequential),
                  [&](const SweepTrial& ctx) {
                    UsdEngine engine(init.opinion_counts, ctx.seed);
                    engine.run_until_stable(budget);
@@ -421,7 +448,7 @@ int run(int argc, char** argv) {
     const UsdGossipRule rule(k);
     const InitialConfig init = adversarial_configuration(n, k, bias);
     const SweepCellResult cr = run_one_cell(
-        "ppsim_run", base_cell(EngineKind::kSequential), opts,
+        base_cell(EngineKind::kSequential),
         [&](const SweepTrial& ctx) -> SweepMetrics {
           GossipEngine engine(rule, rule.initial(init.opinion_counts), ctx.seed);
           const GossipOutcome out = engine.run_until_stable(1'000'000);
@@ -439,7 +466,7 @@ int run(int argc, char** argv) {
   if (protocol == "three-majority") {
     const InitialConfig init = adversarial_configuration(n, k, bias);
     const SweepCellResult cr = run_one_cell(
-        "ppsim_run", base_cell(EngineKind::kSequential), opts,
+        base_cell(EngineKind::kSequential),
         [&](const SweepTrial& ctx) -> SweepMetrics {
           ThreeMajorityEngine engine(init.opinion_counts, ctx.seed);
           const bool consensus = engine.run_until_consensus(1'000'000);
@@ -459,7 +486,7 @@ int run(int argc, char** argv) {
   auto run_generic = [&](const Protocol& p, Configuration initial,
                          EngineKind default_kind) {
     const EngineKind kind = engine_override.value_or(default_kind);
-    run_one_cell("ppsim_run", base_cell(kind), opts, [&](const SweepTrial& ctx) {
+    run_one_cell(base_cell(kind), [&](const SweepTrial& ctx) {
       Engine sim = ctx.make_engine(p, initial);
       return consensus_metrics(run_engine_trial(sim, budget));
     });

@@ -258,4 +258,37 @@ void CellCache::disk_store(const std::string& canonical_key,
                        ec.message());
 }
 
+SweepResult run_cached(const SweepRunner& runner, const SweepTrialFn& fn,
+                       std::string_view trial_fn_id, CellCache& cache) {
+  // Key off the runner's spec: it has the resolved kernel stamped into
+  // every cell, which the canonical key must see.
+  const SweepSpec& spec = runner.spec();
+  const std::size_t num_cells = spec.cells.size();
+  std::vector<std::string> keys(num_cells);
+  std::vector<std::optional<CachedCellData>> hits(num_cells);
+  SweepJobOptions opts;
+  opts.skip.assign(num_cells, false);
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    keys[c] = canonical_cell_key(spec, c, trial_fn_id);
+    hits[c] = cache.lookup(keys[c]);
+    opts.skip[c] = hits[c].has_value();
+  }
+  opts.on_cell = [&](const SweepCellResult& cr) {
+    cache.insert(keys[cr.cell_index],
+                 {cr.trials_requested, cr.trials_run, cr.trials});
+  };
+  // Skipped cells come back empty at their original index (the seeding
+  // discipline keys streams by position); fill them from the hits.
+  SweepResult result = runner.run_job(fn, opts);
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    if (!hits[c].has_value()) continue;
+    SweepCellResult& cr = result.cells[c];
+    cr.trials_requested = hits[c]->trials_requested;
+    cr.trials_run = hits[c]->trials_run;
+    cr.trials = std::move(hits[c]->trials);
+    aggregate_sweep_cell(cr);
+  }
+  return result;
+}
+
 }  // namespace ppsim::cache

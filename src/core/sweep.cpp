@@ -193,8 +193,7 @@ std::string sweep_cell_json(const SweepCellResult& cr,
 }
 
 std::string SweepResult::to_json() const {
-  // The report's cell array is a verbatim join of sweep_cell_json strings —
-  // the per-cell bytes a service streams mid-job ARE the report's bytes.
+  // The report's cell array is a verbatim join of sweep_cell_json strings.
   std::string cell_array = "[";
   for (std::size_t c = 0; c < cells.size(); ++c) {
     if (c > 0) cell_array += ", ";
@@ -272,9 +271,6 @@ SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
               "job skip mask must be empty or one entry per cell");
   const TrialStopping& stopping = spec_.stopping;
   if (stopping.adaptive) {
-    PPSIM_CHECK(spec_.scheduler == SweepSchedulerKind::kWorkStealing,
-                "the static pool cannot run adaptive stopping (fixed work "
-                "range); use the work-stealing scheduler");
     PPSIM_CHECK(stopping.min_trials >= 2,
                 "adaptive stopping needs min_trials >= 2 (a CI needs two "
                 "observations)");
@@ -310,106 +306,7 @@ SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
 
   const auto start = std::chrono::steady_clock::now();
 
-  result = spec_.scheduler == SweepSchedulerKind::kStaticPool
-               ? run_static_pool(fn, opts, std::move(result))
-               : run_work_stealing(fn, opts, std::move(result));
-
-  result.cancelled =
-      opts.cancel != nullptr && opts.cancel->load(std::memory_order_acquire);
-
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  result.wall_seconds = elapsed.count();
-  return result;
-}
-
-SweepResult SweepRunner::run_static_pool(const SweepTrialFn& fn,
-                                         const SweepJobOptions& opts,
-                                         SweepResult result) const {
-  // The pre-scheduler baseline: a fixed pool walking one shared atomic
-  // counter over the cell-major (cell, trial) range. Kept for measured
-  // comparisons (bench_throughput --mixed-grid) and as a differential
-  // oracle: its output must match the work-stealing path byte for byte —
-  // including the job surface, so it carries the same per-cell completion
-  // accounting (last finisher aggregates and fires on_cell).
-  const std::size_t num_cells = spec_.cells.size();
-  const std::size_t trials = spec_.trials;
-  const std::size_t total = num_cells * trials;
-
-  const auto skipped = [&](std::size_t c) {
-    return !opts.skip.empty() && opts.skip[c];
-  };
-  const auto stop_requested = [&] {
-    return opts.cancel != nullptr &&
-           opts.cancel->load(std::memory_order_acquire);
-  };
-
-  // remaining[c] counts this cell's not-yet-finished trials; the worker
-  // that drops it to zero owns the cell's aggregation + callback.
-  std::vector<std::atomic<std::size_t>> remaining(num_cells);
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    remaining[c].store(trials, std::memory_order_relaxed);
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    for (;;) {
-      if (stop_requested()) return;  // leave unfinished cells incomplete
-      const std::size_t item = next.fetch_add(1, std::memory_order_relaxed);
-      if (item >= total) return;
-      const std::size_t c = item / trials;
-      const std::size_t t = item % trials;
-      if (skipped(c)) continue;
-      try {
-        const std::uint64_t index = stream_index(c, trials, t);
-        Xoshiro256pp rng = trial_stream(spec_.base_seed, index);
-        const std::uint64_t seed = rng();
-        const SweepTrial ctx{spec_.cells[c], c, t, index, seed, rng};
-        result.cells[c].trials[t] = fn(ctx);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        next.store(total, std::memory_order_relaxed);  // drain the queue
-        return;
-      }
-      if (remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        SweepCellResult& cr = result.cells[c];
-        cr.trials_run = trials;
-        aggregate_sweep_cell(cr);
-        if (opts.on_cell) opts.on_cell(cr);
-      }
-    }
-  };
-
-  if (result.threads == 1) {
-    worker();
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(result.threads);
-    for (unsigned i = 0; i < result.threads; ++i) pool.emplace_back(worker);
-    pool.clear();  // joins
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  // A cancelled (or errored-elsewhere) job may leave cells short of their
-  // trial count; return those empty rather than half-filled.
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    SweepCellResult& cr = result.cells[c];
-    if (skipped(c) || remaining[c].load(std::memory_order_acquire) > 0) {
-      cr.trials.clear();
-      cr.trials_run = 0;
-    }
-  }
-  return result;
-}
-
-SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
-                                           const SweepJobOptions& opts,
-                                           SweepResult result) const {
-  const std::size_t num_cells = spec_.cells.size();
-  const std::size_t cap = spec_.trials;
-  const TrialStopping& stopping = spec_.stopping;
+  const std::size_t cap = trials;
   const std::size_t first_wave =
       stopping.adaptive ? std::min(stopping.min_trials, cap) : cap;
 
@@ -447,22 +344,18 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
     std::atomic<std::size_t> executed{0};  ///< trials actually run (no holes)
     std::size_t scheduled = 0;  ///< trials submitted so far
     std::size_t consumed = 0;   ///< trials folded into the streaming CI
-    bool done = false;          ///< finish_cell ran (aggregated + delivered)
     std::unique_ptr<StreamingCi> ci;
   };
   std::vector<CellControl> control(num_cells);
 
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::atomic<bool> cancelled{false};
+  std::atomic<bool> errored{false};
 
-  // Cooperative stop: the caller's cancel flag or an internal trial error.
-  // Checked before *starting* work — in-flight trials always finish, so a
-  // fully executed cell can still be aggregated and delivered.
+  // Error stop: after a trial throws, workers stop *starting* work; the
+  // first exception is rethrown once in-flight trials drain.
   const auto stop_requested = [&] {
-    return cancelled.load(std::memory_order_acquire) ||
-           (opts.cancel != nullptr &&
-            opts.cancel->load(std::memory_order_acquire));
+    return errored.load(std::memory_order_acquire);
   };
 
   TaskScheduler scheduler(result.threads);
@@ -475,11 +368,9 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
   // safe because it touches only this cell's slot and the callback's own
   // synchronization is the callee's contract.
   auto finish_cell = [&](std::size_t c) {
-    CellControl& cc = control[c];
     SweepCellResult& cr = result.cells[c];
-    cr.trials_run = cc.scheduled;
+    cr.trials_run = control[c].scheduled;
     aggregate_sweep_cell(cr);
-    cc.done = true;
     if (opts.on_cell) opts.on_cell(cr);
   };
 
@@ -502,7 +393,7 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
             const std::lock_guard<std::mutex> lock(error_mutex);
             if (!first_error) first_error = std::current_exception();
           }
-          cancelled.store(true, std::memory_order_release);
+          errored.store(true, std::memory_order_release);
         }
       }
       if (control[c].outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -586,7 +477,7 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
             const std::lock_guard<std::mutex> lock(error_mutex);
             if (!first_error) first_error = std::current_exception();
           }
-          cancelled.store(true, std::memory_order_release);
+          errored.store(true, std::memory_order_release);
         }
       }
       if (control[c].outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -607,9 +498,8 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
   wave_complete = [&](std::size_t c) {
     CellControl& cc = control[c];
     SweepCellResult& cr = result.cells[c];
-    // Holes (trials skipped by a stop, or lost to an error) mean this cell
-    // has incomplete data: leave it unfinished — it is cleared after the
-    // drain, and the error path rethrows anyway.
+    // Holes (trials skipped or lost after an error) mean this cell has
+    // incomplete data: leave it undelivered — the job rethrows anyway.
     if (cc.executed.load(std::memory_order_relaxed) != cc.scheduled) return;
     if (!stopping.adaptive) {
       finish_cell(c);
@@ -629,12 +519,14 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
     cc.consumed = cc.scheduled;
     const bool metric_unobserved = cc.ci->count() == 0;
     if (cc.scheduled >= cap || metric_unobserved ||
-        cc.ci->within_relative_error(stopping.rel_err) || stop_requested()) {
-      // stop_requested: don't open another wave, but this cell's completed
-      // prefix is valid deterministic data — deliver it.
+        cc.ci->within_relative_error(stopping.rel_err)) {
       finish_cell(c);
       return;
     }
+    // After an error, open no further wave and deliver nothing: a prefix
+    // cut short by another cell's failure is not the cell's stopping
+    // decision (a cache would otherwise store it).
+    if (stop_requested()) return;
     submit_wave(c, cc.scheduled, std::min(cap, cc.scheduled * 2));
   };
 
@@ -666,7 +558,7 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
   // Interleave the initial submission by trial index across cells (trial 0
   // of every cell, then trial 1, ...): expensive cells start on the first
   // scheduling round instead of queueing behind every earlier cell's full
-  // trial range — the convoy the static pool's cell-major order suffers.
+  // trial range — the convoy a cell-major submission order suffers.
   // Lockstep groups join the interleave at their first trial index.
   for (std::size_t t = 0; t < first_wave; ++t) {
     for (std::size_t c = 0; c < num_cells; ++c) {
@@ -683,15 +575,10 @@ SweepResult SweepRunner::run_work_stealing(const SweepTrialFn& fn,
   scheduler.wait_idle();
   result.scheduler_stats = scheduler.stats();
   if (first_error) std::rethrow_exception(first_error);
-  // Cells a stop left incomplete come back empty, never half-filled.
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    SweepCellResult& cr = result.cells[c];
-    if (skipped(c) || !control[c].done) {
-      cr.trials.clear();
-      cr.trials_run = 0;
-      cr.aggregates.clear();
-    }
-  }
+
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  result.wall_seconds = elapsed.count();
   return result;
 }
 

@@ -10,14 +10,18 @@
 // metrics. Aggregates are deliberately not stored: a hit is replayed
 // through the same aggregate_sweep_cell() path a cold run uses, so a cached
 // cell can never diverge by a byte from a computed one (the load-bearing
-// invariant the serve smoke test pins). The cache is an optimization, never
-// a second code path for results.
+// invariant cell_cache_test and the CI cold/warm `ppsim_run --cache-dir`
+// comparison pin). The cache is an optimization, never a second code path
+// for results.
 //
 // Two tiers: an in-memory LRU front (capacity in entries) and an optional
 // write-through on-disk back (one checksummed record per key, named by the
 // key's fnv1a hash, reusing io/wire primitives). Disk records embed the
 // full canonical key and are verified on load — a hash collision or a
 // corrupted file degrades to a miss, never to wrong data.
+//
+// run_cached() is the one sweep path through the cache: hits replay, misses
+// run on the SweepRunner and are inserted as they complete.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +38,12 @@ namespace ppsim::cache {
 
 /// The canonical content address of cell `cell_index` of `spec` as computed
 /// by the trial function identified by `trial_fn_id`. Deliberately EXCLUDES
-/// spec.name, spec.threads, spec.scheduler and cell.name — none of them
-/// influence the cell's trial data (thread/scheduler invariance is pinned by
-/// sweep_test) — and INCLUDES io::kBuildVersion, so a rebuild that could
-/// change numerics starts from a cold cache. `trial_fn_id` must encode
-/// everything the trial closure captures that varies results (e.g. the
-/// service uses "usd/engine/v1;budget=<b>").
+/// spec.name, spec.threads and cell.name — none of them influence the
+/// cell's trial data (thread-count invariance is pinned by sweep_test and
+/// sweep_stress_test) — and INCLUDES io::kBuildVersion, so a rebuild that
+/// could change numerics starts from a cold cache. `trial_fn_id` must encode
+/// everything the trial closure captures that varies results (e.g.
+/// ppsim_run uses "ppsim_run/v1;engine=<flag>;max_parallel=<x>").
 std::string canonical_cell_key(const SweepSpec& spec, std::size_t cell_index,
                                std::string_view trial_fn_id);
 
@@ -117,5 +121,13 @@ class CellCache {
   std::size_t lru_tail_ = npos;  ///< eviction candidate
   CellCacheStats stats_;
 };
+
+/// Runs `runner`'s sweep through `cache`: every cell whose canonical key
+/// (under `trial_fn_id`) hits is replayed through aggregate_sweep_cell at
+/// its original index, the misses run in one run_job call and are inserted
+/// as each completes. A cold, warm or partially warm call returns a report
+/// byte-identical to runner.run(fn); a fully warm one calls `fn` zero times.
+SweepResult run_cached(const SweepRunner& runner, const SweepTrialFn& fn,
+                       std::string_view trial_fn_id, CellCache& cache);
 
 }  // namespace ppsim::cache

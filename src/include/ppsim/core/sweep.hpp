@@ -12,8 +12,7 @@
 //     (cell, trial) tasks out over --threads workers — cells complete out of
 //     order, expensive cells start early, and imbalanced grids (n=10^3 cells
 //     next to n=10^11 collapsed cells) no longer convoy behind the
-//     submission order; the previous shared-counter pool survives as
-//     SweepSchedulerKind::kStaticPool, the measured baseline;
+//     submission order;
 //   * deterministic per-trial randomness: trial (c, t) always draws from
 //     Xoshiro256pp(base_seed).stream(c * trials + t), an O(1) jump-stream
 //     derivation, so results are bitwise identical at any thread count;
@@ -34,7 +33,6 @@
 // per-trial slots, so no locking is needed downstream).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -95,13 +93,6 @@ struct TrialStopping {
   std::string metric = "parallel_time";  ///< metric whose mean is pinned
 };
 
-/// Which execution substrate run() uses. kWorkStealing is the default;
-/// kStaticPool is the pre-scheduler shared-atomic-counter pool, kept as the
-/// measured baseline (bench_throughput --mixed-grid) and as a differential
-/// determinism oracle. The static pool cannot express dynamic work, so it
-/// rejects adaptive stopping.
-enum class SweepSchedulerKind { kWorkStealing, kStaticPool };
-
 /// The declarative sweep: grid x trial count x seeding x parallelism.
 struct SweepSpec {
   std::string name;               ///< bench/experiment name (report header)
@@ -110,7 +101,6 @@ struct SweepSpec {
   std::uint64_t base_seed = 42;
   unsigned threads = 1;           ///< worker count; 0 = hardware concurrency
   TrialStopping stopping;         ///< fixed by default
-  SweepSchedulerKind scheduler = SweepSchedulerKind::kWorkStealing;
   /// Default round kernel for cells that don't name their own. kScalar is
   /// the determinism anchor: its draw sequence predates the kernels layer,
   /// so every byte-identical-JSON pin assumes it.
@@ -224,15 +214,9 @@ struct SweepResult {
   TrialStopping stopping;
   kernels::KernelKind kernel = kernels::KernelKind::kScalar;  ///< spec default
   std::vector<SweepCellResult> cells;
-  /// True when a cooperative cancel (SweepJobOptions::cancel) was observed:
-  /// cells that completed every scheduled trial are delivered normally, the
-  /// rest are returned empty (trials_run = 0, no aggregates). Like
-  /// wall_seconds this is runtime state, deliberately NOT in the JSON — a
-  /// cancelled job must never masquerade as a (differently shaped) report.
-  bool cancelled = false;
   double wall_seconds = 0.0;  ///< whole-sweep wall clock (not in the JSON)
-  /// Work-stealing execution counters (zero under the static pool). Like
-  /// wall_seconds these are timing-dependent, so they stay out of the JSON.
+  /// Work-stealing execution counters. Like wall_seconds these are
+  /// timing-dependent, so they stay out of the JSON.
   TaskScheduler::Stats scheduler_stats;
 
   /// Unified report: spec header, then one entry per cell with the cell's
@@ -246,9 +230,8 @@ struct SweepResult {
 
 /// One cell's entry of the unified report, rendered standalone.
 /// `default_kernel` resolves cells whose kernel is nullopt (SweepResult
-/// passes its spec default). Exposed so the sweep service can stream a cell
-/// the moment it completes using exactly the bytes the final report will
-/// contain — to_json() is a join of these strings, nothing more.
+/// passes its spec default). to_json() is a join of these strings, nothing
+/// more.
 std::string sweep_cell_json(const SweepCellResult& cr,
                             kernels::KernelKind default_kernel);
 
@@ -264,21 +247,14 @@ std::string sweep_cell_json(const SweepCellResult& cr,
 /// worker, not the job.
 using SweepCellCallback = std::function<void(const SweepCellResult&)>;
 
-/// Options for SweepRunner::run_job — the asynchronous-consumption form of a
-/// sweep that the service layer builds on. run(fn) is run_job with all
+/// Options for SweepRunner::run_job — the per-cell form of a sweep that the
+/// cell cache (cache::run_cached) builds on. run(fn) is run_job with all
 /// defaults.
 struct SweepJobOptions {
   /// Per-cell completion callback (see SweepCellCallback); null = none.
   SweepCellCallback on_cell;
   /// Lockstep eligibility plan (the run(fn, plan) overload's second arg).
   LockstepPlanFn lockstep;
-  /// Cooperative cancellation: when non-null and *cancel becomes true,
-  /// workers stop STARTING trials. Trials already in flight finish; cells
-  /// whose every scheduled trial still completed are aggregated and
-  /// delivered via on_cell as usual, the rest come back empty and the
-  /// returned SweepResult has cancelled = true. The flag must outlive the
-  /// run_job call (which blocks until in-flight work drains).
-  const std::atomic<bool>* cancel = nullptr;
   /// Per-cell skip mask (empty = run everything). Skipped cells execute no
   /// trials and fire no callback; they come back empty (trials_run = 0) at
   /// their original cell_index, which is what keeps the seeding discipline
@@ -335,28 +311,19 @@ class SweepRunner {
   /// exactly, so with the scalar kernel the report is byte-identical to
   /// run(fn) (tests/sweep_test.cpp pins this). Cells fall back to the
   /// per-trial path when the plan is nullopt, the engine is not collapsed,
-  /// stopping is adaptive, or the scheduler is the static pool. Thin
-  /// wrapper over run_job.
+  /// or stopping is adaptive. Thin wrapper over run_job.
   SweepResult run(const SweepTrialFn& fn, const LockstepPlanFn& plan) const;
 
   /// The job form both run() overloads delegate to: a sweep submission with
   /// incremental result assembly. Each cell is aggregated by its last
   /// finisher the moment its final trial lands (not in a sequential pass at
-  /// the end), opts.on_cell streams completed cells to the caller while
-  /// later cells are still running, opts.cancel stops the job
-  /// cooperatively, and opts.skip leaves chosen cells empty at their
-  /// original index for the caller to fill (the cache-hit path). Blocks
-  /// until the job drains; rethrows the first trial exception.
+  /// the end), opts.on_cell hands completed cells to the caller while later
+  /// cells are still running, and opts.skip leaves chosen cells empty at
+  /// their original index for the caller to fill (the cache-hit path).
+  /// Blocks until the job drains; rethrows the first trial exception.
   SweepResult run_job(const SweepTrialFn& fn, const SweepJobOptions& opts) const;
 
  private:
-  SweepResult run_static_pool(const SweepTrialFn& fn,
-                              const SweepJobOptions& opts,
-                              SweepResult result) const;
-  SweepResult run_work_stealing(const SweepTrialFn& fn,
-                                const SweepJobOptions& opts,
-                                SweepResult result) const;
-
   SweepSpec spec_;
 };
 
@@ -390,7 +357,7 @@ struct SweepCliOptions {
   TrialStopping stopping;
 
   /// Applies the shared flags to a spec (trials/base_seed/threads/stopping),
-  /// leaving name/cells/scheduler to the bench. Benches may override
+  /// leaving name/cells to the bench. Benches may override
   /// spec.stopping.metric afterwards to aim --trials auto at their own
   /// headline metric.
   void configure(SweepSpec& spec) const;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -47,11 +48,10 @@ TEST(CanonicalCellKeyTest, KeysContentNotPresentation) {
   SweepSpec a = tiny_spec();
   const std::string key = canonical_cell_key(a, 1, "fn/v1");
   // Presentation-only fields don't move the key: sweep name, cell label,
-  // thread count, scheduler choice (all pinned byte-invariant elsewhere).
+  // thread count (all pinned byte-invariant elsewhere).
   SweepSpec b = tiny_spec();
   b.name = "renamed";
   b.threads = 8;
-  b.scheduler = SweepSchedulerKind::kStaticPool;
   b.cells[1].name = "labelled";
   EXPECT_EQ(canonical_cell_key(b, 1, "fn/v1"), key);
   // Content fields do: position, seed, trial cap, the trial fn identity,
@@ -67,6 +67,11 @@ TEST(CanonicalCellKeyTest, KeysContentNotPresentation) {
   SweepSpec axis = tiny_spec();
   axis.cells[1].bias = 0.2;
   EXPECT_NE(canonical_cell_key(axis, 1, "fn/v1"), key);
+  // Scenario knobs live in the cell params, so a scenario sweep never
+  // shares entries with the otherwise identical plain one.
+  SweepSpec scenario = tiny_spec();
+  scenario.cells[1].params = {{"churn_rate", 0.001}};
+  EXPECT_NE(canonical_cell_key(scenario, 1, "fn/v1"), key);
   SweepSpec kern = tiny_spec();
   kern.cells[1].kernel = kernels::KernelKind::kScalar;
   // Stamping the default explicitly is identity (value_or(spec.kernel)).
@@ -179,33 +184,78 @@ TEST(CellCacheTest, CorruptOrMismatchedDiskRecordsDegradeToMisses) {
 }
 
 TEST(CellCacheTest, CachedReplaySplicesIntoAByteIdenticalReport) {
-  // End-to-end over the job surface: cold-run a sweep while inserting every
-  // cell; then "serve" the same spec with all cells skipped, filling each
-  // from the cache + aggregate_sweep_cell. The two reports must be the same
-  // bytes — the acceptance invariant of the whole cache layer.
+  // End to end through run_cached: hits replay stored raw trials through
+  // aggregate_sweep_cell, misses run on the SweepRunner. Every pass must
+  // serialize the bytes a plain cold run does — the acceptance invariant of
+  // the whole cache layer.
+  const std::string dir = testing::TempDir() + "/ppcell_replay";
+  std::filesystem::remove_all(dir);
   const SweepSpec spec = tiny_spec(4, 5);
-  CellCache cache(
-      {.memory_capacity = 8, .disk_dir = testing::TempDir() + "/ppcell_replay"});
   const SweepRunner runner(spec);
-  const SweepResult cold = runner.run_job(stamp_trial, SweepJobOptions{});
-  for (const SweepCellResult& cr : cold.cells) {
-    cache.insert(canonical_cell_key(spec, cr.cell_index, "stamp/v1"),
-                 cached_from(cr));
+  const std::string oracle = runner.run(stamp_trial).to_json();
+  std::atomic<int> calls{0};
+  const SweepTrialFn counted = [&](const SweepTrial& ctx) {
+    ++calls;
+    return stamp_trial(ctx);
+  };
+
+  // Cold: every cell misses, runs once and is inserted.
+  {
+    CellCache cache({.memory_capacity = 8, .disk_dir = dir});
+    EXPECT_EQ(run_cached(runner, counted, "stamp/v1", cache).to_json(), oracle);
+    EXPECT_EQ(calls.load(), 20);
+    EXPECT_EQ(cache.stats().misses, 4u);
+    EXPECT_EQ(cache.stats().insertions, 4u);
   }
-  SweepJobOptions all_skipped;
-  all_skipped.skip.assign(spec.cells.size(), true);
-  SweepResult warm = runner.run_job(stamp_trial, all_skipped);
-  for (std::size_t c = 0; c < spec.cells.size(); ++c) {
-    const auto hit = cache.lookup(canonical_cell_key(spec, c, "stamp/v1"));
-    ASSERT_TRUE(hit.has_value());
-    SweepCellResult& cr = warm.cells[c];
-    cr.trials_requested = hit->trials_requested;
-    cr.trials_run = hit->trials_run;
-    cr.trials = hit->trials;
-    aggregate_sweep_cell(cr);
+  // Warm: a fresh cache (cold memory) over the same directory serves every
+  // cell from disk, and the trial function never runs.
+  calls = 0;
+  {
+    CellCache cache({.memory_capacity = 8, .disk_dir = dir});
+    EXPECT_EQ(run_cached(runner, counted, "stamp/v1", cache).to_json(), oracle);
+    EXPECT_EQ(calls.load(), 0);
+    EXPECT_EQ(cache.stats().disk_hits, 4u);
   }
-  EXPECT_EQ(warm.to_json(), cold.to_json());
-  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(spec.cells.size()));
+  // Another trial-function identity (ppsim_run's fn id carries e.g. its
+  // max_parallel) shares no entries: everything runs again.
+  {
+    CellCache cache({.memory_capacity = 8, .disk_dir = dir});
+    EXPECT_EQ(run_cached(runner, counted, "stamp/v1;max_parallel=2", cache)
+                  .to_json(),
+              oracle);
+    EXPECT_EQ(calls.load(), 20);
+    EXPECT_EQ(cache.stats().hits, 0u);
+  }
+}
+
+TEST(CellCacheTest, PartiallyWarmGridsSpliceByteIdenticallyAtAnyThreadCount) {
+  // Cells 1 and 3 cached, cells 0 and 2 cold: the misses keep their stream
+  // indices (cell_index * trials + trial), so the spliced report equals the
+  // cold one at any worker count.
+  for (const unsigned threads : {1u, 4u}) {
+    SweepSpec spec = tiny_spec(4, 5);
+    spec.threads = threads;
+    const SweepRunner runner(spec);
+    const SweepResult cold = runner.run(stamp_trial);
+    CellCache cache({.memory_capacity = 8, .disk_dir = ""});
+    for (const std::size_t c : {1u, 3u}) {
+      cache.insert(canonical_cell_key(spec, c, "stamp/v1"),
+                   cached_from(cold.cells[c]));
+    }
+    std::atomic<int> calls{0};
+    const SweepResult spliced = run_cached(
+        runner,
+        [&](const SweepTrial& ctx) {
+          ++calls;
+          EXPECT_TRUE(ctx.cell_index == 0 || ctx.cell_index == 2);
+          return stamp_trial(ctx);
+        },
+        "stamp/v1", cache);
+    EXPECT_EQ(spliced.to_json(), cold.to_json()) << "threads " << threads;
+    EXPECT_EQ(calls.load(), 10);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().insertions, 4u);
+  }
 }
 
 }  // namespace

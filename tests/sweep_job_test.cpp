@@ -1,16 +1,19 @@
-// SweepRunner::run_job — the async-consumption sweep surface the service
-// layer builds on: per-cell completion callbacks (fired by the last
-// finisher), skip masks that hold cache-served cells empty at their original
-// index, cooperative cancellation, and aggregate_sweep_cell as the shared
-// (runner + cache replay) aggregation path.
+// SweepRunner::run_job — the per-cell sweep surface the cell cache builds
+// on: per-cell completion callbacks (fired by the last finisher), skip masks
+// that hold cache-served cells empty at their original index, and
+// aggregate_sweep_cell as the shared (runner + cache replay) aggregation
+// path.
 #include "ppsim/core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ppsim/util/check.hpp"
@@ -43,7 +46,6 @@ TEST(SweepJobTest, RunIsRunJobWithDefaults) {
   const SweepResult b =
       SweepRunner(counting_spec(2)).run_job(stream_trial, SweepJobOptions{});
   EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_FALSE(b.cancelled);
 }
 
 TEST(SweepJobTest, CallbackCarriesAggregatedCellsExactlyOnce) {
@@ -117,86 +119,6 @@ TEST(SweepJobTest, SkipMaskMustMatchTheGrid) {
                CheckFailure);
 }
 
-TEST(SweepJobTest, PreSetCancelYieldsAnEmptyCancelledResult) {
-  std::atomic<bool> cancel{true};
-  std::atomic<int> ran{0};
-  SweepJobOptions opts;
-  opts.cancel = &cancel;
-  opts.on_cell = [&](const SweepCellResult&) { ++ran; };
-  const SweepResult result = SweepRunner(counting_spec(4)).run_job(
-      [&](const SweepTrial& ctx) {
-        ++ran;
-        return stream_trial(ctx);
-      },
-      opts);
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_EQ(ran.load(), 0);
-  for (const SweepCellResult& cr : result.cells) {
-    EXPECT_EQ(cr.trials_run, 0u);
-    EXPECT_TRUE(cr.trials.empty());
-  }
-}
-
-TEST(SweepJobTest, MidJobCancelDeliversOnlyFullyExecutedCells) {
-  // Cancel from inside a trial of cell 1: cells whose every trial still ran
-  // arrive complete and aggregated; interrupted cells come back empty, never
-  // half-filled. (Which cells complete is schedule-dependent — the contract
-  // is the dichotomy, not the exact set.)
-  std::atomic<bool> cancel{false};
-  std::mutex mutex;
-  std::set<std::size_t> delivered;
-  SweepJobOptions opts;
-  opts.cancel = &cancel;
-  opts.on_cell = [&](const SweepCellResult& cr) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    delivered.insert(cr.cell_index);
-    EXPECT_EQ(cr.trials.size(), cr.trials_run);
-    EXPECT_FALSE(cr.aggregates.empty());
-  };
-  const SweepResult result =
-      SweepRunner(counting_spec(2, /*cells=*/6, /*trials=*/8))
-          .run_job(
-              [&](const SweepTrial& ctx) {
-                if (ctx.cell_index == 1 && ctx.trial == 2) {
-                  cancel.store(true);
-                }
-                return stream_trial(ctx);
-              },
-              opts);
-  EXPECT_TRUE(result.cancelled);
-  for (const SweepCellResult& cr : result.cells) {
-    if (delivered.count(cr.cell_index) > 0) {
-      EXPECT_EQ(cr.trials.size(), cr.trials_run);
-      EXPECT_GT(cr.trials_run, 0u);
-    } else {
-      EXPECT_EQ(cr.trials_run, 0u);
-      EXPECT_TRUE(cr.trials.empty());
-      EXPECT_TRUE(cr.aggregates.empty());
-    }
-  }
-}
-
-TEST(SweepJobTest, StaticPoolSupportsTheJobSurface) {
-  // The legacy pool carries the same job semantics: callbacks, skip masks,
-  // and byte-identity with the work-stealing path.
-  SweepSpec spec = counting_spec(4);
-  spec.scheduler = SweepSchedulerKind::kStaticPool;
-  std::mutex mutex;
-  std::set<std::size_t> seen;
-  SweepJobOptions opts;
-  opts.skip = {false, true, false};
-  opts.on_cell = [&](const SweepCellResult& cr) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    seen.insert(cr.cell_index);
-  };
-  const SweepResult pool = SweepRunner(spec).run_job(stream_trial, opts);
-  EXPECT_EQ(seen, (std::set<std::size_t>{0, 2}));
-  EXPECT_EQ(pool.cells[1].trials_run, 0u);
-  const SweepResult ws =
-      SweepRunner(counting_spec(4)).run_job(stream_trial, opts);
-  EXPECT_EQ(pool.to_json(), ws.to_json());
-}
-
 TEST(SweepJobTest, AdaptiveJobsStreamConvergedCells) {
   SweepSpec spec = counting_spec(4, /*cells=*/2, /*trials=*/32);
   spec.stopping.adaptive = true;
@@ -249,6 +171,53 @@ TEST(SweepJobTest, ErrorsStillPropagateThroughTheJobSurface) {
           },
           opts),
       std::runtime_error);
+}
+
+TEST(SweepJobTest, AnErrorNeverDeliversAnAdaptiveCellCutShort) {
+  // Cell 0 never converges (rel_err is unreachable), so its true result
+  // runs to the cap. Its second wave is held in flight until cell 1 throws;
+  // when that wave lands, the cell must not be delivered with the truncated
+  // prefix — a caching caller would store it as the cell's result. (Cell 0
+  // may still legitimately reach the cap before the error is recorded.)
+  SweepSpec spec = counting_spec(3, /*cells=*/2, /*trials=*/64);
+  spec.stopping.adaptive = true;
+  spec.stopping.min_trials = 2;
+  spec.stopping.rel_err = 1e-12;
+  spec.stopping.metric = "seed_bits";
+  std::atomic<bool> thrown{false};
+  std::atomic<int> held{0};
+  std::atomic<int> truncated{0};
+  SweepJobOptions opts;
+  opts.on_cell = [&](const SweepCellResult& cr) {
+    if (cr.trials_run < 64) ++truncated;
+  };
+  const auto wait_for = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  EXPECT_THROW(
+      SweepRunner(spec).run_job(
+          [&](const SweepTrial& ctx) -> SweepMetrics {
+            if (ctx.cell_index == 1 && ctx.trial == 2) {
+              // Throw only once both of cell 0's second-wave trials run.
+              wait_for([&] { return held.load() >= 2; });
+              thrown = true;
+              throw std::runtime_error("boom");
+            }
+            if (ctx.cell_index == 0 && ctx.trial >= 2) {
+              ++held;
+              wait_for([&] { return thrown.load(); });
+              // Give the throwing worker time to record the error.
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            }
+            return stream_trial(ctx);
+          },
+          opts),
+      std::runtime_error);
+  EXPECT_EQ(truncated.load(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Scheduler determinism stress battery (the tentpole's pin): seeded
 // randomized grids with deliberately skewed per-cell costs run at 1, 2, 8
 // and 64 threads and must serialize byte-identical JSON every time — for
-// fixed trial counts, for adaptive stopping, and differentially against the
-// legacy static pool. Each case is kept to ~100 ms so the CI TSan lane can
+// fixed trial counts and for adaptive stopping. The 1-thread run is the
+// oracle: it executes every task on one worker in submission order. Each case is kept to ~100 ms so the CI TSan lane can
 // repeat the whole suite 50x (`ctest -R SweepStress --repeat until-fail:50`)
 // and still finish in minutes.
 //
@@ -101,21 +101,6 @@ TEST_P(SweepStressTest, AdaptiveStoppingByteIdenticalAcrossThreadCounts) {
   for (const unsigned threads : {2u, 8u, 64u}) {
     const SweepResult result = SweepRunner(adaptive(threads)).run(spin_trial);
     EXPECT_EQ(reference_json, result.to_json())
-        << "grid " << grid_seed << " threads " << threads;
-  }
-}
-
-TEST_P(SweepStressTest, StaticPoolDifferentialOracle) {
-  // Same grid, both substrates, several thread counts: the scheduler swap
-  // must be invisible in the bytes.
-  const std::uint64_t grid_seed = GetParam();
-  for (const unsigned threads : {1u, 8u}) {
-    SweepSpec pool = random_spec(grid_seed, threads);
-    pool.scheduler = SweepSchedulerKind::kStaticPool;
-    const std::string pool_json = SweepRunner(pool).run(spin_trial).to_json();
-    const std::string ws_json =
-        SweepRunner(random_spec(grid_seed, threads)).run(spin_trial).to_json();
-    EXPECT_EQ(pool_json, ws_json)
         << "grid " << grid_seed << " threads " << threads;
   }
 }

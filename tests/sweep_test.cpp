@@ -305,17 +305,6 @@ TEST(SweepRunnerTest, FixedTrialRunsReportRequestedEqualsRun) {
   EXPECT_NE(json.find("\"mode\": \"fixed\""), std::string::npos);
 }
 
-TEST(SweepRunnerTest, StaticPoolMatchesWorkStealingByteForByte) {
-  // The legacy static pool is kept as a differential oracle: same spec, same
-  // seeds, different execution substrate, identical bytes.
-  SweepSpec ws = small_usd_spec(4);
-  SweepSpec pool = small_usd_spec(4);
-  pool.scheduler = SweepSchedulerKind::kStaticPool;
-  const SweepResult a = SweepRunner(ws).run(usd_trial);
-  const SweepResult b = SweepRunner(pool).run(usd_trial);
-  EXPECT_EQ(a.to_json(), b.to_json());
-}
-
 SweepSpec adaptive_usd_spec(unsigned threads) {
   SweepSpec spec = small_usd_spec(threads);
   spec.trials = 32;  // the cap
@@ -366,10 +355,6 @@ TEST(SweepRunnerTest, AdaptiveStoppingValidatesItsParameters) {
   SweepSpec metric = adaptive();
   metric.stopping.metric.clear();
   EXPECT_THROW(SweepRunner(std::move(metric)).run(noop), CheckFailure);
-  // The static pool cannot express dynamic work; adaptive mode rejects it.
-  SweepSpec pool = adaptive();
-  pool.scheduler = SweepSchedulerKind::kStaticPool;
-  EXPECT_THROW(SweepRunner(std::move(pool)).run(noop), CheckFailure);
 }
 
 TEST(SweepCellTest, ParamLookupAndLabel) {

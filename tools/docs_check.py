@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Docs command checker: every ppsim_run/ppsim_query/ppsim_serve/
-ppsim_client/bench_* invocation quoted in README.md and docs/ must
-actually run.
+"""Docs command checker: every ppsim_run/ppsim_query/bench_* invocation
+quoted in README.md and docs/ must actually run.
 
 For each command found in fenced code blocks or inline code spans:
   1. the binary must exist in the build directory;
@@ -15,11 +14,8 @@ For each command found in fenced code blocks or inline code spans:
      "error:" line in stderr (CheckFailure); exit code 1 without one is a
      science verdict (bound violated at toy scale) and is accepted.
 
-ppsim_serve is a daemon: its quoted command (trailing `&` stripped) is
-started in the background with --socket/--cache-dir rewritten into the
-scratch directory, and later ppsim_client commands — whose --socket is
-rewritten the same way — talk to that instance. The daemon is terminated
-when the check finishes (or when another serve command replaces it).
+A documented --cache-dir is rewritten to one cell cache inside the scratch
+directory, so a quoted cold/warm recipe replays its own cold run.
 
 Usage: tools/docs_check.py [--build-dir build] [--repo-root .]
 """
@@ -31,7 +27,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import time
 
 # Smoke-scale overrides, applied only when the binary registers the flag.
 SMOKE_OVERRIDES = {
@@ -47,10 +42,6 @@ SMOKE_OVERRIDES = {
 # Binaries whose model limits need smaller smoke sizes than the default.
 PER_BINARY_OVERRIDES = {
     "bench_graph_topology": {"n": "2000"},  # explicit clique capped at 4096
-    # --mixed-grid sizes: the documented imbalanced grid is deliberately
-    # expensive; shrink both cell classes for the smoke run.
-    "bench_throughput": {"small-n": "5000", "large-n": "1000000",
-                         "small-cells": "3"},
     # At the smoke-scale n the documented checkpoint stride would never
     # fire; shrink it so recording recipes exercise the checkpoint path.
     "ppsim_run": {"checkpoint-every": "100000"},
@@ -60,8 +51,7 @@ PER_COMMAND_TIMEOUT = 180  # seconds
 # Commands sharing one scratch directory run in document order, so a recipe
 # that records an archive and then resumes/queries it works as quoted.
 COMMAND_RE = re.compile(
-    r"(?:\./build/)?(bench_[a-z0-9_]+|ppsim_run|ppsim_query|ppsim_serve|"
-    r"ppsim_client)\b")
+    r"(?:\./build/)?(bench_[a-z0-9_]+|ppsim_run|ppsim_query)\b")
 FLAG_REGISTRATION_RE = re.compile(
     r'get_(?:int|double|string|bool)\(\s*"([a-z0-9-]+)"')
 
@@ -100,7 +90,6 @@ def extract_commands(text: str):
         for line in block.splitlines():
             line = line.strip().lstrip("$ ").rstrip("\\").strip()
             line = line.split(" #", 1)[0].strip()  # strip trailing comments
-            line = line.rstrip("&").strip()  # daemons are quoted with `&`
             if line.startswith("#") or not COMMAND_RE.search(line):
                 continue
             m = COMMAND_RE.search(line)
@@ -153,8 +142,6 @@ def main() -> int:
     failures = []
     checked = 0
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="ppsim-docs-check-"))
-    server = None  # the one live ppsim_serve daemon, if any
-    server_socket = scratch / "docs_check.sock"
     for source_file, cmd in commands:
         # Keep only the command tail starting at the binary token.
         m = COMMAND_RE.search(cmd)
@@ -190,33 +177,8 @@ def main() -> int:
                 smoke += [f"--{flag}", value]
         if "json" in flags:
             smoke += ["--json", str(scratch / f"{binary}.json")]
-        # Documented socket paths point at /tmp examples; the smoke run keeps
-        # daemon and clients on one scratch socket instead.
-        if "socket" in flags:
-            smoke += ["--socket", str(server_socket)]
-        if binary == "ppsim_serve":
-            if "cache-dir" in flags:
-                smoke += ["--cache-dir", str(scratch / "cell-cache")]
-            if server is not None:
-                server.terminate()
-                server.wait(timeout=30)
-            checked += 1
-            print(f"docs-check [{checked}] {cmd} (daemon)")
-            server = subprocess.Popen(smoke, cwd=scratch,
-                                      stdout=subprocess.DEVNULL,
-                                      stderr=subprocess.DEVNULL)
-            for _ in range(100):  # wait for the daemon to bind the socket
-                if server_socket.exists() or server.poll() is not None:
-                    break
-                time.sleep(0.1)
-            if server.poll() is not None:
-                failures.append(
-                    f"{source_file}: `{cmd}` — daemon exited {server.returncode}")
-                server = None
-            elif not server_socket.exists():
-                failures.append(f"{source_file}: `{cmd}` — daemon never bound "
-                                f"{server_socket}")
-            continue
+        if "cache-dir" in command_flags(tokens):
+            smoke += ["--cache-dir", str(scratch / "cell-cache")]
         checked += 1
         print(f"docs-check [{checked}] {cmd}")
         try:
@@ -231,13 +193,6 @@ def main() -> int:
         elif "error:" in proc.stderr:
             failures.append(
                 f"{source_file}: `{cmd}` — stderr: {proc.stderr.strip()}")
-
-    if server is not None:
-        server.terminate()
-        try:
-            server.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            server.kill()
 
     print(f"\ndocs-check: {checked} unique commands executed, "
           f"{len(failures)} failures")
