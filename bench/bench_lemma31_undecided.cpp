@@ -102,8 +102,7 @@ int run(int argc, char** argv) {
       rspec.tau_epsilon = ctx.cell.tau_epsilon;
       Engine sim(ctx.cell.engine, protocols[ctx.cell_index],
                  initials[ctx.cell_index], rspec.seed,
-                 {.round_divisor = rspec.round_divisor},
-                 {.tau_epsilon = rspec.tau_epsilon});
+                 {.tau_epsilon = rspec.tau_epsilon}, rspec.round_divisor);
       const io::ArchiveChannels channels = io::usd_archive_channels(ctx.cell.k);
       io::ArchiveRecorder archive(
           rspec, n, protocols[ctx.cell_index].num_states(), channels,

@@ -47,6 +47,7 @@ int run(int argc, char** argv) {
   const std::int64_t kmax = cli.get_int("kmax", 32);
   const std::string engine_flag = cli.get_string("engine", "auto");
   const Interactions round_divisor = cli.get_int("round-divisor", 16);
+  PPSIM_CHECK(round_divisor > 0, "--round-divisor must be positive");
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 7, "BENCH_scaling_lower_bound.json");

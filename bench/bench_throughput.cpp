@@ -4,14 +4,14 @@
 //
 //   * sequential  — generic table-driven Simulator, one interaction/step;
 //   * specialized — UsdEngine, the hand-tuned sequential USD engine;
-//   * batched     — BatchedSimulator, Θ(n) interactions per O(q²) round;
-//   * collapsed   — CollapsedSimulator, counts-space adaptive-τ rounds.
+//   * batched     — CollapsedSimulator with fixed rounds of n/divisor;
+//   * collapsed   — CollapsedSimulator with adaptive-τ rounds.
 //
 // Runs on the SweepRunner: one cell per engine, --trials trials per cell,
 // fanned out over --threads workers with deterministic per-trial RNG
 // streams (the per-trial interaction counts are thread-count invariant;
 // only wall clock changes). Reports wall-clock seconds, attempted vs
-// *effective* interactions (attempted minus the batched engine's clamped
+// *effective* interactions (attempted minus the round kinds' clamped
 // τ-leaping overdraw — previously the clamped share was double-counted),
 // interactions/second and the batched-vs-sequential speedup; the same
 // numbers land in the unified sweep JSON (--json, default
@@ -174,6 +174,7 @@ int run(int argc, char** argv) {
   const auto k = static_cast<std::size_t>(cli.get_int("k", 3));
   const double max_parallel = cli.get_double("max-parallel", 1000.0);
   const Interactions round_divisor = cli.get_int("round-divisor", 16);
+  PPSIM_CHECK(round_divisor > 0, "--round-divisor must be positive");
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
   const bool kernel_shootout = cli.get_bool("kernel-shootout", false);
   const SweepCliOptions opts =

@@ -375,7 +375,7 @@ int run(int argc, char** argv) {
         const UndecidedStateDynamics usd(k);
         Engine engine(*engine_override, usd,
                       UndecidedStateDynamics::initial_configuration(init.opinion_counts),
-                      series_seed, {.kernel = opts.kernel}, {.kernel = opts.kernel});
+                      series_seed, {.kernel = opts.kernel});
         engine.run_until(
             [&](const Configuration& c, Interactions i) {
               rec.maybe_sample(c, i);
@@ -417,7 +417,7 @@ int run(int argc, char** argv) {
                      const kernels::KernelKind kernel =
                          ctx.cell.kernel.value_or(opts.kernel);
                      Engine engine(ctx.cell.engine, usd, initial, ctx.seed,
-                                   {.kernel = kernel}, {.kernel = kernel});
+                                   {.kernel = kernel});
                      return consensus_metrics(run_engine_trial(engine, budget));
                    });
       return 0;

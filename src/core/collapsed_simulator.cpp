@@ -24,7 +24,7 @@ CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
               "double-precision pair weights");
   PPSIM_CHECK(options_.tau_epsilon > 0.0 && options_.tau_epsilon <= 1.0,
               "tau_epsilon must be in (0, 1]");
-  PPSIM_CHECK(options_.max_round >= 0, "max_round must be non-negative");
+  PPSIM_CHECK(options_.fixed_round >= 0, "fixed_round must be non-negative");
 }
 
 CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
@@ -52,11 +52,9 @@ Interactions CollapsedSimulator::choose_tau(Interactions budget) const {
                              law_.total_weight() / law_.consumption(s);
     tau = std::min(tau, per_state);
   }
-  Interactions t = tau >= static_cast<double>(budget)
-                       ? budget
-                       : std::max<Interactions>(1, static_cast<Interactions>(tau));
-  if (options_.max_round > 0) t = std::min(t, options_.max_round);
-  return std::min(t, budget);
+  return tau >= static_cast<double>(budget)
+             ? budget
+             : std::max<Interactions>(1, static_cast<Interactions>(tau));
 }
 
 bool CollapsedSimulator::stage_round(Interactions max_interactions,
@@ -71,7 +69,9 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
     return false;
   }
 
-  const Interactions batch = choose_tau(max_interactions);
+  const Interactions batch =
+      options_.fixed_round > 0 ? std::min(options_.fixed_round, max_interactions)
+                               : choose_tau(max_interactions);
   last_round_size_ = batch;
   interactions_ = sat_add(interactions_, batch);
 

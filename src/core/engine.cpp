@@ -1,17 +1,19 @@
 #include "ppsim/core/engine.hpp"
 
+#include <algorithm>
+
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
 
 namespace {
 
-using EngineVariant = std::variant<Simulator, BatchedSimulator, CollapsedSimulator>;
+using EngineVariant = std::variant<Simulator, CollapsedSimulator>;
 
-EngineVariant make_impl(
-    EngineKind kind, const Protocol& protocol, Configuration initial,
-    std::uint64_t seed, BatchedSimulator::Options batched_options,
-    CollapsedSimulator::Options collapsed_options) {
+EngineVariant make_impl(EngineKind kind, const Protocol& protocol,
+                        Configuration initial, std::uint64_t seed,
+                        CollapsedSimulator::Options options,
+                        Interactions round_divisor) {
   switch (kind) {
     case EngineKind::kSequential:
       return EngineVariant(
@@ -22,13 +24,14 @@ EngineVariant make_impl(
           std::in_place_type<Simulator>, protocol, std::move(initial), seed,
           Simulator::Engine::kVirtual);
     case EngineKind::kBatched:
-      return EngineVariant(
-          std::in_place_type<BatchedSimulator>, protocol, std::move(initial), seed,
-          batched_options);
+      PPSIM_CHECK(round_divisor > 0, "round divisor must be positive");
+      options.fixed_round =
+          std::max<Interactions>(1, initial.population() / round_divisor);
+      [[fallthrough]];
     case EngineKind::kCollapsed:
       return EngineVariant(
           std::in_place_type<CollapsedSimulator>, protocol, std::move(initial),
-          seed, collapsed_options);
+          seed, options);
   }
   // Reachable only through a forged enum value (e.g. a bad static_cast from
   // an untrusted flag): fail loudly instead of falling off a value-returning
@@ -60,11 +63,11 @@ std::optional<EngineKind> parse_engine(const std::string& name) {
 }
 
 Engine::Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
-               std::uint64_t seed, BatchedSimulator::Options batched_options,
-               CollapsedSimulator::Options collapsed_options)
+               std::uint64_t seed, CollapsedSimulator::Options options,
+               Interactions round_divisor)
     : kind_(kind),
-      impl_(make_impl(kind, protocol, std::move(initial), seed, batched_options,
-                      collapsed_options)) {}
+      impl_(make_impl(kind, protocol, std::move(initial), seed, options,
+                      round_divisor)) {}
 
 const Configuration& Engine::configuration() const {
   return std::visit([](const auto& e) -> const Configuration& { return e.configuration(); },

@@ -57,7 +57,7 @@ RunOutcome Simulator::run_until(
   Interactions next_stability_check = interactions_ + stability_stride_;
   while (interactions_ < max_interactions &&
          !predicate(config_, interactions_)) {
-    // Stop on stability like run_until_stable (and BatchedSimulator::
+    // Stop on stability like run_until_stable (and CollapsedSimulator::
     // run_until): once stable the configuration never changes again, so a
     // configuration predicate that has not fired never will.
     if (interactions_ >= next_stability_check) {

@@ -37,8 +37,8 @@ Engine SweepTrial::make_engine(const Protocol& protocol,
   const kernels::KernelKind kernel =
       cell.kernel.value_or(kernels::KernelKind::kScalar);
   return Engine(cell.engine, protocol, std::move(initial), rng(),
-                {.round_divisor = cell.round_divisor, .kernel = kernel},
-                {.tau_epsilon = cell.tau_epsilon, .kernel = kernel});
+                {.tau_epsilon = cell.tau_epsilon, .kernel = kernel},
+                cell.round_divisor);
 }
 
 const SweepMetricAggregate* SweepCellResult::find(const std::string& metric) const {

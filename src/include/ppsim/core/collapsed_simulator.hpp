@@ -1,11 +1,9 @@
-// Counts-space ("collapsed") simulation engine for population protocols.
+// Counts-space ("collapsed") round engine for population protocols.
 //
-// The sequential Simulator materializes nothing but already works on counts;
-// its cost is still one RNG draw per *interaction*, and the BatchedSimulator
-// leaps in fixed rounds of n/divisor interactions regardless of how fast the
-// configuration is actually moving. This engine simulates the pair-count
-// Markov chain directly and is built for populations far beyond what either
-// can reach (n = 10^9–10^11):
+// The sequential Simulator already works on counts but still pays one RNG
+// draw per *interaction*. This engine simulates the pair-count Markov chain
+// directly and is built for populations far beyond the sequential engines'
+// reach (n = 10^9–10^11):
 //
 //   * State is only the S = |Σ| counts (a Configuration). No per-agent data
 //     structure exists at any n.
@@ -17,31 +15,38 @@
 //     table survives them untouched and a rebuild costs O(S²) only when a
 //     state count actually moved.
 //   * Multi-interaction rounds batch a run of identical-distribution draws:
-//     one binomial splits off the null interactions, one exact multinomial
-//     distributes the rest over the active pairs (same two-stage law as the
-//     batched engine), and the round length τ comes from an adaptive
-//     controller instead of a fixed clamp heuristic.
+//     one binomial splits off the null interactions and one exact
+//     multinomial distributes the rest over the active pairs. All draws of a
+//     round see the start-of-round counts (τ-leaping).
 //
-// The τ controller (choose_tau) bounds per-round drift error two ways:
-//   1. per-state: the *expected* number of interactions consuming state s in
-//     the round is at most tau_epsilon · c_s, so no state's count drifts by
-//     more than an ε fraction in expectation (and the overdraw clamp, kept
-//     for safety, needs a many-sigma multinomial deviation to fire);
-//   2. aggregate: τ ≤ tau_epsilon · n, bounding the total fraction of agents
-//     whose states go stale within one round (this also covers inflow-driven
-//     growth of states that start the round near zero, e.g. u(0) = 0 in the
-//     paper's initial configurations).
-// With tau_epsilon = 0.05 and USD-style dynamics τ stays near ε·n throughout
-// a run — orders of magnitude fewer rounds than interactions — while
-// shrinking automatically wherever a state is being drained quickly.
+// The round length τ follows one of two policies (Options::fixed_round):
+//   * adaptive (fixed_round = 0, the default): the τ controller (choose_tau)
+//     bounds per-round drift error two ways:
+//     1. per-state: the *expected* number of interactions consuming state s
+//        in the round is at most tau_epsilon · c_s, so no state's count
+//        drifts by more than an ε fraction in expectation (and the overdraw
+//        clamp, kept for safety, needs a many-sigma multinomial deviation to
+//        fire);
+//     2. aggregate: τ ≤ tau_epsilon · n, bounding the total fraction of
+//        agents whose states go stale within one round (this also covers
+//        inflow-driven growth of states that start the round near zero,
+//        e.g. u(0) = 0 in the paper's initial configurations).
+//     With tau_epsilon = 0.05 and USD-style dynamics τ stays near ε·n
+//     throughout a run — orders of magnitude fewer rounds than interactions
+//     — while shrinking automatically wherever a state is being drained
+//     quickly.
+//   * fixed (fixed_round = r > 0): every round is exactly min(r, budget)
+//     interactions regardless of how fast the configuration moves. This is
+//     EngineKind::kBatched, which sets r = max(1, n / round_divisor).
 //
-// Exactness: with max_round = 1 (or budget 1) every round is a single draw
+// Exactness: with fixed_round = 1 (or budget 1) every round is a single draw
 // from the exact pair law, realising precisely the sequential Markov chain;
 // tests/engine_equivalence_test.cpp pins this against the sequential
-// engines. For larger rounds it is a τ-leaping approximation with the error
-// knobs above. Counts and interaction totals use 64-bit saturating
-// arithmetic (util/check sat_add/sat_mul); populations are capped at 2^53 so
-// every count stays exactly representable in the double-precision weights.
+// engines. For larger rounds it is a τ-leaping approximation. Bulk moves are
+// clamped to the live counts (clamped_interactions() reports how often that
+// fired). Counts and interaction totals use 64-bit saturating arithmetic
+// (util/check sat_add/sat_mul); populations are capped at 2^53 so every
+// count stays exactly representable in the double-precision weights.
 #pragma once
 
 #include <functional>
@@ -62,15 +67,16 @@ namespace ppsim {
 class CollapsedSimulator {
  public:
   struct Options {
-    /// Per-round drift tolerance ε of the τ controller (see file comment).
-    /// Smaller is more accurate and slower; 0.05 keeps the stabilization-time
-    /// distribution within the batched engine's measured KS envelope while
-    /// adapting the round length to the configuration.
+    /// Per-round drift tolerance ε of the adaptive τ controller (see file
+    /// comment). Smaller is more accurate and slower; 0.05 keeps the
+    /// stabilization-time distribution within the KS envelope of fixed
+    /// n/16 rounds while adapting the round length to the configuration.
+    /// Unused when fixed_round > 0.
     double tau_epsilon = 0.05;
-    /// Hard cap on the round length; 0 = no cap (the controller decides).
-    /// max_round = 1 forces single-interaction rounds, i.e. the exact
-    /// sequential chain.
-    Interactions max_round = 0;
+    /// Round-length policy: 0 = adaptive (the τ controller decides); r > 0 =
+    /// every round is exactly min(r, budget) interactions. fixed_round = 1
+    /// forces single-interaction rounds, i.e. the exact sequential chain.
+    Interactions fixed_round = 0;
     /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is the
     /// determinism anchor every golden pin is recorded against; kAvx2
     /// throws at construction when the build or CPU lacks it.
@@ -93,14 +99,14 @@ class CollapsedSimulator {
     return ppsim::parallel_time(interactions_, config_.population());
   }
   Interactions clamped_interactions() const noexcept { return clamped_; }
-  /// Length the τ controller chose for the most recent round (0 before the
-  /// first round). Exposed for tests and adaptivity diagnostics.
+  /// Length of the most recent round (0 before the first round). Exposed for
+  /// tests and adaptivity diagnostics.
   Interactions last_round_size() const noexcept { return last_round_size_; }
 
-  /// Simulates one round of at most `max_interactions` interactions; the τ
-  /// controller picks the actual length. Returns the number simulated. If
-  /// the configuration is stable the whole budget is consumed in one null
-  /// round (nothing can change, so the leap is exact).
+  /// Simulates one round of at most `max_interactions` interactions; the
+  /// round-length policy picks the actual length. Returns the number
+  /// simulated. If the configuration is stable the whole budget is consumed
+  /// in one null round (nothing can change, so the leap is exact).
   Interactions step_round(Interactions max_interactions);
 
   /// Runs whole rounds until the protocol stabilizes or `max_interactions`
@@ -109,9 +115,10 @@ class CollapsedSimulator {
   RunOutcome run_until_stable(Interactions max_interactions);
 
   /// Runs until `predicate(config, interactions)` holds or the budget is
-  /// exhausted. The predicate is checked once per *round* (round boundaries
-  /// are ≤ tau_epsilon·n interactions apart, so per-round observables lag
-  /// the exact chain by at most that much).
+  /// exhausted. The predicate is checked once per *round* (adaptive round
+  /// boundaries are ≤ tau_epsilon·n interactions apart, fixed ones
+  /// fixed_round apart; per-round observables lag the exact chain by at
+  /// most that much).
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
@@ -176,7 +183,7 @@ class CollapsedSimulator {
   /// Rebuilds the pair law if a count changed since the last build. O(S²).
   void refresh_law();
   /// Adaptive round length: min over the drift bounds, clamped to
-  /// [1, budget] and options_.max_round. Requires a fresh law.
+  /// [1, budget]. Requires a fresh law.
   Interactions choose_tau(Interactions budget) const;
 
   const Protocol& protocol_;

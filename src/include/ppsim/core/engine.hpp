@@ -1,10 +1,10 @@
 // One switchable front door for the generic simulation engines.
 //
-// The library now has four ways to run a Protocol: the sequential
-// table-driven Simulator, the sequential virtual-dispatch Simulator, the
-// round-based BatchedSimulator, and the counts-space CollapsedSimulator.
-// Runner experiments, the benches and examples/ppsim_run select between
-// them with one EngineKind value instead of hard-coding an engine type;
+// The library has two engines: the sequential Simulator (table-driven or
+// virtual dispatch) and the counts-space round engine CollapsedSimulator
+// (adaptive or fixed-length rounds). EngineKind names the four ways to run a
+// Protocol on them. Runner experiments, the benches and examples/ppsim_run
+// select one with an EngineKind value instead of hard-coding an engine type;
 // Engine forwards the shared surface (run_until_stable / run_until /
 // RunOutcome / observables) to whichever implementation the kind names.
 #pragma once
@@ -14,7 +14,6 @@
 #include <string>
 #include <variant>
 
-#include "ppsim/core/batched_simulator.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/protocol.hpp"
@@ -26,8 +25,8 @@ namespace ppsim {
 enum class EngineKind {
   kSequential,         ///< Simulator, table-driven dispatch (exact)
   kSequentialVirtual,  ///< Simulator, Protocol-vtable dispatch (exact)
-  kBatched,            ///< BatchedSimulator (τ-leaping rounds; see its header)
-  kCollapsed,          ///< CollapsedSimulator (counts-space, adaptive τ rounds)
+  kBatched,    ///< CollapsedSimulator, fixed rounds of max(1, n/round_divisor)
+  kCollapsed,  ///< CollapsedSimulator, adaptive τ rounds
 };
 
 /// "sequential" | "virtual" | "batched" | "collapsed" (flag values for
@@ -39,11 +38,13 @@ std::optional<EngineKind> parse_engine(const std::string& name);
 
 class Engine {
  public:
-  /// The protocol must outlive the engine. `batched_options` only applies to
-  /// EngineKind::kBatched, `collapsed_options` only to EngineKind::kCollapsed.
+  /// The protocol must outlive the engine. `options` applies to the round
+  /// kinds: kCollapsed uses it as given; kBatched keeps its kernel and
+  /// replaces fixed_round by max(1, n / round_divisor), where round_divisor
+  /// must be positive. The sequential kinds ignore both.
   Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
-         std::uint64_t seed, BatchedSimulator::Options batched_options = {},
-         CollapsedSimulator::Options collapsed_options = {});
+         std::uint64_t seed, CollapsedSimulator::Options options = {},
+         Interactions round_divisor = 16);
 
   EngineKind kind() const noexcept { return kind_; }
   const Configuration& configuration() const;
@@ -54,8 +55,8 @@ class Engine {
   double parallel_time() const;
 
   RunOutcome run_until_stable(Interactions max_interactions);
-  /// Note: the batched engine checks the predicate once per round, the
-  /// sequential engines once per interaction.
+  /// Note: the round kinds (kBatched, kCollapsed) check the predicate once
+  /// per round, the sequential engines once per interaction.
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
@@ -64,7 +65,7 @@ class Engine {
 
   /// Streams strided samples (plus engine checkpoints when the recorder has
   /// a checkpoint stride) from inside the run loops: the sequential engines
-  /// observe once per interaction, the round engines once per round. Not
+  /// observe once per interaction, the round kinds once per round. Not
   /// owned; nullptr detaches; the recorder must outlive the run calls.
   void set_recorder(Recorder* recorder);
 
@@ -79,7 +80,7 @@ class Engine {
 
  private:
   EngineKind kind_;
-  std::variant<Simulator, BatchedSimulator, CollapsedSimulator> impl_;
+  std::variant<Simulator, CollapsedSimulator> impl_;
 };
 
 }  // namespace ppsim

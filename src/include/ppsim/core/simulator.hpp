@@ -32,8 +32,9 @@ struct RunOutcome {
   Interactions interactions = 0;             ///< attempted interactions so far
   /// Interactions the engine attempted but could not realise (τ-leaping
   /// overdraw clamped to live counts). Always 0 for the exact sequential
-  /// engines; for the batched engine, `interactions - clamped` is the
-  /// effective count — report both so throughput numbers are honest.
+  /// engines; for the round kinds (batched, collapsed), `interactions -
+  /// clamped` is the effective count — report both so throughput numbers
+  /// are honest.
   Interactions clamped = 0;
   std::optional<Opinion> consensus;          ///< output all agents agree on, if any
 };

@@ -4,15 +4,14 @@
 // Under the uniform scheduler one interaction picks an ordered pair of
 // distinct agents, i.e. ordered state pair (a, b) with probability
 // w(a,b) / n(n−1), where w(a,b) = c_a·c_b for a ≠ b and w(a,a) = c_a·(c_a−1)
-// (an agent never interacts with itself). Both round engines need the same
-// derived data from that law each round: the enumeration of *active*
-// (non-null) pairs with their weights and transitions, the active/total
-// weight split for the null binomial, the per-state consumption rates the
-// collapsed engine's τ controller integrates, and — on the exact single-draw
-// path — a Walker/Vose alias table over the active weights. Before the
-// kernels layer existed this enumeration was written twice (collapsed and
-// batched engines, verbatim); PairLaw is the single copy both build on and
-// the structure a RoundKernel consumes.
+// (an agent never interacts with itself). The collapsed round engine needs
+// the same derived data from that law each round, under either round-length
+// policy: the enumeration of *active* (non-null) pairs with their weights
+// and transitions, the active/total weight split for the null binomial, the
+// per-state consumption rates the adaptive τ controller integrates, and —
+// on the exact single-draw path — a Walker/Vose alias table over the active
+// weights. PairLaw is the single copy of that enumeration and the structure
+// a RoundKernel consumes.
 //
 // Cache discipline: rebuild() bumps a generation counter, and the lazily
 // built alias table records the generation it was built for — so alias

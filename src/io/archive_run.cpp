@@ -21,8 +21,7 @@ RunOutcome drive(const Protocol& protocol, const Configuration& initial,
   PPSIM_CHECK(spec.record_stride > 0, "archive record stride must be resolved");
 
   Engine engine(spec.engine, protocol, initial, spec.seed,
-                {.round_divisor = spec.round_divisor},
-                {.tau_epsilon = spec.tau_epsilon});
+                {.tau_epsilon = spec.tau_epsilon}, spec.round_divisor);
 
   Recorder recorder(spec.record_stride);
   recorder.set_keep_series(false);  // archives stream; no in-memory copy

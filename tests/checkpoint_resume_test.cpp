@@ -241,8 +241,7 @@ TEST(ArchiveReplayTest, ReplayMatchesLiveStatistics) {
 
   // Live runs with the identical engine construction and seed.
   Engine live_stable(spec.engine, usd, initial, spec.seed,
-                     {.round_divisor = spec.round_divisor},
-                     {.tau_epsilon = spec.tau_epsilon});
+                     {.tau_epsilon = spec.tau_epsilon}, spec.round_divisor);
   const UndecidedExcursion live_exc =
       max_undecided_over_run(live_stable, spec.max_interactions);
 
@@ -260,8 +259,7 @@ TEST(ArchiveReplayTest, ReplayMatchesLiveStatistics) {
   // live engine-facade measurement (both round-granular on the same rounds).
   const Count level = 600;
   Engine live_hit(spec.engine, usd, initial, spec.seed,
-                  {.round_divisor = spec.round_divisor},
-                  {.tau_epsilon = spec.tau_epsilon});
+                  {.tau_epsilon = spec.tau_epsilon}, spec.round_divisor);
   const HittingResult live = time_until_delta_reaches(
       live_hit, level, spec.max_interactions);
   const HittingResult replay =

@@ -1,9 +1,10 @@
 // CollapsedSimulator: the exact single-interaction pair law (chi-square at
 // small n against the analytic ordered-pair distribution), count
-// conservation and budget accounting under adaptive rounds, the 2^53
-// population / saturating-arithmetic guards, adaptivity of the τ controller,
-// and distributional equivalence of full stabilization runs against the
-// sequential engine.
+// conservation and budget accounting under adaptive and fixed rounds, the
+// 2^53 population / saturating-arithmetic guards, adaptivity of the τ
+// controller, the Engine facade's batched (fixed-round) kind, and
+// distributional equivalence of full stabilization runs against the
+// sequential engine under both round policies.
 #include "ppsim/core/collapsed_simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
+#include "scenario_stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -40,7 +42,7 @@ TEST(CollapsedSimulatorTest, RejectsDegenerateInputs) {
                                   {.tau_epsilon = 1.5}),
                CheckFailure);
   EXPECT_THROW(CollapsedSimulator(usd, Configuration(kUsdCounts), 1,
-                                  {.max_round = -1}),
+                                  {.fixed_round = -1}),
                CheckFailure);
 }
 
@@ -127,9 +129,9 @@ TEST(CollapsedSimulatorTest, OneStepLawMatchesExactPairDistribution) {
   EXPECT_GT(chi_square_sf(stat, 3), 1e-4) << "chi-square statistic " << stat;
 }
 
-TEST(CollapsedSimulatorTest, MaxRoundOneForcesSingleInteractionRounds) {
+TEST(CollapsedSimulatorTest, FixedRoundOneForcesSingleInteractionRounds) {
   const UndecidedStateDynamics usd(kK);
-  CollapsedSimulator sim(usd, Configuration(kUsdCounts), 17, {.max_round = 1});
+  CollapsedSimulator sim(usd, Configuration(kUsdCounts), 17, {.fixed_round = 1});
   for (int i = 0; i < 500 && !sim.is_stable(); ++i) {
     EXPECT_EQ(sim.step_round(1'000'000), 1);
     EXPECT_EQ(sim.last_round_size(), 1);
@@ -159,6 +161,32 @@ TEST(CollapsedSimulatorTest, BudgetIsRespectedExactly) {
   EXPECT_EQ(sim.interactions(), 10);
 }
 
+TEST(CollapsedSimulatorTest, FixedRoundsHaveExactlyTheRequestedLength) {
+  // fixed_round replaces the τ controller outright: every round is
+  // min(fixed_round, budget) even where the adaptive policy would stay at or
+  // below its ε·n = 30 aggregate cap.
+  const UndecidedStateDynamics usd(kK);
+  CollapsedSimulator sim(usd, Configuration(kUsdCounts), 42, {.fixed_round = 37});
+  Interactions total = 0;
+  for (int round = 0; round < 20'000 && !sim.is_stable(); ++round) {
+    const Interactions budget = round % 3 == 0 ? 20 : 1'000'000;
+    const Interactions done = sim.step_round(budget);
+    ASSERT_EQ(done, std::min<Interactions>(37, budget)) << "round " << round;
+    ASSERT_EQ(sim.last_round_size(), done) << "round " << round;
+    ASSERT_EQ(sim.configuration().population(), 600) << "round " << round;
+    for (const Count c : sim.configuration().counts()) ASSERT_GE(c, 0);
+    total += done;
+  }
+  EXPECT_TRUE(sim.is_stable());
+  EXPECT_EQ(sim.interactions(), total);
+
+  // A budget that is not a multiple of the round ends on a short tail round.
+  CollapsedSimulator capped(usd, Configuration(kUsdCounts), 7, {.fixed_round = 37});
+  const RunOutcome out = capped.run_until_stable(100);
+  EXPECT_EQ(out.interactions, 100);
+  EXPECT_EQ(capped.last_round_size(), 100 - 2 * 37);
+}
+
 TEST(CollapsedSimulatorTest, SameSeedGivesIdenticalTrajectory) {
   const UndecidedStateDynamics usd(kK);
   CollapsedSimulator a(usd, Configuration(kUsdCounts), 99);
@@ -172,7 +200,7 @@ TEST(CollapsedSimulatorTest, SameSeedGivesIdenticalTrajectory) {
 }
 
 TEST(CollapsedSimulatorTest, TauControllerAdaptsToThePopulationScale) {
-  // The fixed-round batched engine always leaps n/divisor; the collapsed
+  // Fixed rounds (the batched kind) always leap n/divisor; the adaptive
   // controller must scale its rounds with n (ε·n aggregate cap) and stay
   // well below n (per-state drain bound).
   const UndecidedStateDynamics usd(kK);
@@ -231,58 +259,89 @@ TEST(CollapsedSimulatorTest, EngineFacadeSelectsCollapsed) {
   EXPECT_EQ(to_string(EngineKind::kCollapsed), "collapsed");
 }
 
-// ----------------------------- distributional equivalence vs. sequential --
-
-/// Two-sample Kolmogorov–Smirnov distance sup_x |F_a(x) - F_b(x)|.
-double ks_distance(std::vector<double> a, std::vector<double> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  double d = 0.0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    if (a[ia] <= b[ib]) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-    d = std::max(d, std::abs(static_cast<double>(ia) / na -
-                             static_cast<double>(ib) / nb));
+TEST(CollapsedSimulatorTest, EngineFacadeBatchedIsFixedRoundsOfNOverDivisor) {
+  const UndecidedStateDynamics usd(kK);
+  for (const Interactions divisor : {Interactions{0}, Interactions{-1}}) {
+    EXPECT_THROW(Engine(EngineKind::kBatched, usd, Configuration(kUsdCounts), 3,
+                        {}, divisor),
+                 CheckFailure)
+        << "round_divisor " << divisor;
   }
-  return d;
+  // The adaptive kind ignores the divisor.
+  EXPECT_NO_THROW(Engine(EngineKind::kCollapsed, usd, Configuration(kUsdCounts),
+                         3, {}, 0));
+
+  // kBatched is a CollapsedSimulator with fixed_round = max(1, n / divisor):
+  // the default divisor 16 gives 600 / 16 = 37, a divisor ≥ n gives 1.
+  for (const auto& [divisor, round] :
+       {std::pair<Interactions, Interactions>{16, 37}, {1'000'000, 1}}) {
+    Engine engine(EngineKind::kBatched, usd, Configuration(kUsdCounts), 3, {},
+                  divisor);
+    EXPECT_EQ(engine.kind(), EngineKind::kBatched);
+    CollapsedSimulator direct(usd, Configuration(kUsdCounts), 3,
+                              {.fixed_round = round});
+    const RunOutcome out = engine.run_until_stable(10'000'000);
+    const RunOutcome expected = direct.run_until_stable(10'000'000);
+    EXPECT_TRUE(out.stabilized) << "round_divisor " << divisor;
+    EXPECT_TRUE(engine.is_stable());
+    EXPECT_EQ(engine.interactions(), out.interactions);
+    EXPECT_EQ(engine.consensus_output(), out.consensus);
+    EXPECT_EQ(out.interactions, expected.interactions) << "round_divisor " << divisor;
+    EXPECT_EQ(engine.configuration(), direct.configuration());
+  }
+  EXPECT_EQ(parse_engine("batched"), EngineKind::kBatched);
+  EXPECT_EQ(to_string(EngineKind::kBatched), "batched");
+  EXPECT_FALSE(parse_engine("warp-drive").has_value());
 }
 
+// ----------------------------- distributional equivalence vs. sequential --
+
 TEST(CollapsedSimulatorTest, StabilizationTimesShareDistributionWithSequential) {
-  // Full-run comparison against the exact sequential chain with adaptive
-  // τ-leaping on: the collapsed engine's per-round drift bound (ε = 0.05)
-  // must keep the stabilization-time distribution within the same KS
-  // envelope the batched engine meets at round_divisor = 16.
+  // Full-run comparison against the exact sequential chain under both round
+  // policies: adaptive τ-leaping (ε = 0.05) and fixed rounds of n/16 (the
+  // batched kind's default). With 300 samples a side the α = 0.001 KS
+  // critical distance is ≈ 0.16; the τ-leaping bias of either policy
+  // (measured: < 1% of the mean, well under the ~12% spread) stays far
+  // below it. The sequential sampler records exact stopping times (stride 1)
+  // so the comparison is against the true sequential law.
   const UndecidedStateDynamics usd(kK);
   constexpr int kTrials = 300;
   std::vector<double> seq;
-  std::vector<double> col;
   for (int t = 0; t < kTrials; ++t) {
     Simulator s(usd, Configuration(kUsdCounts), 1000 + static_cast<std::uint64_t>(t));
     s.set_stability_check_stride(1);  // exact stopping times for the KS check
     const RunOutcome so = s.run_until_stable(50'000'000);
     ASSERT_TRUE(so.stabilized);
     seq.push_back(static_cast<double>(so.interactions));
-
-    CollapsedSimulator c(usd, Configuration(kUsdCounts),
-                         500'000 + static_cast<std::uint64_t>(t));
-    const RunOutcome co = c.run_until_stable(50'000'000);
-    ASSERT_TRUE(co.stabilized);
-    col.push_back(static_cast<double>(co.interactions));
   }
-  EXPECT_LE(ks_distance(seq, col), 0.195);
   RunningStats s_stats;
-  RunningStats c_stats;
   for (const double x : seq) s_stats.add(x);
-  for (const double x : col) c_stats.add(x);
-  EXPECT_NEAR(s_stats.mean(), c_stats.mean(),
-              5.0 * (s_stats.sem() + c_stats.sem()));
+
+  struct Policy {
+    const char* name;
+    CollapsedSimulator::Options options;
+    std::uint64_t seed0;
+  };
+  const Policy policies[] = {{"adaptive", {}, 500'000},
+                             {"fixed n/16", {.fixed_round = 600 / 16}, 501'000}};
+  for (const Policy& policy : policies) {
+    std::vector<double> col;
+    for (int t = 0; t < kTrials; ++t) {
+      CollapsedSimulator c(usd, Configuration(kUsdCounts),
+                           policy.seed0 + static_cast<std::uint64_t>(t),
+                           policy.options);
+      const RunOutcome co = c.run_until_stable(50'000'000);
+      ASSERT_TRUE(co.stabilized) << policy.name;
+      ASSERT_TRUE(co.consensus.has_value()) << policy.name;
+      col.push_back(static_cast<double>(co.interactions));
+    }
+    EXPECT_LE(testutil::ks_distance(seq, col), 0.195) << policy.name;
+    RunningStats c_stats;
+    for (const double x : col) c_stats.add(x);
+    EXPECT_NEAR(s_stats.mean(), c_stats.mean(),
+                5.0 * (s_stats.sem() + c_stats.sem()))
+        << policy.name;
+  }
 }
 
 // Regression for pair-law cache invalidation on restore. The law and its
@@ -296,9 +355,9 @@ TEST(CollapsedSimulatorTest, StabilizationTimesShareDistributionWithSequential) 
 // single-draw (alias-table) round paths.
 TEST(CollapsedSimulatorTest, RestoreIntoStaleCachesReproducesContinuation) {
   const UndecidedStateDynamics usd(kK);
-  for (const Interactions max_round : {Interactions{0}, Interactions{1}}) {
+  for (const Interactions fixed_round : {Interactions{0}, Interactions{1}}) {
     CollapsedSimulator::Options opts;
-    opts.max_round = max_round;
+    opts.fixed_round = fixed_round;
     CollapsedSimulator original(usd, Configuration(kUsdCounts), 4242, opts);
     for (int r = 0; r < 12; ++r) original.step_round(5'000);
     const EngineCheckpoint cp = original.checkpoint_state();
@@ -314,7 +373,7 @@ TEST(CollapsedSimulatorTest, RestoreIntoStaleCachesReproducesContinuation) {
 
     EXPECT_EQ(resumed.configuration().counts(),
               original.configuration().counts())
-        << "max_round=" << max_round;
+        << "fixed_round=" << fixed_round;
     EXPECT_EQ(resumed.interactions(), original.interactions());
     EXPECT_EQ(resumed.clamped_interactions(),
               original.clamped_interactions());

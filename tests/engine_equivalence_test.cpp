@@ -12,7 +12,6 @@
 #include <tuple>
 
 #include "ppsim/analysis/drift.hpp"
-#include "ppsim/core/batched_simulator.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/graph.hpp"
 #include "ppsim/core/graph_simulator.hpp"
@@ -103,14 +102,14 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
       [](const Configuration& c) { return static_cast<double>(c.count(0)); },
       [](const Configuration& c) { return static_cast<double>(c.count(1)); });
 
-  // Single-interaction rounds (max_round = 1): each round is one draw from
+  // Single-interaction rounds (fixed_round = 1): each round is one draw from
   // the exact ordered-pair law, so the collapsed engine must realise the
   // sequential chain distribution step for step.
   const Moments collapsed = collect(
       kTrials, horizon, 5000,
       [&](std::uint64_t seed, Interactions h) {
         CollapsedSimulator s(usd, Configuration({0, 25, 20, 15}), seed,
-                             {.max_round = 1});
+                             {.fixed_round = 1});
         for (Interactions i = 0; i < h; ++i) s.step_round(1);
         return s.configuration();
       },
@@ -157,7 +156,7 @@ TEST(EngineEquivalenceTest, OneStepLawMatchesDriftOnEveryEngine) {
     if (g.count(UndecidedStateDynamics::kUndecided) > 0) ++graph_clash;
 
     CollapsedSimulator c(usd, Configuration({0, 25, 20, 15}),
-                         130000 + static_cast<std::uint64_t>(t), {.max_round = 1});
+                         130000 + static_cast<std::uint64_t>(t), {.fixed_round = 1});
     c.step_round(1);
     if (c.configuration().count(UndecidedStateDynamics::kUndecided) > 0) {
       ++collapsed_clash;
@@ -203,7 +202,7 @@ TEST(EngineDeterminismTest, SameSeedReproducesRunOutcome) {
 TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
   // Full-run comparison: mean stabilization interactions across engines on
   // a biased two-party instance. The collapsed engine runs in exactness mode
-  // (max_round = 1), so its stopping times follow the sequential law too.
+  // (fixed_round = 1), so its stopping times follow the sequential law too.
   const UndecidedStateDynamics usd(2);
   constexpr int kTrials = 150;
   RunningStats fast_time;
@@ -221,7 +220,7 @@ TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
     table_time.add(static_cast<double>(out.interactions));
 
     CollapsedSimulator c(usd, Configuration({0, 70, 30}),
-                         900'000 + static_cast<std::uint64_t>(t), {.max_round = 1});
+                         900'000 + static_cast<std::uint64_t>(t), {.fixed_round = 1});
     const RunOutcome cout_ = c.run_until_stable(10'000'000);
     ASSERT_TRUE(cout_.stabilized);
     collapsed_time.add(static_cast<double>(cout_.interactions));
@@ -255,7 +254,7 @@ TEST(ScalarKernelGoldenTest, CollapsedAdaptiveRounds) {
 TEST(ScalarKernelGoldenTest, CollapsedSingleDrawAliasPath) {
   const UndecidedStateDynamics usd(3);
   CollapsedSimulator s(usd, Configuration({0, 40, 35, 25}), 777,
-                       {.max_round = 1});
+                       {.fixed_round = 1});
   for (int r = 0; r < 500; ++r) s.step_round(1);
   EXPECT_EQ(s.interactions(), 500);
   EXPECT_EQ(s.configuration().counts(), (std::vector<Count>{13, 79, 5, 3}));
@@ -263,7 +262,8 @@ TEST(ScalarKernelGoldenTest, CollapsedSingleDrawAliasPath) {
 
 TEST(ScalarKernelGoldenTest, BatchedFixedRounds) {
   const UndecidedStateDynamics usd(3);
-  BatchedSimulator s(usd, Configuration({0, 40000, 35000, 25000}), 424242);
+  CollapsedSimulator s(usd, Configuration({0, 40000, 35000, 25000}), 424242,
+                       {.fixed_round = 6250});  // n / 16
   for (int r = 0; r < 25; ++r) s.step_round(1'000'000'000);
   EXPECT_EQ(s.interactions(), 156250);
   EXPECT_EQ(s.clamped_interactions(), 0);
@@ -281,7 +281,8 @@ TEST(ScalarKernelGoldenTest, FullRunsToStabilization) {
     EXPECT_EQ(out.consensus, std::optional<Opinion>(0));
   }
   {
-    BatchedSimulator s(usd, Configuration({0, 4000, 3500, 2500}), 99);
+    CollapsedSimulator s(usd, Configuration({0, 4000, 3500, 2500}), 99,
+                         {.fixed_round = 625});  // n / 16
     const RunOutcome out = s.run_until_stable(100'000'000);
     EXPECT_TRUE(out.stabilized);
     EXPECT_EQ(out.interactions, 109375);

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "ppsim/core/batched_simulator.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/transition_table.hpp"
@@ -95,11 +94,6 @@ TEST(KernelRegistryTest, EnginesRejectUnavailableKernel) {
   collapsed_opts.kernel = KernelKind::kAvx2;
   EXPECT_THROW(CollapsedSimulator(usd, Configuration({0, 4, 3, 3}), 1,
                                   collapsed_opts),
-               CheckFailure);
-  BatchedSimulator::Options batched_opts;
-  batched_opts.kernel = KernelKind::kAvx2;
-  EXPECT_THROW(BatchedSimulator(usd, Configuration({0, 4, 3, 3}), 1,
-                                batched_opts),
                CheckFailure);
 }
 
