@@ -33,7 +33,6 @@ int run(int argc, char** argv) {
   const Count avg_resolution = cli.get_int("avg-resolution", 1 << 14);
   const SweepCliOptions opts = read_sweep_flags(cli, 5, 5, "BENCH_baselines.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_baselines");
 
   benchutil::banner("baselines",
                     "Two-opinion majority baselines: parallel time to stabilize vs bias");

@@ -30,7 +30,6 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 400, 1, "BENCH_bias_threshold.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_bias_threshold");
 
   const double sqrt_n = std::sqrt(static_cast<double>(n));
   const double sqrt_ln_n = std::sqrt(std::log(static_cast<double>(n)));

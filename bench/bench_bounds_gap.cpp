@@ -13,17 +13,11 @@
 // at 2 by default so the Clementi curve has a cell to calibrate against
 // (pass --kmin above 2 and the report marks that fit as not fitted).
 //
-// The scenario layer plugs in here: --adversary STRENGTH runs every trial
-// under the adaptive adversary of core/scenario.hpp, which starves the
-// trailing opinion — the bounds above are proved for the uniform scheduler,
-// and this knob shows how an adaptive scheduler collapses the measured
-// times below them (expect a nonzero exit code at high strength: the LB
-// verdict is a statement about the uniform schedule only). --churn and
-// --regraph are rejected (the gap is only meaningful on a closed, complete
-// population). --record-to DIR archives trial 0 of each cell (adversarial
-// runs included) as cell-named .pptraj files.
+// Every trial runs under the uniform scheduler, the one all three bounds
+// are stated for. --record-to DIR archives trial 0 of each cell as
+// cell-named .pptraj files.
 //
-// Flags: --n, --kmin, --kmax, --adversary, plus the shared sweep flags
+// Flags: --n, --kmin, --kmax, plus the shared sweep flags
 //        (--trials/--seed/--threads/--json/--record-to/--checkpoint-every).
 // Exit code 0 iff the lower bound holds on every measured point.
 #include <algorithm>
@@ -37,7 +31,6 @@
 #include "ppsim/analysis/bounds.hpp"
 #include "ppsim/analysis/initial.hpp"
 #include "ppsim/analysis/scaling.hpp"
-#include "ppsim/core/scenario.hpp"
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/io/archive_run.hpp"
 #include "ppsim/protocols/usd.hpp"
@@ -60,9 +53,6 @@ int run(int argc, char** argv) {
       read_sweep_flags(cli, 5, 7, "BENCH_bounds_gap.json");
   cli.validate_no_unknown_flags();
   PPSIM_CHECK(kmin >= 2 && kmax >= kmin, "need 2 <= kmin <= kmax");
-  opts.scenario.require_only(/*adversary_ok=*/true, /*churn_ok=*/false,
-                             /*regraph_ok=*/false, "bench_bounds_gap");
-  const double strength = opts.scenario.adversary_strength;
 
   benchutil::banner("bounds_gap",
                     "measured stabilization vs LB (k/25)ln(sqrt(n)/(k ln n)), "
@@ -71,7 +61,6 @@ int run(int argc, char** argv) {
   benchutil::param("trials per k", static_cast<std::int64_t>(opts.trials));
   benchutil::param("seed", static_cast<std::int64_t>(opts.seed));
   benchutil::param("threads", static_cast<std::int64_t>(opts.threads));
-  benchutil::param("adversary strength", strength);
 
   SweepSpec spec;
   spec.name = "bounds_gap";
@@ -86,7 +75,6 @@ int run(int argc, char** argv) {
     cell.bias = static_cast<double>(inits.back().bias);
     cell.engine = EngineKind::kSequential;
     cell.protocol = "usd-specialized";
-    cell.params = opts.scenario.params();
     spec.cells.push_back(cell);
   }
 
@@ -96,15 +84,11 @@ int run(int argc, char** argv) {
   }
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     UsdEngine engine(inits[ctx.cell_index].opinion_counts, ctx.seed);
-    // The adversary's stream comes from the trial's private rng AFTER the
-    // engine seed, so strength 0 leaves the draw sequence untouched.
-    AdversarialScheduler adversary(strength, ctx.rng());
     if (!opts.record_to.empty() && ctx.trial == 0) {
-      // Archive cell trial 0, driving the engine by hand so the adversarial
-      // schedule records exactly like the uniform one.
+      // Archive cell trial 0.
       io::ArchiveRunSpec rspec;
       rspec.engine = EngineKind::kSequential;
-      rspec.protocol_name = strength > 0.0 ? "usd-adversarial" : "usd";
+      rspec.protocol_name = "usd";
       rspec.seed = ctx.seed;
       rspec.k = static_cast<Count>(ctx.cell.k);
       rspec.max_interactions = budget;
@@ -114,27 +98,23 @@ int run(int argc, char** argv) {
       io::ArchiveRecorder archive(rspec, engine.population(), ctx.cell.k + 1,
                                   io::usd_archive_channels(ctx.cell.k), path);
       archive.recorder().sample(engine.snapshot(), 0);
-      while (!engine.stabilized() && engine.interactions() < budget) {
-        adversary.step(engine);
-        archive.recorder().maybe_sample(engine.snapshot(), engine.interactions());
-      }
+      engine.run_observed(budget, [&](const UsdEngine& e) {
+        archive.recorder().maybe_sample(e.snapshot(), e.interactions());
+      });
       RecordFinish fin;
       fin.stabilized = engine.stabilized();
       fin.interactions = engine.interactions();
       fin.consensus = engine.winner();
       archive.finalize(engine.snapshot(), fin);
     } else {
-      adversary.run_until_stable(engine, budget);
+      engine.run_until_stable(budget);
     }
     TrialResult r;
     r.stabilized = engine.stabilized();
     r.interactions = engine.interactions();
     r.parallel_time = engine.time();
     r.winner = engine.winner();
-    SweepMetrics m = consensus_metrics(r);
-    m.emplace_back("interventions",
-                   static_cast<double>(adversary.interventions()));
-    return m;
+    return consensus_metrics(r);
   };
 
   const SweepResult result = SweepRunner(spec).run(trial);
@@ -227,7 +207,6 @@ int run(int argc, char** argv) {
     JsonObject report;
     report.field("name", "bounds_gap")
         .field("n", static_cast<std::int64_t>(n))
-        .field("adversary_strength", strength)
         .field("lower_bound", lb_report)
         .field("amir_upper_bound", amir_report)
         .field("clementi_two_color", clementi_report)

@@ -14,7 +14,7 @@
 // CollapsedSimulator with the CountsFaultInjector (core/faults.hpp): faults
 // are applied per τ-leaping round as an exact Binomial(window, ρ) batch, so
 // the realized corruption rate matches the agent-space injector's
-// (scenario_test pins the parity) while n = 10^9+ sweeps stay tractable.
+// (faults_test pins the parity) while n = 10^9+ sweeps stay tractable.
 //
 // Flags: --n, --k, --trials, --seed, --horizon (parallel time), --threads,
 //        --engine auto|sequential|collapsed, --json.
@@ -44,7 +44,6 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 21, "BENCH_fault_tolerance.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_fault_tolerance");
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
   const bool collapsed = engine.kind == EngineKind::kCollapsed;
@@ -87,7 +86,7 @@ int run(int argc, char** argv) {
     if (collapsed) {
       // Counts-space path: same experiment, faults batched per τ-round via
       // the exact binomial — the realized rate matches the agent-space
-      // injector below (scenario_test pins the parity differentially).
+      // injector below (faults_test pins the parity differentially).
       CollapsedSimulator::Options copts;
       copts.kernel = ctx.cell.kernel.value_or(opts.kernel);
       CollapsedSimulator sim(usd, initial, ctx.seed, copts);

@@ -48,7 +48,6 @@ int run(int argc, char** argv) {
   const double max_parallel = cli.get_double("max-parallel", 10000.0);
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 2025, "");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_fig1_left");
 
   const InitialConfig init = figure1_configuration(n, k);
 

@@ -43,7 +43,6 @@ int run(int argc, char** argv) {
   const std::int64_t kmax = cli.get_int("kmax", 32);
   const SweepCliOptions opts = read_sweep_flags(cli, 3, 6, "BENCH_gossip_compare.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_gossip_compare");
 
   benchutil::banner("gossip_compare",
                     "USD under the population scheduler vs the synchronous Gossip model");

@@ -13,16 +13,7 @@
 // is Θ(n²) interactions) and much less reliable for the plurality outcome,
 // because local clustering lets minority pockets survive.
 //
-// --regraph R makes the topology time-varying (core/scenario.hpp
-// DynamicGraph): each trial resamples its graph from the cell's family every
-// R rounds (R·n interactions) and rebinds it into the running simulator,
-// states untouched. The deterministic families (clique, star, cycle)
-// regenerate the same edge set — exercising the rebind machinery without
-// changing the dynamics — while random-regular genuinely rewires, which is
-// the interesting case: periodic rewiring breaks up the minority pockets
-// that a frozen sparse topology protects.
-//
-// Flags: --n, --k, --trials, --seed, --threads, --regraph, --json.
+// Flags: --n, --k, --trials, --seed, --threads, --json.
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -31,7 +22,6 @@
 #include "ppsim/analysis/initial.hpp"
 #include "ppsim/core/graph.hpp"
 #include "ppsim/core/graph_simulator.hpp"
-#include "ppsim/core/scenario.hpp"
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/cli.hpp"
@@ -65,18 +55,12 @@ int run(int argc, char** argv) {
   const auto k = static_cast<std::size_t>(cli.get_int("k", 4));
   const SweepCliOptions opts = read_sweep_flags(cli, 5, 8, "BENCH_graph_topology.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(/*adversary_ok=*/false, /*churn_ok=*/false,
-                             /*regraph_ok=*/true, "bench_graph_topology");
-  const Interactions regraph_every =
-      opts.scenario.regraph_every * static_cast<Interactions>(n);
 
   benchutil::banner("graph_topology",
                     "USD on general interaction graphs (extension beyond the clique)");
   benchutil::param("n", static_cast<std::int64_t>(n));
   benchutil::param("k", static_cast<std::int64_t>(k));
   benchutil::param("trials per topology", static_cast<std::int64_t>(opts.trials));
-  benchutil::param("regraph every (rounds)",
-                   static_cast<std::int64_t>(opts.scenario.regraph_every));
 
   const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
@@ -90,13 +74,6 @@ int run(int argc, char** argv) {
   graphs.push_back(InteractionGraph::cycle(n));
   const std::vector<std::string> names = {"clique", "random-4-regular", "star",
                                           "cycle"};
-  // Per-family generators for --regraph (one DynamicGraph per trial).
-  const std::vector<DynamicGraph::Generator> generators = {
-      [n](Xoshiro256pp&) { return InteractionGraph::complete(n); },
-      [n](Xoshiro256pp& rng) { return InteractionGraph::random_regular(n, 4, rng); },
-      [n](Xoshiro256pp&) { return InteractionGraph::star(n); },
-      [n](Xoshiro256pp&) { return InteractionGraph::cycle(n); },
-  };
 
   SweepSpec spec;
   spec.name = "graph_topology";
@@ -108,7 +85,6 @@ int run(int argc, char** argv) {
     cell.bias = static_cast<double>(init.bias);
     cell.name = names[i];
     cell.params = {{"edges", static_cast<double>(graphs[i].num_edges())}};
-    for (const auto& p : opts.scenario.params()) cell.params.push_back(p);
     spec.cells.push_back(cell);
   }
 
@@ -118,27 +94,13 @@ int run(int argc, char** argv) {
     // interactions — budget 20·n³ so it can actually finish.
     const auto budget = static_cast<Interactions>(20) *
                         static_cast<Interactions>(n) * n * n;
+    const InteractionGraph& graph = graphs[ctx.cell_index];  // read-only share
+    GraphSimulator sim(usd, graph, placement, ctx.rng());
     TrialResult r;
-    double resamples = 0.0;
-    if (regraph_every > 0) {
-      // Time-varying topology: a per-trial DynamicGraph resamples from this
-      // cell's family every R·n interactions and rebinds into the simulator.
-      DynamicGraph dyn(generators[ctx.cell_index], regraph_every, ctx.rng());
-      GraphSimulator sim(usd, dyn.graph(), placement, ctx.rng());
-      r.stabilized = dyn.run_until_stable(sim, budget);
-      r.parallel_time = sim.parallel_time();
-      r.winner = sim.consensus_output();
-      resamples = static_cast<double>(dyn.resamples());
-    } else {
-      const InteractionGraph& graph = graphs[ctx.cell_index];  // read-only share
-      GraphSimulator sim(usd, graph, placement, ctx.rng());
-      r.stabilized = sim.run_until_stable(budget);
-      r.parallel_time = sim.parallel_time();
-      r.winner = sim.consensus_output();
-    }
-    SweepMetrics m = consensus_metrics(r);
-    if (regraph_every > 0) m.emplace_back("resamples", resamples);
-    return m;
+    r.stabilized = sim.run_until_stable(budget);
+    r.parallel_time = sim.parallel_time();
+    r.winner = sim.consensus_output();
+    return consensus_metrics(r);
   };
 
   const SweepResult result = SweepRunner(spec).run(trial);

@@ -43,7 +43,6 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 31, "BENCH_lemma31_undecided.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_lemma31_undecided");
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 

@@ -29,7 +29,6 @@ int run(int argc, char** argv) {
   const std::int64_t walks = cli.get_int("walks", 4000);
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 32, "BENCH_lemma32_walks.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_lemma32_walks");
 
   benchutil::banner("lemma32_walks",
                     "Lemma 3.2: lazy-walk escape probabilities vs the analytic bound");

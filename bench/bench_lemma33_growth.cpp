@@ -38,7 +38,6 @@ int run(int argc, char** argv) {
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
   const SweepCliOptions opts = read_sweep_flags(cli, 5, 33, "BENCH_lemma33_growth.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_lemma33_growth");
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 

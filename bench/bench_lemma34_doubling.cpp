@@ -38,7 +38,6 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 34, "BENCH_lemma34_doubling.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_lemma34_doubling");
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 

@@ -52,7 +52,6 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 7, "BENCH_scaling_lower_bound.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_scaling_lower_bound");
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"batched", "collapsed"});
 

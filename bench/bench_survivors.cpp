@@ -41,7 +41,6 @@ int run(int argc, char** argv) {
   const std::int64_t samples = cli.get_int("samples", 300);
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 44, "");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_survivors");
 
   const InitialConfig init = figure1_configuration(n, k);
 

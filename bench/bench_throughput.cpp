@@ -180,7 +180,6 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 1, 42, "BENCH_throughput.json");
   cli.validate_no_unknown_flags();
-  opts.scenario.require_only(false, false, false, "bench_throughput");
 
   if (kernel_shootout) {
     return run_kernel_shootout(opts, n, k, max_parallel, tau_epsilon);

@@ -9,7 +9,6 @@
 //   ppsim_run --protocol usd --n 10000000 --k 3 --engine batched
 //   ppsim_run --protocol usd --n 1000000000 --k 32 --engine collapsed
 //   ppsim_run --protocol usd --n 100000 --trials 64 --threads 8
-//   ppsim_run --protocol usd --n 100000 --k 4 --adversary 0.3 --churn 0.001
 //   ppsim_run --protocol usd --n 100000 --k 8 --trials 16 --cache-dir cache/
 //
 // Protocols: usd | usd-gossip | three-majority | four-state | averaging |
@@ -23,10 +22,6 @@
 // Trials run on the SweepRunner: --threads N fans them out over N workers
 // (0 = hardware) with deterministic per-trial RNG streams, so results are
 // identical at any thread count; --json writes the unified sweep report.
-// --adversary STRENGTH and --churn RATE[:undecided|uniform] run USD under
-// the scenario layer (core/scenario.hpp): the adaptive adversary on the
-// sequential engine, churn on sequential or collapsed (--regraph is for the
-// graph benches and is rejected here).
 // --cache-dir DIR serves the cell through the content-addressed cell cache
 // (cache/cell_cache.hpp): a rerun with the same flags executes zero trials
 // and writes byte-identical --json. It cannot be combined with --record-to,
@@ -41,11 +36,9 @@
 #include "ppsim/analysis/bounds.hpp"
 #include "ppsim/analysis/initial.hpp"
 #include "ppsim/cache/cell_cache.hpp"
-#include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/gossip.hpp"
 #include "ppsim/core/recorder.hpp"
-#include "ppsim/core/scenario.hpp"
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/io/archive_run.hpp"
 #include "ppsim/protocols/averaging_majority.hpp"
@@ -131,16 +124,6 @@ int run(int argc, char** argv) {
               "--record-to/--resume-from are implemented for --protocol usd");
   PPSIM_CHECK(opts.record_to.empty() || resume_from.empty(),
               "--record-to and --resume-from are mutually exclusive");
-  opts.scenario.require_only(/*adversary_ok=*/true, /*churn_ok=*/true,
-                             /*regraph_ok=*/false, "ppsim_run");
-  PPSIM_CHECK(!opts.scenario.any() || protocol == "usd",
-              "--adversary/--churn are implemented for --protocol usd");
-  PPSIM_CHECK(!opts.scenario.any() ||
-                  (opts.record_to.empty() && resume_from.empty() &&
-                   series_path.empty()),
-              "--adversary/--churn cannot be combined with "
-              "--record-to/--resume-from/--series (bench_bounds_gap archives "
-              "adversarial runs)");
 
   std::optional<EngineKind> engine_override;
   if (engine_flag != "auto") {
@@ -178,8 +161,8 @@ int run(int argc, char** argv) {
       result = runner.run(fn);
     } else {
       // Beyond what the canonical cell key holds (n, k, bias, engine kind,
-      // kernel, scenario params, seed, trial count), the trial closures
-      // capture only the engine flag and the budget.
+      // kernel, seed, trial count), the trial closures capture only the
+      // engine flag and the budget.
       const std::string fn_id = "ppsim_run/v1;engine=" + engine_flag +
                                 ";max_parallel=" +
                                 JsonObject::render_double(max_parallel);
@@ -212,85 +195,6 @@ int run(int argc, char** argv) {
     // by construction: same stream, same engine.
     const std::uint64_t series_seed =
         SweepRunner::trial_stream(seed, 0)();  // = trial 0's derived seed
-    if (opts.scenario.any()) {
-      // Scenario runs (core/scenario.hpp): the adaptive adversary and/or
-      // open-population churn, interleaved per interaction on the sequential
-      // engine, or churn alone windowed per τ-leaping round on the collapsed
-      // one. The scenario knobs land in cell.params, so the JSON report (and
-      // any cache key derived from it) distinguishes these runs.
-      const ScenarioSpec& sc = opts.scenario;
-      const ChurnModel::JoinPolicy policy =
-          sc.churn_joiners_undecided ? ChurnModel::JoinPolicy::kUndecided
-                                     : ChurnModel::JoinPolicy::kUniformOpinion;
-      if (engine_override.has_value()) {
-        PPSIM_CHECK(*engine_override == EngineKind::kCollapsed &&
-                        sc.adversary_strength == 0.0,
-                    "scenario runs support the default sequential engine "
-                    "(adversary + churn) or --engine collapsed (churn only)");
-        const UndecidedStateDynamics usd(k);
-        const Configuration initial =
-            UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-        SweepCell cell = base_cell(EngineKind::kCollapsed);
-        cell.params = sc.params();
-        run_one_cell(std::move(cell),
-                     [&](const SweepTrial& ctx) {
-                       CollapsedSimulator::Options copts;
-                       copts.kernel = ctx.cell.kernel.value_or(opts.kernel);
-                       CollapsedSimulator sim(usd, initial, ctx.seed, copts);
-                       ChurnModel churn(sc.churn_rate, sc.churn_rate, policy,
-                                        ctx.rng());
-                       while (!sim.is_stable() && sim.interactions() < budget) {
-                         churn.apply_window(
-                             sim, sim.step_round(budget - sim.interactions()));
-                       }
-                       TrialResult r;
-                       r.stabilized = sim.is_stable();
-                       r.interactions = sim.interactions();
-                       r.parallel_time = sim.parallel_time();
-                       r.winner = sim.consensus_output();
-                       SweepMetrics m = consensus_metrics(r);
-                       m.emplace_back("joins", static_cast<double>(churn.joins()));
-                       m.emplace_back("leaves",
-                                      static_cast<double>(churn.leaves()));
-                       m.emplace_back(
-                           "final_population",
-                           static_cast<double>(sim.configuration().population()));
-                       return m;
-                     });
-        return 0;
-      }
-      SweepCell cell = base_cell(EngineKind::kSequential);
-      cell.params = sc.params();
-      run_one_cell(std::move(cell),
-                   [&](const SweepTrial& ctx) {
-                     UsdEngine engine(init.opinion_counts, ctx.seed);
-                     AdversarialScheduler adversary(sc.adversary_strength,
-                                                    ctx.rng());
-                     ChurnModel churn(sc.churn_rate, sc.churn_rate, policy,
-                                      ctx.rng());
-                     while (!engine.stabilized() &&
-                            engine.interactions() < budget) {
-                       adversary.step(engine);
-                       churn.step(engine);
-                     }
-                     TrialResult r;
-                     r.stabilized = engine.stabilized();
-                     r.interactions = engine.interactions();
-                     r.parallel_time = engine.time();
-                     r.winner = engine.winner();
-                     SweepMetrics m = consensus_metrics(r);
-                     m.emplace_back(
-                         "interventions",
-                         static_cast<double>(adversary.interventions()));
-                     m.emplace_back("joins", static_cast<double>(churn.joins()));
-                     m.emplace_back("leaves",
-                                    static_cast<double>(churn.leaves()));
-                     m.emplace_back("final_population",
-                                    static_cast<double>(engine.population()));
-                     return m;
-                   });
-      return 0;
-    }
     if (!opts.record_to.empty() || !resume_from.empty()) {
       // Archive mode: one recorded run streamed to a trajectory archive
       // (io/archive_run.hpp), resumable from its embedded checkpoints. The

@@ -111,22 +111,6 @@ void CollapsedSimulator::corrupt_agents(State from, State to, Count m) {
   touch_counts();
 }
 
-void CollapsedSimulator::add_agents(State s, Count m) {
-  if (m == 0) return;
-  PPSIM_CHECK(config_.population() + m <= kMaxPopulation,
-              "churn would push the population past 2^53");
-  config_.add_agents(s, m);
-  touch_counts();
-}
-
-void CollapsedSimulator::remove_agents(State s, Count m) {
-  if (m == 0) return;
-  PPSIM_CHECK(config_.population() - m >= 2,
-              "churn cannot shrink the population below two agents");
-  config_.remove_agents(s, m);
-  touch_counts();
-}
-
 Interactions CollapsedSimulator::step_round(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   if (max_interactions == 0) return 0;

@@ -40,21 +40,6 @@ void Configuration::move_agents(State from, State to, Count m) {
   counts_[to] += m;
 }
 
-void Configuration::add_agents(State s, Count m) {
-  PPSIM_CHECK(s < counts_.size(), "state out of range");
-  PPSIM_CHECK(m >= 0, "cannot add a negative number of agents");
-  counts_[s] += m;
-  population_ += m;
-}
-
-void Configuration::remove_agents(State s, Count m) {
-  PPSIM_CHECK(s < counts_.size(), "state out of range");
-  PPSIM_CHECK(m >= 0, "cannot remove a negative number of agents");
-  PPSIM_CHECK(counts_[s] >= m, "not enough agents in the departing state");
-  counts_[s] -= m;
-  population_ -= m;
-}
-
 bool Configuration::is_monochromatic() const noexcept {
   for (const Count c : counts_) {
     if (c == population_) return true;

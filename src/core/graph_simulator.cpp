@@ -7,7 +7,7 @@ namespace ppsim {
 GraphSimulator::GraphSimulator(const Protocol& protocol, const InteractionGraph& graph,
                                std::vector<State> initial_states, std::uint64_t seed)
     : protocol_(protocol),
-      graph_(&graph),
+      graph_(graph),
       table_(protocol),
       states_(std::move(initial_states)),
       counts_(protocol.num_states(), 0),
@@ -31,14 +31,8 @@ Count GraphSimulator::count(State s) const {
   return counts_[s];
 }
 
-void GraphSimulator::rebind_graph(const InteractionGraph& g) {
-  PPSIM_CHECK(g.num_nodes() == states_.size(),
-              "rebound graph must cover the same node set");
-  graph_ = &g;
-}
-
 bool GraphSimulator::step() {
-  const auto& [a, b] = graph_->sample_edge(rng_);
+  const auto& [a, b] = graph_.sample_edge(rng_);
   // Uniform orientation: either endpoint may be the initiator.
   const bool swap = (rng_() & 1) != 0;
   const NodeId init = swap ? b : a;
@@ -62,8 +56,8 @@ bool GraphSimulator::step() {
 }
 
 bool GraphSimulator::is_stable() const {
-  for (std::size_t e = 0; e < graph_->num_edges(); ++e) {
-    const auto& [a, b] = graph_->edge(e);
+  for (std::size_t e = 0; e < graph_.num_edges(); ++e) {
+    const auto& [a, b] = graph_.edge(e);
     if (!table_.is_null(states_[a], states_[b])) return false;
     if (!table_.is_null(states_[b], states_[a])) return false;
   }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -649,50 +650,17 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
   }
   opts.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(default_seed)));
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  const std::int64_t threads = cli.get_int("threads", 0);
+  PPSIM_CHECK(threads >= 0 && threads <= std::numeric_limits<unsigned>::max(),
+              "--threads must be a non-negative thread count (0 = all "
+              "hardware threads), got " + std::to_string(threads));
+  opts.threads = static_cast<unsigned>(threads);
   opts.json = cli.get_string("json", default_json);
   opts.kernel = kernels::parse_kernel_flag(cli.get_string("kernel", "auto"));
   opts.record_to = cli.get_string("record-to", "");
   opts.checkpoint_every = cli.get_int("checkpoint-every", 0);
   PPSIM_CHECK(opts.checkpoint_every >= 0,
               "--checkpoint-every must be non-negative");
-  opts.scenario.adversary_strength = cli.get_double("adversary", 0.0);
-  PPSIM_CHECK(opts.scenario.adversary_strength >= 0.0 &&
-                  opts.scenario.adversary_strength <= 1.0,
-              "--adversary strength must be in [0, 1]");
-  // --churn RATE[:undecided|uniform] — the policy suffix picks the state
-  // joiners enter (default undecided, the paper's ⊥).
-  const std::string churn_flag = cli.get_string("churn", "0");
-  std::string churn_rate = churn_flag;
-  if (const auto colon = churn_flag.find(':'); colon != std::string::npos) {
-    churn_rate = churn_flag.substr(0, colon);
-    const std::string policy = churn_flag.substr(colon + 1);
-    if (policy == "uniform") {
-      opts.scenario.churn_joiners_undecided = false;
-    } else {
-      PPSIM_CHECK(policy == "undecided",
-                  "--churn policy must be undecided or uniform, got '" +
-                      policy + "'");
-    }
-  }
-  {
-    std::size_t consumed = 0;
-    double rate = 0.0;
-    try {
-      rate = std::stod(churn_rate, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    PPSIM_CHECK(!churn_rate.empty() && consumed == churn_rate.size() &&
-                    rate >= 0.0 && rate <= 1.0,
-                "--churn must be RATE[:undecided|uniform] with RATE in "
-                "[0, 1], got '" +
-                    churn_flag + "'");
-    opts.scenario.churn_rate = rate;
-  }
-  opts.scenario.regraph_every = cli.get_int("regraph", 0);
-  PPSIM_CHECK(opts.scenario.regraph_every >= 0,
-              "--regraph must be a non-negative round count");
   return opts;
 }
 

@@ -131,15 +131,11 @@ class CollapsedSimulator {
     return ppsim::consensus_output(protocol_, config_);
   }
 
-  /// Scenario hooks (core/scenario.hpp, core/faults.hpp): counts-space
-  /// corruption and churn between rounds. None of them consume interactions;
-  /// all funnel through the single counts-invalidation point, so the pair
-  /// law rebuilds before the next round. corrupt_agents moves `m` agents
-  /// from → to; add_agents/remove_agents grow/shrink the population (bounded
-  /// to [2, kMaxPopulation]).
+  /// Fault hook (core/faults.hpp): counts-space corruption between rounds.
+  /// Moves `m` agents from → to without consuming interactions, through the
+  /// single counts-invalidation point, so the pair law rebuilds before the
+  /// next round.
   void corrupt_agents(State from, State to, Count m);
-  void add_agents(State s, Count m);
-  void remove_agents(State s, Count m);
 
   /// Streams strided samples (and engine checkpoints) from inside the run
   /// loops, once per round. Not owned; nullptr detaches.

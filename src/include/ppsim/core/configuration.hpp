@@ -2,9 +2,8 @@
 // each protocol state. The class maintains two invariants established at
 // construction and preserved by every mutator:
 //   1. every per-state count is non-negative;
-//   2. the total population size only changes through the explicit churn
-//      mutators add_agents/remove_agents — move_agent/move_agents preserve it
-//      exactly.
+//   2. the total population size never changes — move_agent/move_agents
+//      preserve it exactly.
 #pragma once
 
 #include <string>
@@ -35,12 +34,6 @@ class Configuration {
 
   /// Moves `m` agents at once (bulk variant used by the Gossip engine).
   void move_agents(State from, State to, Count m);
-
-  /// Population churn (core/scenario.hpp): `m` agents join in state `s` /
-  /// leave from state `s`, growing or shrinking the population. remove_agents
-  /// throws CheckFailure when fewer than `m` agents occupy `s`.
-  void add_agents(State s, Count m);
-  void remove_agents(State s, Count m);
 
   /// True iff all agents share one state.
   bool is_monochromatic() const noexcept;

@@ -67,7 +67,7 @@ class UsdFaultInjector {
 /// batched. apply_window draws the number of corruptions in a `window` of
 /// interactions from the exact Binomial(window, rate) and places each one
 /// individually — so the realised corruption rate matches the agent-space
-/// injector's (faults/scenario tests pin the parity).
+/// injector's (faults_test pins the parity).
 class CountsFaultInjector {
  public:
   /// `rate` = expected corruptions per interaction, in [0, 1].

@@ -31,13 +31,8 @@ class GraphSimulator {
   GraphSimulator(const Protocol& protocol, const InteractionGraph& graph,
                  std::vector<State> initial_states, std::uint64_t seed);
 
-  const InteractionGraph& graph() const noexcept { return *graph_; }
+  const InteractionGraph& graph() const noexcept { return graph_; }
 
-  /// Swaps in a new interaction topology mid-run (time-varying graphs, see
-  /// core/scenario.hpp). Agent states are untouched — only future edge draws
-  /// use `g`. The new graph must cover the same node set and must outlive
-  /// the simulator (or the next rebind).
-  void rebind_graph(const InteractionGraph& g);
   Count population() const noexcept { return static_cast<Count>(states_.size()); }
   Interactions interactions() const noexcept { return interactions_; }
   double parallel_time() const noexcept {
@@ -70,7 +65,7 @@ class GraphSimulator {
 
  private:
   const Protocol& protocol_;
-  const InteractionGraph* graph_;  // never null; rebind_graph retargets it
+  const InteractionGraph& graph_;
   TransitionTable table_;
   std::vector<State> states_;
   std::vector<Count> counts_;

@@ -42,7 +42,6 @@
 
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/runner.hpp"
-#include "ppsim/core/scenario.hpp"
 #include "ppsim/core/task_scheduler.hpp"
 #include "ppsim/core/types.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
@@ -334,11 +333,9 @@ class SweepRunner {
 /// disables), --kernel (auto|scalar|avx2 round-sampling backend; auto picks
 /// the widest kernel this build+CPU supports, and an explicitly requested
 /// unavailable backend fails fast with a clear error), --record-to
-/// (trajectory-archive destination; empty disables), --checkpoint-every
-/// (checkpoint stride for recorded runs, 0 = none), and the scenario knobs
-/// --adversary STRENGTH, --churn RATE[:undecided|uniform] and --regraph
-/// ROUNDS (core/scenario.hpp; all default off, and binaries that cannot
-/// honour a knob reject it via ScenarioSpec::require_only).
+/// (trajectory-archive destination; empty disables) and --checkpoint-every
+/// (checkpoint stride for recorded runs, 0 = none). Every run is on the
+/// uniform scheduler over a fixed population.
 struct SweepCliOptions {
   std::size_t trials = 1;  ///< fixed count, or the cap when stopping.adaptive
   std::uint64_t seed = 42;
@@ -352,8 +349,6 @@ struct SweepCliOptions {
   std::string record_to;
   /// Checkpoint stride (interactions) for recorded runs; 0 = no checkpoints.
   Interactions checkpoint_every = 0;
-  /// Scenario knobs (--adversary / --churn / --regraph), all off by default.
-  ScenarioSpec scenario;
   TrialStopping stopping;
 
   /// Applies the shared flags to a spec (trials/base_seed/threads/stopping),

@@ -138,21 +138,6 @@ class UsdEngine {
   /// Throws CheckFailure if no agent occupies `from`.
   void corrupt_agent(State from, State to);
 
-  /// Applies the USD transition to a *chosen* ordered pair of agents instead
-  /// of a uniformly sampled one. This is the adversarial-scheduler hook (see
-  /// core/scenario.hpp): it consumes one interaction from the budget, exactly
-  /// like step(), but no RNG draw. Both states must be occupied; when
-  /// `initiator == responder` the state must hold at least two agents (the
-  /// pair is distinct agents). Returns true iff any state changed.
-  bool force_interaction(State initiator, State responder);
-
-  /// Population churn: one agent joins in state `s` / leaves from state `s`.
-  /// Neither counts as an interaction. remove_agent keeps the population at
-  /// the engine minimum of 2 — callers must not shrink below that.
-  /// Throws CheckFailure on an unoccupied source or an out-of-range state.
-  void add_agent(State s);
-  void remove_agent(State s);
-
   /// Snapshot as a Configuration over the k+1 USD states (state 0 = ⊥).
   Configuration snapshot() const { return Configuration(counts_); }
 
@@ -161,10 +146,6 @@ class UsdEngine {
   const std::vector<Count>& counts() const noexcept { return counts_; }
 
  private:
-  /// Applies the transition to an already-chosen ordered pair of distinct
-  /// agents in states (a, b), updating counts/weights/survivor bookkeeping.
-  bool apply_pair(State a, State b);
-
   std::size_t k_;
   Count n_;
   std::vector<Count> counts_;      // counts_[0] = undecided, counts_[i+1] = opinion i

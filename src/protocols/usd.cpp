@@ -97,10 +97,6 @@ bool UsdEngine::step() {
       static_cast<std::int64_t>(rng_.bounded(static_cast<std::uint64_t>(n_ - 1)))));
   weights_.add(a, +1);
   ++interactions_;
-  return apply_pair(a, b);
-}
-
-bool UsdEngine::apply_pair(State a, State b) {
   if (a == b) return false;  // same opinion, or both undecided: identity
 
   if (a == 0 || b == 0) {
@@ -125,34 +121,6 @@ bool UsdEngine::apply_pair(State a, State b) {
   if (counts_[a] == 0) --nonzero_opinions_;
   if (counts_[b] == 0) --nonzero_opinions_;
   return true;
-}
-
-bool UsdEngine::force_interaction(State initiator, State responder) {
-  PPSIM_CHECK(initiator <= k_ && responder <= k_, "state out of range");
-  PPSIM_CHECK(counts_[initiator] > 0 && counts_[responder] > 0,
-              "forced interaction needs both states occupied");
-  PPSIM_CHECK(initiator != responder || counts_[initiator] >= 2,
-              "forced self-interaction needs two agents in the state");
-  ++interactions_;
-  return apply_pair(initiator, responder);
-}
-
-void UsdEngine::add_agent(State s) {
-  PPSIM_CHECK(s <= k_, "state out of range");
-  ++counts_[s];
-  weights_.add(s, +1);
-  ++n_;
-  if (s != 0 && counts_[s] == 1) ++nonzero_opinions_;
-}
-
-void UsdEngine::remove_agent(State s) {
-  PPSIM_CHECK(s <= k_, "state out of range");
-  PPSIM_CHECK(counts_[s] > 0, "no agent occupies the departing state");
-  PPSIM_CHECK(n_ > 2, "population cannot shrink below two agents");
-  --counts_[s];
-  weights_.add(s, -1);
-  --n_;
-  if (s != 0 && counts_[s] == 0) --nonzero_opinions_;
 }
 
 void UsdEngine::corrupt_agent(State from, State to) {

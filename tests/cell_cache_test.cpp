@@ -67,11 +67,11 @@ TEST(CanonicalCellKeyTest, KeysContentNotPresentation) {
   SweepSpec axis = tiny_spec();
   axis.cells[1].bias = 0.2;
   EXPECT_NE(canonical_cell_key(axis, 1, "fn/v1"), key);
-  // Scenario knobs live in the cell params, so a scenario sweep never
-  // shares entries with the otherwise identical plain one.
-  SweepSpec scenario = tiny_spec();
-  scenario.cells[1].params = {{"churn_rate", 0.001}};
-  EXPECT_NE(canonical_cell_key(scenario, 1, "fn/v1"), key);
+  // Per-cell knobs live in the cell params, so a swept knob never
+  // shares entries with the otherwise identical plain cell.
+  SweepSpec knob = tiny_spec();
+  knob.cells[1].params = {{"corruption_rate", 0.001}};
+  EXPECT_NE(canonical_cell_key(knob, 1, "fn/v1"), key);
   SweepSpec kern = tiny_spec();
   kern.cells[1].kernel = kernels::KernelKind::kScalar;
   // Stamping the default explicitly is identity (value_or(spec.kernel)).

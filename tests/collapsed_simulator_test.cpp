@@ -21,7 +21,7 @@
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
-#include "scenario_stat_util.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {

@@ -1,16 +1,21 @@
 // Fault injection: invariant preservation under corruption, reproducible
-// fault streams, near-consensus under sustained faults, and recovery
-// (self-stabilization) once faults stop.
+// fault streams, near-consensus under sustained faults, recovery
+// (self-stabilization) once faults stop, and the agent-space vs counts-space
+// fault-rate parity that makes faulted sweeps meaningful under
+// EngineKind::kCollapsed.
 #include "ppsim/core/faults.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <vector>
 
+#include "ppsim/core/collapsed_simulator.hpp"
+#include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
-#include "scenario_stat_util.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -181,6 +186,50 @@ TEST(ConsensusQualityTest, Definition) {
   EXPECT_DOUBLE_EQ(consensus_quality(split), 0.5);
   UsdEngine with_undecided({5, 0}, 5, 1);
   EXPECT_DOUBLE_EQ(consensus_quality(with_undecided), 0.5);
+}
+
+TEST(FaultParityTest, CollapsedCorruptionRateMatchesAgentSpaceInjector) {
+  // The counts-space injector must realize the same corruption rate as the
+  // agent-space one: both ~ Binomial(T, rate), T = 200000, rate = 0.01,
+  // σ ≈ 44.5. Each realized count sits within 4σ of rate·T, which also
+  // bounds their mutual gap.
+  constexpr Interactions kBudget = 200000;
+  constexpr double kRate = 0.01;
+  const double mean = kRate * static_cast<double>(kBudget);
+  const double sigma =
+      std::sqrt(static_cast<double>(kBudget) * kRate * (1.0 - kRate));
+
+  UsdEngine engine({40000, 30000, 30000}, 0, 61);
+  UsdFaultInjector agent_space(kRate, 67);
+  agent_space.run(engine, kBudget);
+  EXPECT_EQ(engine.interactions(), kBudget);
+
+  const UndecidedStateDynamics usd(3);
+  CollapsedSimulator sim(usd, Configuration({0, 40000, 30000, 30000}), 61);
+  CountsFaultInjector counts_space(kRate, 67);
+  counts_space.run(sim, kBudget);
+  EXPECT_EQ(sim.interactions(), kBudget);
+
+  for (const double realized :
+       {static_cast<double>(agent_space.corruptions()),
+        static_cast<double>(counts_space.corruptions())}) {
+    EXPECT_GT(realized, mean - 4.0 * sigma);
+    EXPECT_LT(realized, mean + 4.0 * sigma);
+  }
+  // Population is invariant under corruption on both engines.
+  EXPECT_EQ(engine.population(), 100000);
+  EXPECT_EQ(sim.configuration().population(), 100000);
+}
+
+TEST(FaultParityTest, ZeroRateCountsInjectorMakesNoDraws) {
+  const UndecidedStateDynamics usd(2);
+  CollapsedSimulator faulted(usd, Configuration({0, 600, 400}), 83);
+  CollapsedSimulator plain(usd, Configuration({0, 600, 400}), 83);
+  CountsFaultInjector injector(0.0, 5);
+  injector.run(faulted, 50000);
+  plain.run_until_stable(50000);
+  EXPECT_EQ(injector.corruptions(), 0);
+  EXPECT_EQ(faulted.configuration().counts(), plain.configuration().counts());
 }
 
 }  // namespace

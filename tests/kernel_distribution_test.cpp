@@ -25,7 +25,7 @@
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/rng.hpp"
 #include "ppsim/util/stats.hpp"
-#include "scenario_stat_util.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim::kernels {
 namespace {

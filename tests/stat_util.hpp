@@ -1,10 +1,8 @@
 // Shared distribution-test helpers for the statistical pins: chi-square
 // goodness-of-fit p-values (wrapping util/stats chi_square_statistic /
 // chi_square_sf with the conventional buckets−1 degrees of freedom) and the
-// two-sample Kolmogorov–Smirnov distance. Factored out of
-// kernel_distribution_test and faults_test so scenario_test pins the
-// adversary's target-selection law and churn's population accounting with
-// the exact same machinery.
+// two-sample Kolmogorov–Smirnov distance. Used by collapsed_simulator_test,
+// kernel_distribution_test and faults_test.
 #pragma once
 
 #include <algorithm>

@@ -16,6 +16,7 @@
 
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
+#include "ppsim/util/cli.hpp"
 
 namespace ppsim {
 namespace {
@@ -355,6 +356,17 @@ TEST(SweepRunnerTest, AdaptiveStoppingValidatesItsParameters) {
   SweepSpec metric = adaptive();
   metric.stopping.metric.clear();
   EXPECT_THROW(SweepRunner(std::move(metric)).run(noop), CheckFailure);
+}
+
+TEST(SweepCliTest, ThreadsFlagRejectsNegativeCounts) {
+  const auto threads_of = [](const char* value) {
+    const char* argv[] = {"prog", "--threads", value};
+    Cli cli(3, argv);
+    return read_sweep_flags(cli, 1, 42, "").threads;
+  };
+  EXPECT_THROW(threads_of("-1"), CheckFailure);
+  EXPECT_EQ(threads_of("0"), 0u);
+  EXPECT_EQ(threads_of("3"), 3u);
 }
 
 TEST(SweepCellTest, ParamLookupAndLabel) {

@@ -113,8 +113,7 @@ def registered_flags(binary: str, root: pathlib.Path):
     flags = set(FLAG_REGISTRATION_RE.findall(text))
     if "read_sweep_flags" in text:
         flags |= {"trials", "min-trials", "max-trials", "seed", "threads",
-                  "json", "record-to", "checkpoint-every", "kernel",
-                  "adversary", "churn", "regraph"}
+                  "json", "record-to", "checkpoint-every", "kernel"}
     return flags
 
 
