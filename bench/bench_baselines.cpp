@@ -62,6 +62,7 @@ int run(int argc, char** argv) {
     }
   }
 
+  const UndecidedStateDynamics usd(2);
   const FourStateMajority four;
   const AveragingMajority avg(avg_resolution);
   const SynchronizedUsd sync(2, 8);
@@ -72,12 +73,9 @@ int run(int argc, char** argv) {
     const Count b = n - a;
     TrialResult r;
     if (ctx.cell.protocol == "usd") {
-      UsdEngine engine({a, b}, ctx.seed);
-      engine.run_until_stable(budget);
-      r.stabilized = engine.stabilized();
-      r.interactions = engine.interactions();
-      r.parallel_time = engine.time();
-      r.winner = engine.winner();
+      Engine sim(EngineKind::kSequential, usd,
+                 UndecidedStateDynamics::initial_configuration({a, b}), ctx.seed);
+      r = run_engine_trial(sim, budget);
     } else if (ctx.cell.protocol == "four-state") {
       Engine sim = ctx.make_engine(four, FourStateMajority::initial(a, b));
       r = run_engine_trial(sim, budget);

@@ -67,15 +67,13 @@ int run(int argc, char** argv) {
     spec.cells.push_back(cell);
   }
 
+  const UndecidedStateDynamics usd(2);
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
-    UsdEngine engine(inits[ctx.cell_index].opinion_counts, ctx.seed);
-    engine.run_until_stable(10000 * n);
-    TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.interactions = engine.interactions();
-    r.parallel_time = engine.time();
-    r.winner = engine.winner();
-    return consensus_metrics(r);
+    Engine engine(EngineKind::kSequential, usd,
+                  UndecidedStateDynamics::initial_configuration(
+                      inits[ctx.cell_index].opinion_counts),
+                  ctx.seed);
+    return consensus_metrics(run_engine_trial(engine, 10000 * n));
   };
 
   const SweepResult result = SweepRunner(spec).run(trial);

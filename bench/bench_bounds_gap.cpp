@@ -66,9 +66,14 @@ int run(int argc, char** argv) {
   spec.name = "bounds_gap";
   opts.configure(spec);
   std::vector<InitialConfig> inits;
+  std::vector<UndecidedStateDynamics> protocols;
+  std::vector<Configuration> initials;
   for (std::int64_t k = kmin; k <= kmax; k = k < 3 ? k + 1 : (k * 3) / 2) {
     const auto ku = static_cast<std::size_t>(k);
     inits.push_back(figure1_configuration(n, ku));
+    protocols.emplace_back(ku);
+    initials.push_back(
+        UndecidedStateDynamics::initial_configuration(inits.back().opinion_counts));
     SweepCell cell;
     cell.n = n;
     cell.k = ku;
@@ -83,9 +88,11 @@ int run(int argc, char** argv) {
     std::filesystem::create_directories(opts.record_to);
   }
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
-    UsdEngine engine(inits[ctx.cell_index].opinion_counts, ctx.seed);
+    const UndecidedStateDynamics& usd = protocols[ctx.cell_index];
+    const Configuration& initial = initials[ctx.cell_index];
     if (!opts.record_to.empty() && ctx.trial == 0) {
-      // Archive cell trial 0.
+      // Archive cell trial 0: record_run drives the same sequential engine
+      // on the same seed, so the archived trial's metrics match the rest.
       io::ArchiveRunSpec rspec;
       rspec.engine = EngineKind::kSequential;
       rspec.protocol_name = "usd";
@@ -95,26 +102,17 @@ int run(int argc, char** argv) {
       rspec.record_stride = std::max<Interactions>(1, static_cast<Interactions>(n) / 10);
       const std::string path =
           opts.record_to + "/bounds_gap_k" + std::to_string(ctx.cell.k) + ".pptraj";
-      io::ArchiveRecorder archive(rspec, engine.population(), ctx.cell.k + 1,
-                                  io::usd_archive_channels(ctx.cell.k), path);
-      archive.recorder().sample(engine.snapshot(), 0);
-      engine.run_observed(budget, [&](const UsdEngine& e) {
-        archive.recorder().maybe_sample(e.snapshot(), e.interactions());
-      });
-      RecordFinish fin;
-      fin.stabilized = engine.stabilized();
-      fin.interactions = engine.interactions();
-      fin.consensus = engine.winner();
-      archive.finalize(engine.snapshot(), fin);
-    } else {
-      engine.run_until_stable(budget);
+      const RunOutcome out = io::record_run(
+          usd, initial, io::usd_archive_channels(ctx.cell.k), rspec, path);
+      TrialResult r;
+      r.stabilized = out.stabilized;
+      r.interactions = out.interactions;
+      r.parallel_time = parallel_time(out.interactions, n);
+      r.winner = out.consensus;
+      return consensus_metrics(r);
     }
-    TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.interactions = engine.interactions();
-    r.parallel_time = engine.time();
-    r.winner = engine.winner();
-    return consensus_metrics(r);
+    Engine engine(EngineKind::kSequential, usd, initial, ctx.seed);
+    return consensus_metrics(run_engine_trial(engine, budget));
   };
 
   const SweepResult result = SweepRunner(spec).run(trial);

@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/util/check.hpp"
@@ -28,7 +29,8 @@ inline constexpr Count kAutoCollapsedThreshold = 10'000'000;
 
 /// Resolution of the shared --engine flag for the USD benches. `name` is the
 /// resolved flag value, `protocol_label` the sweep-cell protocol string
-/// ("usd-specialized" for the hand-tuned sequential UsdEngine).
+/// ("usd-specialized" for the exact sequential Simulator: the label predates
+/// the engine and stays so that published reports keep their bytes).
 struct ResolvedEngine {
   EngineKind kind;
   std::string name;
@@ -53,6 +55,17 @@ inline ResolvedEngine resolve_usd_engine(
   PPSIM_CHECK(ok, "--engine must be one of: " + options);
   return {*parse_engine(engine), engine,
           engine == "sequential" ? "usd-specialized" : "usd-" + engine};
+}
+
+/// The engine a USD bench trial runs. Sequential cells seed the Simulator
+/// with the trial's scalar `seed`, the stream their reports have always
+/// used; the round kinds take make_engine's own draw.
+inline Engine make_usd_engine(const SweepTrial& ctx, const Protocol& protocol,
+                              Configuration initial) {
+  if (ctx.cell.engine == EngineKind::kSequential) {
+    return Engine(EngineKind::kSequential, protocol, std::move(initial), ctx.seed);
+  }
+  return ctx.make_engine(protocol, std::move(initial));
 }
 
 /// Prints the bench banner with the resolved parameter set.

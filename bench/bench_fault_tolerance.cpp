@@ -18,7 +18,6 @@
 //
 // Flags: --n, --k, --trials, --seed, --horizon (parallel time), --threads,
 //        --engine auto|sequential|collapsed, --json.
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -81,6 +80,31 @@ int run(int argc, char** argv) {
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration(init.opinion_counts);
 
+  // Quality at the horizon, then recovery: faults stop and the engine runs
+  // to stabilization. Shared by both engines.
+  auto measure = [&](auto& sim, Interactions corruptions) -> SweepMetrics {
+    const Configuration& c = sim.configuration();
+    const double quality = consensus_quality(c);
+    bool majority_leads = true;
+    for (Opinion j = 1; j < k; ++j) {
+      if (opinion_count(c, j) > opinion_count(c, 0)) majority_leads = false;
+    }
+    const Interactions before = sim.interactions();
+    const RunOutcome out = sim.run_until_stable(before + sat_mul(100000, n));
+    SweepMetrics m = {
+        {"quality_at_horizon", quality},
+        {"majority_still_top", majority_leads ? 1.0 : 0.0},
+        {"recovered", out.stabilized ? 1.0 : 0.0},
+        {"corruptions", static_cast<double>(corruptions)},
+    };
+    if (out.stabilized) {
+      m.emplace_back("recovery_parallel_time",
+                     static_cast<double>(sim.interactions() - before) /
+                         static_cast<double>(n));
+    }
+    return m;
+  };
+
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     const double rate = ctx.cell.param("corruption_rate", 0.0);
     if (collapsed) {
@@ -92,57 +116,15 @@ int run(int argc, char** argv) {
       CollapsedSimulator sim(usd, initial, ctx.seed, copts);
       CountsFaultInjector injector(rate, ctx.rng());
       injector.run(sim, horizon_interactions);
-      const auto& counts = sim.configuration().counts();
-      Count top_any = 0;
-      for (std::size_t s = 1; s <= k; ++s) top_any = std::max(top_any, counts[s]);
-      const double quality = static_cast<double>(top_any) /
-                             static_cast<double>(sim.configuration().population());
-      bool majority_leads = true;
-      for (std::size_t s = 2; s <= k; ++s) {
-        if (counts[s] > counts[1]) majority_leads = false;
-      }
-      const Interactions before = sim.interactions();
-      const RunOutcome out = sim.run_until_stable(before + sat_mul(100000, n));
-      SweepMetrics m = {
-          {"quality_at_horizon", quality},
-          {"majority_still_top", majority_leads ? 1.0 : 0.0},
-          {"recovered", out.stabilized ? 1.0 : 0.0},
-          {"corruptions", static_cast<double>(injector.corruptions())},
-      };
-      if (out.stabilized) {
-        m.emplace_back("recovery_parallel_time",
-                       static_cast<double>(sim.interactions() - before) /
-                           static_cast<double>(n));
-      }
-      return m;
+      return measure(sim, injector.corruptions());
     }
-    UsdEngine engine(init.opinion_counts, ctx.seed);
+    Simulator sim(usd, initial, ctx.seed);
     // The injector owns a separate stream (drawn from this trial's private
     // stream) so fault patterns are reproducible independently of the
     // trajectory randomness.
     UsdFaultInjector injector(rate, ctx.rng());
-    injector.run(engine, horizon_interactions);
-    const double quality = consensus_quality(engine);
-    Count top = engine.opinion_count(0);
-    bool majority_leads = true;
-    for (Opinion j = 1; j < k; ++j) {
-      if (engine.opinion_count(j) > top) majority_leads = false;
-    }
-    // Recovery: stop faults, run to stabilization.
-    const Interactions before = engine.interactions();
-    const bool recovered = engine.run_until_stable(before + 100000 * n);
-    SweepMetrics m = {
-        {"quality_at_horizon", quality},
-        {"majority_still_top", majority_leads ? 1.0 : 0.0},
-        {"recovered", recovered ? 1.0 : 0.0},
-        {"corruptions", static_cast<double>(injector.corruptions())},
-    };
-    if (recovered) {
-      m.emplace_back("recovery_parallel_time",
-                     static_cast<double>(engine.interactions() - before) /
-                         static_cast<double>(n));
-    }
-    return m;
+    injector.run(sim, horizon_interactions);
+    return measure(sim, injector.corruptions());
   };
 
   const SweepResult result = SweepRunner(spec).run(trial);

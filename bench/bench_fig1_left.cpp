@@ -77,17 +77,21 @@ int run(int argc, char** argv) {
   std::vector<Trajectory> trajectories(opts.trials);
   const Opinion highlighted = static_cast<Opinion>(k / 2);  // arbitrary fixed minority
 
+  const UndecidedStateDynamics usd(k);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration(init.opinion_counts);
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     Trajectory& traj = trajectories[ctx.trial];  // private slot per trial
-    auto record = [&](const UsdEngine& e) {
-      traj.time.push_back(e.time());
-      traj.undecided.push_back(static_cast<double>(e.undecided()));
-      traj.majority.push_back(static_cast<double>(e.opinion_count(0)));
-      traj.minority_scaled.push_back(static_cast<double>(e.opinion_count(highlighted)) *
+    auto record = [&](const Simulator& s) {
+      const Configuration& c = s.configuration();
+      traj.time.push_back(s.parallel_time());
+      traj.undecided.push_back(static_cast<double>(undecided_count(c)));
+      traj.majority.push_back(static_cast<double>(opinion_count(c, 0)));
+      traj.minority_scaled.push_back(static_cast<double>(opinion_count(c, highlighted)) *
                                      static_cast<double>(k));
       double mean_min = 0.0;
       for (Opinion j = 1; j < k; ++j) {
-        mean_min += static_cast<double>(e.opinion_count(j));
+        mean_min += static_cast<double>(opinion_count(c, j));
       }
       mean_min /= static_cast<double>(k - 1);
       traj.mean_minority_scaled.push_back(mean_min * static_cast<double>(k));
@@ -96,23 +100,23 @@ int run(int argc, char** argv) {
     // Record adaptively: sample every `stride` interactions until
     // stabilization; we do not know the total duration in advance, so keep
     // everything and subsample for the plot afterwards.
-    UsdEngine engine(init.opinion_counts, ctx.seed);
-    record(engine);
+    Simulator sim(usd, initial, ctx.seed);
+    record(sim);
     Interactions next_sample = stride;
-    while (!engine.stabilized() && engine.interactions() < budget) {
-      engine.step();
-      if (engine.interactions() >= next_sample) {
-        record(engine);
-        next_sample = engine.interactions() + stride;
+    while (!sim.is_stable() && sim.interactions() < budget) {
+      sim.step();
+      if (sim.interactions() >= next_sample) {
+        record(sim);
+        next_sample = sim.interactions() + stride;
       }
     }
-    record(engine);
+    record(sim);
 
     TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.interactions = engine.interactions();
-    r.parallel_time = engine.time();
-    r.winner = engine.winner();
+    r.stabilized = sim.is_stable();
+    r.interactions = sim.interactions();
+    r.parallel_time = sim.parallel_time();
+    r.winner = sim.consensus_output();
     return consensus_metrics(r);
   };
 

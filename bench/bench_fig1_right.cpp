@@ -74,16 +74,20 @@ int run(int argc, char** argv) {
 
   std::vector<Trajectory> trajectories(opts.trials);
 
+  const UndecidedStateDynamics usd(k);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration(init.opinion_counts);
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     Trajectory& traj = trajectories[ctx.trial];  // private slot per trial
-    auto record = [&](const UsdEngine& e) {
-      traj.time.push_back(e.time());
-      const auto x1 = static_cast<double>(e.opinion_count(0));
+    auto record = [&](const Simulator& s) {
+      const Configuration& c = s.configuration();
+      traj.time.push_back(s.parallel_time());
+      const auto x1 = static_cast<double>(opinion_count(c, 0));
       traj.majority.push_back(x1);
       double mean_min = 0.0;
-      Count min_minority = e.opinion_count(1);
+      Count min_minority = opinion_count(c, 1);
       for (Opinion j = 1; j < k; ++j) {
-        const Count xj = e.opinion_count(j);
+        const Count xj = opinion_count(c, j);
         mean_min += static_cast<double>(xj);
         min_minority = std::min(min_minority, xj);
       }
@@ -91,32 +95,32 @@ int run(int argc, char** argv) {
       traj.max_difference.push_back(x1 - static_cast<double>(min_minority));
     };
 
-    UsdEngine engine(init.opinion_counts, ctx.seed);
-    record(engine);
+    Simulator sim(usd, initial, ctx.seed);
+    record(sim);
     Interactions next_sample = stride;
     Interactions doubling_time = -1;
-    while (!engine.stabilized() && engine.interactions() < budget) {
-      engine.step();
-      if (doubling_time < 0 && engine.opinion_count(0) >= doubling_level) {
-        doubling_time = engine.interactions();
-        record(engine);
+    while (!sim.is_stable() && sim.interactions() < budget) {
+      sim.step();
+      if (doubling_time < 0 && opinion_count(sim.configuration(), 0) >= doubling_level) {
+        doubling_time = sim.interactions();
+        record(sim);
       }
-      if (engine.interactions() >= next_sample) {
-        record(engine);
-        next_sample = engine.interactions() + stride;
+      if (sim.interactions() >= next_sample) {
+        record(sim);
+        next_sample = sim.interactions() + stride;
       }
     }
-    record(engine);
+    record(sim);
 
     SweepMetrics m = {
-        {"stabilized", engine.stabilized() ? 1.0 : 0.0},
-        {"parallel_time", engine.time()},
+        {"stabilized", sim.is_stable() ? 1.0 : 0.0},
+        {"parallel_time", sim.parallel_time()},
         {"doubled", doubling_time >= 0 ? 1.0 : 0.0},
     };
     if (doubling_time >= 0) {
       m.emplace_back("doubling_parallel_time", parallel_time(doubling_time, n));
       m.emplace_back("doubling_fraction",
-                     parallel_time(doubling_time, n) / engine.time());
+                     parallel_time(doubling_time, n) / sim.parallel_time());
     }
     return m;
   };

@@ -71,7 +71,9 @@ int run(int argc, char** argv) {
     const auto ku = ctx.cell.k;
 
     // population model
-    UsdEngine pop(init.opinion_counts, ctx.seed);
+    const UndecidedStateDynamics usd(ku);
+    Simulator pop(usd, UndecidedStateDynamics::initial_configuration(init.opinion_counts),
+                  ctx.seed);
     pop.run_until_stable(100000 * n);
 
     // gossip model
@@ -84,8 +86,8 @@ int run(int argc, char** argv) {
     const bool three_ok = three.run_until_consensus(100000);
 
     SweepMetrics m = {
-        {"pop_stabilized", pop.stabilized() ? 1.0 : 0.0},
-        {"pop_parallel_time", pop.time()},
+        {"pop_stabilized", pop.is_stable() ? 1.0 : 0.0},
+        {"pop_parallel_time", pop.parallel_time()},
         {"gossip_stabilized", gossip_out.stabilized ? 1.0 : 0.0},
         {"three_majority_consensus", three_ok ? 1.0 : 0.0},
     };

@@ -115,11 +115,9 @@ int run(int argc, char** argv) {
                                     .clamped = sim.clamped_interactions(),
                                     .consensus = sim.consensus_output()});
       sim.set_recorder(nullptr);
-    } else if (ctx.cell.engine == EngineKind::kCollapsed) {
-      Engine sim = ctx.make_engine(protocols[ctx.cell_index], initials[ctx.cell_index]);
-      exc = max_undecided_over_run(sim, budget);
     } else {
-      UsdEngine sim(inits[ctx.cell_index].opinion_counts, ctx.seed);
+      Engine sim = benchutil::make_usd_engine(ctx, protocols[ctx.cell_index],
+                                              initials[ctx.cell_index]);
       exc = max_undecided_over_run(sim, budget);
     }
     return {

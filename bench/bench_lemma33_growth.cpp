@@ -82,7 +82,7 @@ int run(int argc, char** argv) {
       Engine sim = ctx.make_engine(protocols[ctx.cell_index], initials[ctx.cell_index]);
       r = time_until_opinion_reaches(sim, 0, target, budget);
     } else {
-      UsdEngine sim(inits[ctx.cell_index].opinion_counts, ctx.seed);
+      Simulator sim(protocols[ctx.cell_index], initials[ctx.cell_index], ctx.seed);
       r = time_until_opinion_reaches(sim, 0, target, budget);
     }
     SweepMetrics m = {{"hit", r.hit ? 1.0 : 0.0}};

@@ -84,7 +84,7 @@ int run(int argc, char** argv) {
       Engine sim = ctx.make_engine(protocols[ctx.cell_index], initials[ctx.cell_index]);
       r = time_until_delta_reaches(sim, alpha, budget);
     } else {
-      UsdEngine sim(inits[ctx.cell_index].opinion_counts, ctx.seed);
+      Simulator sim(protocols[ctx.cell_index], initials[ctx.cell_index], ctx.seed);
       r = time_until_delta_reaches(sim, alpha, budget);
     }
     SweepMetrics m = {{"hit", r.hit ? 1.0 : 0.0}};

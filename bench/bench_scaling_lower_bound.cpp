@@ -117,16 +117,10 @@ int run(int argc, char** argv) {
       r.clamped = out.clamped;
       r.parallel_time = parallel_time(out.interactions, n);
       r.winner = out.consensus;
-    } else if (ctx.cell.engine != EngineKind::kSequential) {
-      Engine sim = ctx.make_engine(protocols[ctx.cell_index], initials[ctx.cell_index]);
-      r = run_engine_trial(sim, budget);
     } else {
-      UsdEngine e(inits[ctx.cell_index].opinion_counts, ctx.seed);
-      e.run_until_stable(budget);
-      r.stabilized = e.stabilized();
-      r.interactions = e.interactions();
-      r.parallel_time = e.time();
-      r.winner = e.winner();
+      Engine sim = benchutil::make_usd_engine(ctx, protocols[ctx.cell_index],
+                                              initials[ctx.cell_index]);
+      r = run_engine_trial(sim, budget);
     }
     return consensus_metrics(r);
   };

@@ -61,28 +61,32 @@ int run(int argc, char** argv) {
   std::vector<Trajectory> trajectories(opts.trials);
   const Interactions stride = std::max<Interactions>(1, n / 20);
 
+  const UndecidedStateDynamics usd(k);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration(init.opinion_counts);
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     Trajectory& traj = trajectories[ctx.trial];  // private slot per trial
-    UsdEngine engine(init.opinion_counts, ctx.seed);
+    Simulator sim(usd, initial, ctx.seed);
+    const Configuration& c = sim.configuration();
     Interactions next = 0;
     double first_extinction = -1.0;
-    while (!engine.stabilized()) {
-      if (engine.interactions() >= next) {
-        traj.time.push_back(engine.time());
-        traj.survivors.push_back(static_cast<double>(engine.surviving_opinions()));
-        traj.undecided.push_back(static_cast<double>(engine.undecided()));
-        if (first_extinction < 0 && engine.surviving_opinions() < k) {
-          first_extinction = engine.time();
+    while (!sim.is_stable()) {
+      if (sim.interactions() >= next) {
+        traj.time.push_back(sim.parallel_time());
+        traj.survivors.push_back(static_cast<double>(surviving_opinions(c)));
+        traj.undecided.push_back(static_cast<double>(undecided_count(c)));
+        if (first_extinction < 0 && surviving_opinions(c) < k) {
+          first_extinction = sim.parallel_time();
         }
-        next = engine.interactions() + stride;
+        next = sim.interactions() + stride;
       }
-      engine.step();
+      sim.step();
     }
-    traj.time.push_back(engine.time());
-    traj.survivors.push_back(static_cast<double>(engine.surviving_opinions()));
-    traj.undecided.push_back(static_cast<double>(engine.undecided()));
+    traj.time.push_back(sim.parallel_time());
+    traj.survivors.push_back(static_cast<double>(surviving_opinions(c)));
+    traj.undecided.push_back(static_cast<double>(undecided_count(c)));
 
-    const double total = engine.time();
+    const double total = sim.parallel_time();
     return {
         {"parallel_time", total},
         {"first_extinction", first_extinction},

@@ -1,9 +1,8 @@
 // Engine throughput shoot-out: sequential vs. round-based simulation of USD
 // on the paper's Figure-1 configuration, at paper scale by default (n = 10⁷,
-// k = 3). Four engines run the same workload to stabilization:
+// k = 3). Three engines run the same workload to stabilization:
 //
-//   * sequential  — generic table-driven Simulator, one interaction/step;
-//   * specialized — UsdEngine, the hand-tuned sequential USD engine;
+//   * sequential  — the exact table-driven Simulator, one interaction/step;
 //   * batched     — CollapsedSimulator with fixed rounds of n/divisor;
 //   * collapsed   — CollapsedSimulator with adaptive-τ rounds.
 //
@@ -187,7 +186,7 @@ int run(int argc, char** argv) {
 
   benchutil::banner("throughput",
                     "wall-clock comparison of the USD engines on one workload: "
-                    "sequential (generic + specialized) vs batched vs collapsed");
+                    "sequential vs batched vs collapsed");
   benchutil::param("n", n);
   benchutil::param("k", static_cast<std::int64_t>(k));
   benchutil::param("trials", static_cast<std::int64_t>(opts.trials));
@@ -205,7 +204,7 @@ int run(int argc, char** argv) {
   SweepSpec spec;
   spec.name = "throughput";
   opts.configure(spec);
-  for (const char* variant : {"sequential", "specialized", "batched", "collapsed"}) {
+  for (const char* variant : {"sequential", "batched", "collapsed"}) {
     SweepCell cell;
     cell.n = n;
     cell.k = k;
@@ -222,17 +221,8 @@ int run(int argc, char** argv) {
 
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     const auto start = std::chrono::steady_clock::now();
-    TrialResult r;
-    if (ctx.cell.protocol == "specialized") {
-      UsdEngine engine(init.opinion_counts, ctx.seed);
-      r.stabilized = engine.run_until_stable(budget);
-      r.interactions = engine.interactions();
-      r.parallel_time = engine.time();
-      r.winner = engine.winner();
-    } else {
-      Engine engine = ctx.make_engine(usd, initial);
-      r = run_engine_trial(engine, budget);
-    }
+    Engine engine = ctx.make_engine(usd, initial);
+    const TrialResult r = run_engine_trial(engine, budget);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     SweepMetrics m = consensus_metrics(r);
@@ -263,16 +253,13 @@ int run(int argc, char** argv) {
   table.write_pretty(std::cout);
 
   const double wall_sequential = result.cells[0].sum("wall_seconds");
-  const double wall_specialized = result.cells[1].sum("wall_seconds");
-  const double wall_batched = result.cells[2].sum("wall_seconds");
-  const double wall_collapsed = result.cells[3].sum("wall_seconds");
+  const double wall_batched = result.cells[1].sum("wall_seconds");
+  const double wall_collapsed = result.cells[2].sum("wall_seconds");
   auto speedup = [](double base, double fast) {
     return fast > 0.0 ? base / fast : 0.0;
   };
   std::cout << "\nbatched vs sequential    (wall-clock): "
             << format_double(speedup(wall_sequential, wall_batched), 1) << "x\n"
-            << "batched vs specialized   (wall-clock): "
-            << format_double(speedup(wall_specialized, wall_batched), 1) << "x\n"
             << "collapsed vs sequential  (wall-clock): "
             << format_double(speedup(wall_sequential, wall_collapsed), 1) << "x\n"
             << "collapsed vs batched     (wall-clock): "

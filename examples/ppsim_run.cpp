@@ -1,6 +1,6 @@
 // Universal command-line runner: run any protocol in the library on a
-// configurable population without writing C++. The sixth example doubles as
-// the library's scripting entry point:
+// configurable population without writing C++. It doubles as the library's
+// scripting entry point:
 //
 //   ppsim_run --protocol usd --n 100000 --k 8 --bias auto --seed 7
 //   ppsim_run --protocol four-state --n 10000 --bias 100 --trials 20
@@ -188,25 +188,22 @@ int run(int argc, char** argv) {
 
   if (protocol == "usd") {
     const InitialConfig init = adversarial_configuration(n, k, bias);
-    // Optional time series from the first trial, produced by the *selected*
-    // engine (specialized sequential UsdEngine under --engine auto, the
-    // generic facade otherwise) so the series and the aggregate below always
-    // describe the same simulation. The series run reproduces sweep trial 0
-    // by construction: same stream, same engine.
+    const UndecidedStateDynamics usd(k);
+    const Configuration initial =
+        UndecidedStateDynamics::initial_configuration(init.opinion_counts);
+    // --series reproduces sweep trial 0 (same derived seed, same engine);
+    // --record-to runs on that seed too.
     const std::uint64_t series_seed =
         SweepRunner::trial_stream(seed, 0)();  // = trial 0's derived seed
     if (!opts.record_to.empty() || !resume_from.empty()) {
       // Archive mode: one recorded run streamed to a trajectory archive
-      // (io/archive_run.hpp), resumable from its embedded checkpoints. The
-      // run reproduces sweep trial 0 (same derived seed); --engine auto maps
-      // to collapsed, the engine archives exist to make resumable. Archive
-      // runs always use the scalar kernel (--kernel is ignored here):
-      // resume replays the recorded draw sequence, and the archive format
-      // does not record which kernel produced it, so the deterministic
-      // baseline is the only backend that can honour a recorded checkpoint.
-      const UndecidedStateDynamics usd(k);
-      const Configuration initial =
-          UndecidedStateDynamics::initial_configuration(init.opinion_counts);
+      // (io/archive_run.hpp), resumable from its embedded checkpoints.
+      // --engine auto maps to collapsed, the engine archives exist to make
+      // resumable. Archive runs always use the scalar kernel (--kernel is
+      // ignored here): resume replays the recorded draw sequence, and the
+      // archive format does not record which kernel produced it, so the
+      // deterministic baseline is the only backend that can honour a
+      // recorded checkpoint.
       const io::ArchiveChannels channels = io::usd_archive_channels(k);
       if (!opts.record_to.empty()) {
         io::ArchiveRunSpec rspec;
@@ -242,101 +239,37 @@ int run(int argc, char** argv) {
       }
       return 0;
     }
+    const EngineKind kind = engine_override.value_or(EngineKind::kSequential);
     if (!series_path.empty()) {
       std::ofstream out(series_path);
       PPSIM_CHECK(out.good(), "cannot open series file " + series_path);
-      const Interactions stride = std::max<Interactions>(1, n / 10);
-      if (engine_override.has_value()) {
-        // Generic engines sample through the Recorder (one projection per
-        // paper observable); run_until stops at stability or budget.
-        Recorder rec(stride);
-        rec.add_channel("undecided", [](const Configuration& c, Interactions) {
-          return static_cast<double>(c.count(UndecidedStateDynamics::kUndecided));
-        });
-        rec.add_channel("majority", [](const Configuration& c, Interactions) {
-          return static_cast<double>(c.count(UndecidedStateDynamics::opinion_state(0)));
-        });
-        rec.add_channel("delta_max", [k](const Configuration& c, Interactions) {
-          Count max_op = 0;
-          Count min_op = c.population();
-          for (std::size_t op = 0; op < k; ++op) {
-            const Count x =
-                c.count(UndecidedStateDynamics::opinion_state(static_cast<Opinion>(op)));
-            max_op = std::max(max_op, x);
-            min_op = std::min(min_op, x);
-          }
-          return static_cast<double>(max_op - min_op);
-        });
-        rec.add_channel("survivors", [k](const Configuration& c, Interactions) {
-          std::size_t survivors = 0;
-          for (std::size_t op = 0; op < k; ++op) {
-            if (c.count(UndecidedStateDynamics::opinion_state(static_cast<Opinion>(op))) > 0) {
-              ++survivors;
-            }
-          }
-          return static_cast<double>(survivors);
-        });
-        const UndecidedStateDynamics usd(k);
-        Engine engine(*engine_override, usd,
-                      UndecidedStateDynamics::initial_configuration(init.opinion_counts),
-                      series_seed, {.kernel = opts.kernel});
-        engine.run_until(
-            [&](const Configuration& c, Interactions i) {
-              rec.maybe_sample(c, i);
-              return false;  // sampling only; the engine stops at stability
-            },
-            budget);
-        // Capture the end state unless the strided sampler just did.
-        if (rec.series().parallel_time.empty() ||
-            rec.series().parallel_time.back() != engine.parallel_time()) {
-          rec.sample(engine.configuration(), engine.interactions());
-        }
-        std::move(rec).take_series().write_tsv(out);
-      } else {
-        // The specialized engine exposes O(1) observables; read them
-        // directly instead of snapshotting a Configuration per interaction.
-        UsdEngine engine(init.opinion_counts, series_seed);
-        out << "parallel_time\tundecided\tmajority\tdelta_max\tsurvivors\n";
-        Interactions next = 0;
-        while (!engine.stabilized() && engine.interactions() < budget) {
-          if (engine.interactions() >= next) {
-            out << engine.time() << '\t' << engine.undecided() << '\t'
-                << engine.opinion_count(0) << '\t' << engine.delta_max() << '\t'
-                << engine.surviving_opinions() << '\n';
-            next = engine.interactions() + stride;
-          }
-          engine.step();
-        }
+      // The archive channels, sampled every n/10 interactions; run_until
+      // stops at stability or budget.
+      Recorder rec(std::max<Interactions>(1, n / 10));
+      const io::ArchiveChannels channels = io::usd_archive_channels(k);
+      for (std::size_t c = 0; c < channels.names.size(); ++c) {
+        rec.add_channel(channels.names[c], channels.projections[c]);
       }
+      Engine engine(kind, usd, initial, series_seed, {.kernel = opts.kernel});
+      engine.run_until(
+          [&](const Configuration& c, Interactions i) {
+            rec.maybe_sample(c, i);
+            return false;  // sampling only; the engine stops at stability
+          },
+          budget);
+      // Capture the end state unless the strided sampler just did.
+      if (rec.series().parallel_time.empty() ||
+          rec.series().parallel_time.back() != engine.parallel_time()) {
+        rec.sample(engine.configuration(), engine.interactions());
+      }
+      std::move(rec).take_series().write_tsv(out);
       std::cout << "series written to " << series_path << "\n";
     }
-    if (engine_override.has_value()) {
-      // Explicit engine choice routes USD through the generic facade (the
-      // default keeps the specialized sequential UsdEngine below).
-      const UndecidedStateDynamics usd(k);
-      const Configuration initial =
-          UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-      run_one_cell(base_cell(*engine_override),
-                   [&](const SweepTrial& ctx) {
-                     const kernels::KernelKind kernel =
-                         ctx.cell.kernel.value_or(opts.kernel);
-                     Engine engine(ctx.cell.engine, usd, initial, ctx.seed,
-                                   {.kernel = kernel});
-                     return consensus_metrics(run_engine_trial(engine, budget));
-                   });
-      return 0;
-    }
-    run_one_cell(base_cell(EngineKind::kSequential),
-                 [&](const SweepTrial& ctx) {
-                   UsdEngine engine(init.opinion_counts, ctx.seed);
-                   engine.run_until_stable(budget);
-                   TrialResult r;
-                   r.stabilized = engine.stabilized();
-                   r.interactions = engine.interactions();
-                   r.parallel_time = engine.time();
-                   r.winner = engine.winner();
-                   return consensus_metrics(r);
-                 });
+    run_one_cell(base_cell(kind), [&](const SweepTrial& ctx) {
+      const kernels::KernelKind kernel = ctx.cell.kernel.value_or(opts.kernel);
+      Engine engine(ctx.cell.engine, usd, initial, ctx.seed, {.kernel = kernel});
+      return consensus_metrics(run_engine_trial(engine, budget));
+    });
     return 0;
   }
 

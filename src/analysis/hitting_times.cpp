@@ -11,71 +11,49 @@ namespace {
 /// Shared skip-ahead loop: `value()` is monotone in nothing, but changes by
 /// at most `max_step_change` per interaction, which makes the skip exact.
 template <typename ValueFn>
-HittingResult hit_level(UsdEngine& engine, Count level, Count max_step_change,
+HittingResult hit_level(Simulator& sim, Count level, Count max_step_change,
                         Interactions max_interactions, ValueFn&& value) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   HittingResult result;
   for (;;) {
-    const Count v = value(engine);
+    const Count v = value(sim.configuration());
     if (v >= level) {
       result.hit = true;
-      result.interactions_at_hit = engine.interactions();
+      result.interactions_at_hit = sim.interactions();
       break;
     }
-    if (engine.stabilized() || engine.interactions() >= max_interactions) break;
+    if (sim.is_stable() || sim.interactions() >= max_interactions) break;
     const Count gap = level - v;
     const Interactions skip = std::max<Interactions>(
         1, (gap + max_step_change - 1) / max_step_change);
     const Interactions budget =
-        std::min(engine.interactions() + skip, max_interactions);
-    while (engine.interactions() < budget && !engine.stabilized()) engine.step();
+        std::min(sim.interactions() + skip, max_interactions);
+    while (sim.interactions() < budget && !sim.is_stable()) sim.step();
   }
-  result.interactions_used = engine.interactions();
-  result.stabilized = engine.stabilized();
+  result.interactions_used = sim.interactions();
+  result.stabilized = sim.is_stable();
   return result;
 }
 
 }  // namespace
 
-HittingResult time_until_opinion_reaches(UsdEngine& engine, Opinion i, Count level,
+HittingResult time_until_opinion_reaches(Simulator& sim, Opinion i, Count level,
                                          Interactions max_interactions) {
-  PPSIM_CHECK(i < engine.num_opinions(), "opinion out of range");
+  PPSIM_CHECK(UndecidedStateDynamics::opinion_state(i) <
+                  sim.configuration().num_states(),
+              "opinion out of range");
   // x_i changes by at most 1 per interaction.
-  return hit_level(engine, level, /*max_step_change=*/1, max_interactions,
-                   [i](const UsdEngine& e) { return e.opinion_count(i); });
+  return hit_level(sim, level, /*max_step_change=*/1, max_interactions,
+                   [i](const Configuration& c) { return opinion_count(c, i); });
 }
 
-HittingResult time_until_delta_reaches(UsdEngine& engine, Count level,
+HittingResult time_until_delta_reaches(Simulator& sim, Count level,
                                        Interactions max_interactions) {
   // One interaction moves at most one agent into an opinion (max +1) or two
   // agents out of two opinions (min -1 each, affecting max and min by at
   // most 1 each): |ΔΔmax| <= 2.
-  return hit_level(engine, level, /*max_step_change=*/2, max_interactions,
-                   [](const UsdEngine& e) { return e.delta_max(); });
-}
-
-HittingResult time_until_stable(UsdEngine& engine, Interactions max_interactions) {
-  PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
-  HittingResult result;
-  engine.run_until_stable(max_interactions);
-  result.stabilized = engine.stabilized();
-  result.hit = result.stabilized;
-  result.interactions_at_hit = engine.interactions();
-  result.interactions_used = engine.interactions();
-  return result;
-}
-
-UndecidedExcursion max_undecided_over_run(UsdEngine& engine,
-                                          Interactions max_interactions) {
-  PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
-  UndecidedExcursion result;
-  result.max_undecided = engine.undecided();
-  engine.run_observed(max_interactions, [&result](const UsdEngine& e) {
-    result.max_undecided = std::max(result.max_undecided, e.undecided());
-  });
-  result.interactions_used = engine.interactions();
-  result.stabilized = engine.stabilized();
-  return result;
+  return hit_level(sim, level, /*max_step_change=*/2, max_interactions,
+                   [](const Configuration& c) { return delta_max(c); });
 }
 
 namespace {
@@ -85,7 +63,7 @@ namespace {
 /// first round boundary at or past the true hitting time. run_until's loop
 /// condition skips the predicate on the round that exhausts the budget, so
 /// the final configuration is re-checked here — otherwise a hit inside the
-/// last round would be reported as a miss, diverging from the UsdEngine
+/// last round would be reported as a miss, diverging from the Simulator
 /// overloads.
 template <typename ValueFn>
 HittingResult hit_level_engine(Engine& engine, Count level,
@@ -123,35 +101,25 @@ HittingResult time_until_opinion_reaches(Engine& engine, Opinion i, Count level,
 
 HittingResult time_until_delta_reaches(Engine& engine, Count level,
                                        Interactions max_interactions) {
-  return hit_level_engine(
-      engine, level, max_interactions, [](const Configuration& c) {
-        Count max_op = 0;
-        Count min_op = c.population();
-        for (State s = 1; s < static_cast<State>(c.num_states()); ++s) {
-          max_op = std::max(max_op, c.count(s));
-          min_op = std::min(min_op, c.count(s));
-        }
-        return max_op - min_op;
-      });
+  return hit_level_engine(engine, level, max_interactions,
+                          [](const Configuration& c) { return delta_max(c); });
 }
 
 UndecidedExcursion max_undecided_over_run(Engine& engine,
                                           Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   UndecidedExcursion result;
-  result.max_undecided = engine.configuration().count(UndecidedStateDynamics::kUndecided);
+  result.max_undecided = undecided_count(engine.configuration());
   const RunOutcome out = engine.run_until(
       [&result](const Configuration& c, Interactions) {
-        result.max_undecided =
-            std::max(result.max_undecided, c.count(UndecidedStateDynamics::kUndecided));
+        result.max_undecided = std::max(result.max_undecided, undecided_count(c));
         return false;  // sampling only; the engine stops at stability
       },
       max_interactions);
   // run_until skips the predicate on the round that exhausts the budget;
   // sample the final configuration so the last round's u(t) is not dropped.
   result.max_undecided =
-      std::max(result.max_undecided,
-               engine.configuration().count(UndecidedStateDynamics::kUndecided));
+      std::max(result.max_undecided, undecided_count(engine.configuration()));
   result.interactions_used = out.interactions;
   result.stabilized = out.stabilized;
   return result;

@@ -10,13 +10,13 @@ UsdFaultInjector::UsdFaultInjector(double rate, std::uint64_t seed)
   PPSIM_CHECK(rate >= 0.0 && rate <= 1.0, "corruption rate must be in [0, 1]");
 }
 
-bool UsdFaultInjector::maybe_corrupt(UsdEngine& engine) {
+bool UsdFaultInjector::maybe_corrupt(Simulator& sim) {
   if (rate_ == 0.0 || !rng_.bernoulli(rate_)) return false;
 
   // Pick a uniformly random *agent* (weighted by current counts) and move
   // it to a uniformly random state among the k+1 USD states.
-  const auto& counts = engine.counts();
-  const auto n = static_cast<std::uint64_t>(engine.population());
+  const auto& counts = sim.configuration().counts();
+  const auto n = static_cast<std::uint64_t>(sim.configuration().population());
   auto victim_index = static_cast<Count>(rng_.bounded(n));
   State from = 0;
   for (std::size_t s = 0; s < counts.size(); ++s) {
@@ -32,16 +32,16 @@ bool UsdFaultInjector::maybe_corrupt(UsdEngine& engine) {
   // corruption rate to rate * k/(k+1).)
   auto to = static_cast<State>(rng_.bounded(counts.size() - 1));
   if (to >= from) ++to;
-  engine.corrupt_agent(from, to);
+  sim.corrupt_agent(from, to);
   ++corruptions_;
   return true;
 }
 
-void UsdFaultInjector::run(UsdEngine& engine, Interactions interactions) {
+void UsdFaultInjector::run(Simulator& sim, Interactions interactions) {
   PPSIM_CHECK(interactions >= 0, "interaction budget must be non-negative");
   for (Interactions i = 0; i < interactions; ++i) {
-    engine.step();
-    maybe_corrupt(engine);
+    sim.step();
+    maybe_corrupt(sim);
   }
 }
 
@@ -88,9 +88,9 @@ void CountsFaultInjector::run(CollapsedSimulator& sim, Interactions interactions
   }
 }
 
-double consensus_quality(const UsdEngine& engine) {
-  return static_cast<double>(engine.max_opinion_count()) /
-         static_cast<double>(engine.population());
+double consensus_quality(const Configuration& config) {
+  return static_cast<double>(max_opinion_count(config)) /
+         static_cast<double>(config.population());
 }
 
 }  // namespace ppsim

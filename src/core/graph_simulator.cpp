@@ -11,8 +11,7 @@ GraphSimulator::GraphSimulator(const Protocol& protocol, const InteractionGraph&
       table_(protocol),
       states_(std::move(initial_states)),
       counts_(protocol.num_states(), 0),
-      rng_(seed),
-      stability_stride_(static_cast<Interactions>(states_.size())) {
+      rng_(seed) {
   PPSIM_CHECK(states_.size() == graph.num_nodes(),
               "need exactly one initial state per node");
   for (const State s : states_) {
@@ -69,7 +68,7 @@ bool GraphSimulator::run_until_stable(Interactions max_interactions) {
   while (interactions_ < max_interactions) {
     if (is_stable()) return true;
     const Interactions chunk =
-        std::min(stability_stride_, max_interactions - interactions_);
+        std::min(population(), max_interactions - interactions_);
     for (Interactions i = 0; i < chunk; ++i) step();
   }
   return is_stable();
@@ -85,11 +84,6 @@ std::optional<Opinion> GraphSimulator::consensus_output() const {
     agreed = o;
   }
   return agreed;
-}
-
-void GraphSimulator::set_stability_check_stride(Interactions stride) {
-  PPSIM_CHECK(stride > 0, "stability check stride must be positive");
-  stability_stride_ = stride;
 }
 
 }  // namespace ppsim

@@ -9,11 +9,28 @@ Simulator::Simulator(const Protocol& protocol, Configuration initial,
     : protocol_(protocol),
       config_(std::move(initial)),
       sampler_(config_),
-      rng_(seed),
-      stability_stride_(config_.population()) {
+      rng_(seed) {
   PPSIM_CHECK(config_.num_states() == protocol.num_states(),
               "configuration size must match the protocol's state space");
   if (engine == Engine::kTable) table_.emplace(protocol);
+  reset_stability();
+}
+
+// `inline`: step() calls this on every state-changing interaction.
+inline void Simulator::move_agent(State from, State to) {
+  config_.move_agent(from, to);
+  sampler_.move_agent(from, to);
+  const auto& counts = config_.counts();
+  if (counts[from] == 0) {  // swap-remove `from` from the present list
+    const State last = present_.back();
+    present_[slot_[from]] = last;
+    slot_[last] = slot_[from];
+    present_.pop_back();
+  }
+  if (counts[to] == 1) {
+    slot_[to] = present_.size();
+    present_.push_back(to);
+  }
 }
 
 bool Simulator::step() {
@@ -21,27 +38,64 @@ bool Simulator::step() {
   const Transition t = table_ ? table_->apply(a, b) : protocol_.apply(a, b);
   ++interactions_;
   if (t.initiator == a && t.responder == b) return false;
-  if (t.initiator != a) {
-    config_.move_agent(a, t.initiator);
-    sampler_.move_agent(a, t.initiator);
-  }
-  if (t.responder != b) {
-    config_.move_agent(b, t.responder);
-    sampler_.move_agent(b, t.responder);
+  if (t.initiator != a) move_agent(a, t.initiator);
+  if (t.responder != b) move_agent(b, t.responder);
+  // Counts fell only in states a and b, and a witness needs at most two
+  // agents per state, so it can only have broken if a or b is down to one.
+  // (A stable configuration never gets here: every present pair is null.)
+  const auto& counts = config_.counts();
+  if ((counts[a] <= 1 || counts[b] <= 1) && !applicable(witness_a_, witness_b_)) {
+    find_witness();
   }
   return true;
 }
 
+void Simulator::find_witness() {
+  for (const State a : present_) {
+    for (const State b : present_) {
+      if (!applicable(a, b)) continue;
+      const bool null = table_ ? table_->is_null(a, b) : [&] {
+        const Transition t = protocol_.apply(a, b);
+        return t.initiator == a && t.responder == b;
+      }();
+      if (!null) {
+        witness_a_ = a;
+        witness_b_ = b;
+        stable_ = false;
+        return;
+      }
+    }
+  }
+  stable_ = true;
+}
+
+void Simulator::reset_stability() {
+  const auto& counts = config_.counts();
+  present_.clear();
+  slot_.assign(counts.size(), 0);
+  for (State s = 0; s < counts.size(); ++s) {
+    if (counts[s] == 0) continue;
+    slot_[s] = present_.size();
+    present_.push_back(s);
+  }
+  find_witness();
+}
+
+void Simulator::corrupt_agent(State from, State to) {
+  PPSIM_CHECK(from < config_.num_states() && to < config_.num_states(),
+              "state out of range");
+  PPSIM_CHECK(config_.counts()[from] > 0, "no agent occupies the source state");
+  if (from == to) return;
+  move_agent(from, to);
+  // A corruption can also make a stable configuration unstable again.
+  if (stable_ || !applicable(witness_a_, witness_b_)) find_witness();
+}
+
 RunOutcome Simulator::run_until_stable(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
-  while (interactions_ < max_interactions) {
-    if (is_stable()) break;
-    const Interactions chunk =
-        std::min(stability_stride_, max_interactions - interactions_);
-    for (Interactions i = 0; i < chunk; ++i) {
-      step();
-      observe();
-    }
+  while (interactions_ < max_interactions && !stable_) {
+    step();
+    observe();
   }
   RunOutcome out;
   out.stabilized = is_stable();
@@ -54,16 +108,12 @@ RunOutcome Simulator::run_until(
     const std::function<bool(const Configuration&, Interactions)>& predicate,
     Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
-  Interactions next_stability_check = interactions_ + stability_stride_;
   while (interactions_ < max_interactions &&
          !predicate(config_, interactions_)) {
     // Stop on stability like run_until_stable (and CollapsedSimulator::
     // run_until): once stable the configuration never changes again, so a
     // configuration predicate that has not fired never will.
-    if (interactions_ >= next_stability_check) {
-      if (is_stable()) break;
-      next_stability_check = interactions_ + stability_stride_;
-    }
+    if (stable_) break;
     step();
     observe();
   }
@@ -74,31 +124,8 @@ RunOutcome Simulator::run_until(
   return out;
 }
 
-bool Simulator::is_stable() const {
-  if (table_) return table_->is_stable(config_);
-  // Virtual mode: same pair scan as TransitionTable::is_stable but through
-  // the vtable. O(S²) — acceptable because stability checks are strided.
-  const auto& counts = config_.counts();
-  const auto s = static_cast<State>(config_.num_states());
-  for (State a = 0; a < s; ++a) {
-    if (counts[a] == 0) continue;
-    for (State b = 0; b < s; ++b) {
-      if (counts[b] == 0) continue;
-      if (a == b && counts[a] < 2) continue;
-      const Transition t = protocol_.apply(a, b);
-      if (t.initiator != a || t.responder != b) return false;
-    }
-  }
-  return true;
-}
-
 std::optional<Opinion> Simulator::consensus_output() const {
   return ppsim::consensus_output(protocol_, config_);
-}
-
-void Simulator::set_stability_check_stride(Interactions stride) {
-  PPSIM_CHECK(stride > 0, "stability check stride must be positive");
-  stability_stride_ = stride;
 }
 
 EngineCheckpoint Simulator::checkpoint_state() const {
@@ -120,6 +147,7 @@ void Simulator::restore_checkpoint(const EngineCheckpoint& state) {
   rng_.set_state(state.rng_state);
   PPSIM_CHECK(state.interactions >= 0, "checkpoint clock must be non-negative");
   interactions_ = state.interactions;
+  reset_stability();
 }
 
 }  // namespace ppsim

@@ -27,19 +27,14 @@
 #include <vector>
 
 #include "ppsim/core/types.hpp"
-#include "ppsim/protocols/usd.hpp"
 
 namespace ppsim {
 
 class UsdDrift {
  public:
-  /// counts layout as in UsdEngine::counts(): counts[0] = u,
+  /// USD counts layout (UndecidedStateDynamics): counts[0] = u,
   /// counts[i+1] = x_{i+1}. Population must be >= 2.
   explicit UsdDrift(std::vector<Count> counts);
-
-  static UsdDrift from_engine(const UsdEngine& engine) {
-    return UsdDrift(engine.counts());
-  }
 
   Count n() const noexcept { return n_; }
   Count u() const noexcept { return counts_[0]; }

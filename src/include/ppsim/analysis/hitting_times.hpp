@@ -27,18 +27,19 @@ struct HittingResult {
   bool stabilized = false;               ///< run ended in a stable config
 };
 
-/// First time x_i reaches `level` (starting from the engine's current
-/// state). Consumes the engine's randomness; call on a fresh engine.
-HittingResult time_until_opinion_reaches(UsdEngine& engine, Opinion i, Count level,
+// Every engine's Configuration must use the USD state layout (state 0 = ⊥,
+// state i+1 = opinion i).
+
+/// First time x_i reaches `level` on the exact engine (starting from its
+/// current state), found with the skip-ahead above. Consumes the engine's
+/// randomness; call on a fresh engine.
+HittingResult time_until_opinion_reaches(Simulator& sim, Opinion i, Count level,
                                          Interactions max_interactions);
 
-/// First time Δmax = max_{i,j}(x_i - x_j) reaches `level` (Lemma 3.4's
-/// doubling event when level = 2·Δmax(0)).
-HittingResult time_until_delta_reaches(UsdEngine& engine, Count level,
+/// First time Δmax = max_{i,j}(x_i - x_j) reaches `level` on the exact
+/// engine (Lemma 3.4's doubling event when level = 2·Δmax(0)).
+HittingResult time_until_delta_reaches(Simulator& sim, Count level,
                                        Interactions max_interactions);
-
-/// Runs to stabilization (or budget); the Theorem 3.5 measurement.
-HittingResult time_until_stable(UsdEngine& engine, Interactions max_interactions);
 
 /// Tracks the maximum of u(t) over a run (Lemma 3.1's subject). Runs until
 /// stabilization or budget exhaustion and returns max_t u(t).
@@ -47,17 +48,12 @@ struct UndecidedExcursion {
   Interactions interactions_used = 0;
   bool stabilized = false;
 };
-UndecidedExcursion max_undecided_over_run(UsdEngine& engine,
-                                          Interactions max_interactions);
 
-// Engine-facade variants for USD runs on the generic engines (in practice
-// the collapsed/batched engines at populations beyond the specialized
-// UsdEngine's reach). The engine's Configuration must use the USD state
-// layout (state 0 = ⊥, state i+1 = opinion i). Observables are checked once
+// Engine-facade variants, for any EngineKind. Observables are checked once
 // per *round*, so hitting times are round-granular: exact for the
-// single-interaction-round engines, and within one τ-leap round (≤
-// tau_epsilon·n interactions) of the exact first-hitting time for the
-// collapsed engine — see docs/REPRODUCING.md for how the benches report
+// sequential kinds (one interaction per round), and within one τ-leap
+// round (≤ tau_epsilon·n interactions) of the exact first-hitting time for
+// the collapsed engine — see docs/REPRODUCING.md for how the benches report
 // this.
 
 HittingResult time_until_opinion_reaches(Engine& engine, Opinion i, Count level,

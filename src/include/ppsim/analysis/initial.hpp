@@ -6,7 +6,8 @@
 // so the builder distributes agents as n = (k-1)·m + (m + bias'), where the
 // realised bias' is the requested bias rounded up by at most k-1 agents to
 // make the arithmetic exact. All builders return counts indexed by opinion
-// (opinion 0 = majority), ready for UsdEngine / UsdGossipRule::initial.
+// (opinion 0 = majority), ready for
+// UndecidedStateDynamics::initial_configuration / UsdGossipRule::initial.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 // The stabilization guarantees in the paper (and this library) are proved
 // for a fault-free scheduler. Real deployments — sensor networks, chemical
 // computers — see transient state corruption. This module injects faults
-// into a UsdEngine run so the protocol's *self-stabilization* behaviour can
+// into a Simulator run of USD so the protocol's *self-stabilization* behaviour can
 // be measured (bench_fault_tolerance):
 //
 //   * transient corruption: at rate `rate` per interaction, one uniformly
@@ -30,6 +30,8 @@
 #include <cstdint>
 
 #include "ppsim/core/collapsed_simulator.hpp"
+#include "ppsim/core/configuration.hpp"
+#include "ppsim/core/simulator.hpp"
 #include "ppsim/core/types.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/rng.hpp"
@@ -47,12 +49,12 @@ class UsdFaultInjector {
   /// Possibly corrupts one agent of the engine (call once per interaction).
   /// Returns true iff a corruption was injected, i.e. iff the Bernoulli(rate)
   /// draw fired — a fired draw always moves an agent.
-  bool maybe_corrupt(UsdEngine& engine);
+  bool maybe_corrupt(Simulator& sim);
 
   /// Runs the engine for exactly `interactions` interactions with fault
-  /// injection interleaved (the engine's stabilized() state is ignored —
+  /// injection interleaved (the engine's is_stable() state is ignored —
   /// faults can always re-activate the dynamics).
-  void run(UsdEngine& engine, Interactions interactions);
+  void run(Simulator& sim, Interactions interactions);
 
  private:
   double rate_;
@@ -93,8 +95,8 @@ class CountsFaultInjector {
 };
 
 /// Fraction of agents on the most common opinion (undecided agents count
-/// against it): the "near-consensus quality" metric used by the fault
-/// benches. 1.0 = perfect consensus.
-double consensus_quality(const UsdEngine& engine);
+/// against it) of a USD-layout configuration: the "near-consensus quality"
+/// metric used by the fault benches. 1.0 = perfect consensus.
+double consensus_quality(const Configuration& config);
 
 }  // namespace ppsim

@@ -54,14 +54,15 @@ class GraphSimulator {
   /// this topology; O(|E|)).
   bool is_stable() const;
 
-  /// Runs until stable (checked every `stability_stride` interactions) or
-  /// the budget is reached. Returns true iff stable.
+  /// Runs until stable or the budget is reached. Returns true iff stable.
+  /// Stability is checked once per parallel-time unit (every n
+  /// interactions), so the reported stopping time is rounded up to the next
+  /// unit: unlike the clique Simulator's O(1) pair witness, a witness edge
+  /// is not O(1) to re-find on dense graphs.
   bool run_until_stable(Interactions max_interactions);
 
   /// If every node's output is the same committed opinion, returns it.
   std::optional<Opinion> consensus_output() const;
-
-  void set_stability_check_stride(Interactions stride);
 
  private:
   const Protocol& protocol_;
@@ -71,7 +72,6 @@ class GraphSimulator {
   std::vector<Count> counts_;
   Xoshiro256pp rng_;
   Interactions interactions_ = 0;
-  Interactions stability_stride_;
 };
 
 }  // namespace ppsim

@@ -7,14 +7,19 @@
 //     spaces too large to tabulate (e.g. quantized averaging with m ≈ n).
 //
 // The engine owns the configuration, the pair sampler and the RNG, so a
-// Simulator is a self-contained, restartable experiment. Stabilization
-// checks run every `stability_check_stride` interactions (exactness is not
-// affected: stability is absorbing, so late detection only costs time).
+// Simulator is a self-contained, restartable experiment. Stopping times are
+// exact: the engine keeps a *witness*, one present ordered pair whose
+// transition is not null. A state-changing step re-checks it in O(1); only
+// when the witness is no longer applicable are the present states rescanned
+// for a new one, and finding none means the configuration is stable. The
+// present states are a swap-remove list that changes only when a count
+// crosses 0↔1, so the rescan never visits an empty state.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/protocol.hpp"
@@ -54,31 +59,34 @@ class Simulator {
   }
 
   /// Performs exactly one interaction. Returns true iff a state changed.
+  /// Keeps is_stable() exact after every interaction.
   bool step();
 
   /// Runs until the protocol stabilizes or `max_interactions` total
-  /// interactions have been performed (counted from construction).
+  /// interactions have been performed (counted from construction). A run
+  /// that stabilizes stops on the interaction that made it stable.
   RunOutcome run_until_stable(Interactions max_interactions);
 
   /// Runs until `predicate(config, interactions)` is true (checked after
-  /// every interaction), the protocol stabilizes (checked every
-  /// `stability_check_stride` interactions — once stable the configuration
-  /// is frozen, so an unfired configuration predicate never fires), or the
-  /// budget is exhausted. Returns the outcome; `stabilized` reflects
-  /// protocol stability at exit.
+  /// every interaction), the protocol stabilizes (once stable the
+  /// configuration is frozen, so an unfired configuration predicate never
+  /// fires), or the budget is exhausted. Returns the outcome; `stabilized`
+  /// reflects protocol stability at exit.
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
 
-  /// True iff no applicable pair can change any state.
-  bool is_stable() const;
+  /// True iff no applicable pair can change any state. O(1).
+  bool is_stable() const noexcept { return stable_; }
 
   /// If every agent's output is the same committed opinion, returns it.
   std::optional<Opinion> consensus_output() const;
 
-  /// How often run_until_stable re-checks stability (default: population
-  /// size, i.e. once per parallel time unit).
-  void set_stability_check_stride(Interactions stride);
+  /// Moves one agent from `from` to `to` outside the protocol's dynamics:
+  /// the hook for fault injection (core/faults.hpp). It does not count as an
+  /// interaction and draws no randomness. Throws CheckFailure if a state is
+  /// out of range or no agent occupies `from`.
+  void corrupt_agent(State from, State to);
 
   /// Streams strided samples (and, when the recorder has a checkpoint
   /// stride, full engine snapshots) from inside the run loops. Not owned;
@@ -104,14 +112,30 @@ class Simulator {
     }
   }
 
+  /// Moves one agent in the configuration, the sampler and the present list.
+  void move_agent(State from, State to);
+  /// True iff two distinct agents can be drawn in states (a, b).
+  bool applicable(State a, State b) const noexcept {
+    const auto& counts = config_.counts();
+    return counts[a] > 0 && counts[b] > (a == b ? 1 : 0);
+  }
+  /// Rescans the present states for a witness; sets stable_ if none.
+  void find_witness();
+  /// Rebuilds the present list from the counts, then finds a witness.
+  void reset_stability();
+
   const Protocol& protocol_;
   std::optional<TransitionTable> table_;  // engaged in kTable mode
   Configuration config_;
   PairSampler sampler_;
   Xoshiro256pp rng_;
   Interactions interactions_ = 0;
-  Interactions stability_stride_;
   Recorder* recorder_ = nullptr;
+  std::vector<State> present_;      // states with a nonzero count, any order
+  std::vector<std::size_t> slot_;   // slot_[s] = index of s in present_
+  State witness_a_ = 0;             // a present non-null pair, unless stable_
+  State witness_b_ = 0;
+  bool stable_ = false;
 };
 
 }  // namespace ppsim

@@ -108,7 +108,7 @@ struct SweepSpec {
 
 /// Everything one trial may depend on. `rng` is the trial's private jump
 /// stream; `seed` is a scalar drawn from it for engines that expand their
-/// own seed (UsdEngine, GossipEngine, ...). Using both is fine — the stream
+/// own seed (a sequential Simulator, GossipEngine, ...). Using both is fine — the stream
 /// is private to this (cell, trial) pair.
 struct SweepTrial {
   const SweepCell& cell;

@@ -23,8 +23,9 @@ struct ArchiveChannels {
   std::vector<Recorder::Projection> projections;
 };
 
-/// The standard USD observables, matching ppsim_run --series column for
-/// column: undecided u(t), majority x_1(t), delta_max Δ(t), survivors.
+/// The standard USD observables (protocols/usd.hpp), and the columns of
+/// ppsim_run --series: undecided u(t), majority x_1(t), delta_max Δ(t),
+/// survivors. `k` ≥ 1 is the number of opinions.
 ArchiveChannels usd_archive_channels(std::size_t k);
 
 /// Everything that determines a recorded run (the header is built from it).

@@ -57,35 +57,23 @@ RunOutcome drive(const Protocol& protocol, const Configuration& initial,
 }  // namespace
 
 ArchiveChannels usd_archive_channels(std::size_t k) {
+  PPSIM_CHECK(k >= 1, "USD needs at least one opinion");
   ArchiveChannels channels;
   channels.names = {"undecided", "majority", "delta_max", "survivors"};
-  channels.projections.push_back([](const Configuration& c, Interactions) {
-    return static_cast<double>(c.count(UndecidedStateDynamics::kUndecided));
-  });
-  channels.projections.push_back([](const Configuration& c, Interactions) {
-    return static_cast<double>(c.count(UndecidedStateDynamics::opinion_state(0)));
-  });
-  channels.projections.push_back([k](const Configuration& c, Interactions) {
-    Count max_op = 0;
-    Count min_op = c.population();
-    for (std::size_t op = 0; op < k; ++op) {
-      const Count x =
-          c.count(UndecidedStateDynamics::opinion_state(static_cast<Opinion>(op)));
-      max_op = std::max(max_op, x);
-      min_op = std::min(min_op, x);
-    }
-    return static_cast<double>(max_op - min_op);
-  });
-  channels.projections.push_back([k](const Configuration& c, Interactions) {
-    std::size_t survivors = 0;
-    for (std::size_t op = 0; op < k; ++op) {
-      if (c.count(UndecidedStateDynamics::opinion_state(static_cast<Opinion>(op))) >
-          0) {
-        ++survivors;
-      }
-    }
-    return static_cast<double>(survivors);
-  });
+  channels.projections = {
+      [](const Configuration& c, Interactions) {
+        return static_cast<double>(undecided_count(c));
+      },
+      [](const Configuration& c, Interactions) {
+        return static_cast<double>(opinion_count(c, 0));
+      },
+      [](const Configuration& c, Interactions) {
+        return static_cast<double>(delta_max(c));
+      },
+      [](const Configuration& c, Interactions) {
+        return static_cast<double>(surviving_opinions(c));
+      },
+  };
   return channels;
 }
 

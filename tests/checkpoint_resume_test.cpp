@@ -199,7 +199,9 @@ TEST(ArchiveResumeTest, ResumeRejectsAnotherBuildVersion) {
                                            size_at + size_bytes.size());
   const auto payload_end = payload + static_cast<std::ptrdiff_t>(payload_size);
   const std::string current(io::kBuildVersion);
-  const std::string stale = "ppsim-0.0";
+  // Another build's stamp of the same length: flip the last character.
+  std::string stale = current;
+  stale.back() = stale.back() == '0' ? '1' : '0';
   ASSERT_EQ(stale.size(), current.size());
   const auto at = std::search(payload, payload_end, current.begin(), current.end());
   ASSERT_NE(at, payload_end);

@@ -302,14 +302,13 @@ TEST(CollapsedSimulatorTest, StabilizationTimesShareDistributionWithSequential) 
   // batched kind's default). With 300 samples a side the α = 0.001 KS
   // critical distance is ≈ 0.16; the τ-leaping bias of either policy
   // (measured: < 1% of the mean, well under the ~12% spread) stays far
-  // below it. The sequential sampler records exact stopping times (stride 1)
-  // so the comparison is against the true sequential law.
+  // below it. The sequential engine stops on the exact stabilizing
+  // interaction, so the comparison is against the true sequential law.
   const UndecidedStateDynamics usd(kK);
   constexpr int kTrials = 300;
   std::vector<double> seq;
   for (int t = 0; t < kTrials; ++t) {
     Simulator s(usd, Configuration(kUsdCounts), 1000 + static_cast<std::uint64_t>(t));
-    s.set_stability_check_stride(1);  // exact stopping times for the KS check
     const RunOutcome so = s.run_until_stable(50'000'000);
     ASSERT_TRUE(so.stabilized);
     seq.push_back(static_cast<double>(so.interactions));

@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "ppsim/core/simulator.hpp"
+#include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
 
@@ -97,17 +99,19 @@ TEST_P(DriftMonteCarloTest, OneStepExpectationsMatchEngine) {
   const std::vector<Count> counts = GetParam();
   const UsdDrift drift(counts);
 
-  const std::vector<Count> opinions(counts.begin() + 1, counts.end());
+  const UndecidedStateDynamics usd(counts.size() - 1);
+  const Configuration initial(counts);
   constexpr int kTrials = 120000;
   RunningStats du;
   RunningStats dx0;
   for (int t = 0; t < kTrials; ++t) {
-    UsdEngine engine(opinions, counts[0], 10000 + static_cast<std::uint64_t>(t));
-    const Count u_before = engine.undecided();
-    const Count x0_before = engine.opinion_count(0);
+    Simulator engine(usd, initial, 10000 + static_cast<std::uint64_t>(t));
+    const Configuration& c = engine.configuration();
+    const Count u_before = undecided_count(c);
+    const Count x0_before = opinion_count(c, 0);
     engine.step();
-    du.add(static_cast<double>(engine.undecided() - u_before));
-    dx0.add(static_cast<double>(engine.opinion_count(0) - x0_before));
+    du.add(static_cast<double>(undecided_count(c) - u_before));
+    dx0.add(static_cast<double>(opinion_count(c, 0) - x0_before));
   }
   EXPECT_NEAR(du.mean(), drift.expected_undecided_change(), 5.0 * du.sem())
       << "E[Δu] mismatch";
@@ -128,14 +132,17 @@ TEST(UsdDriftTest, DeltaUpProbabilityMatchesMonteCarloCounts) {
   // both terms (adoption by 0, clash of 1 with opinion 2) contribute.
   const std::vector<Count> counts = {10, 20, 15, 5};
   const UsdDrift drift(counts);
+  const UndecidedStateDynamics usd(3);
+  const Configuration initial(counts);
   constexpr int kTrials = 200000;
   int up = 0;
   int down = 0;
   for (int t = 0; t < kTrials; ++t) {
-    UsdEngine engine({20, 15, 5}, 10, 777000 + static_cast<std::uint64_t>(t));
-    const Count before = engine.opinion_count(0) - engine.opinion_count(1);
+    Simulator engine(usd, initial, 777000 + static_cast<std::uint64_t>(t));
+    const Configuration& c = engine.configuration();
+    const Count before = opinion_count(c, 0) - opinion_count(c, 1);
     engine.step();
-    const Count after = engine.opinion_count(0) - engine.opinion_count(1);
+    const Count after = opinion_count(c, 0) - opinion_count(c, 1);
     if (after > before) ++up;
     if (after < before) ++down;
   }

@@ -1,6 +1,6 @@
-// Cross-validation of the five USD execution paths — specialized UsdEngine,
-// table-driven Simulator, virtual-dispatch Simulator, GraphSimulator on an
-// explicit clique, and the counts-space CollapsedSimulator restricted to
+// Cross-validation of the four USD execution paths — table-driven
+// Simulator, virtual-dispatch Simulator, GraphSimulator on an explicit
+// clique, and the counts-space CollapsedSimulator restricted to
 // single-interaction rounds — which by construction realise the *same*
 // Markov chain. Rather than comparing trajectories (the engines consume randomness
 // differently), we compare distributions: means and variances of the key
@@ -61,16 +61,6 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
   const UndecidedStateDynamics usd(kK);
   const InteractionGraph clique = InteractionGraph::complete(static_cast<NodeId>(kN));
 
-  const Moments fast = collect(
-      kTrials, horizon, 1000,
-      [&](std::uint64_t seed, Interactions h) {
-        UsdEngine e(kOpinions, seed);
-        for (Interactions i = 0; i < h && !e.stabilized(); ++i) e.step();
-        return e;
-      },
-      [](const UsdEngine& e) { return static_cast<double>(e.undecided()); },
-      [](const UsdEngine& e) { return static_cast<double>(e.opinion_count(0)); });
-
   const Moments table = collect(
       kTrials, horizon, 2000,
       [&](std::uint64_t seed, Interactions h) {
@@ -116,15 +106,15 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
       [](const Configuration& c) { return static_cast<double>(c.count(0)); },
       [](const Configuration& c) { return static_cast<double>(c.count(1)); });
 
-  const Moments* engines[] = {&fast, &table, &virt, &graph, &collapsed};
-  const char* names[] = {"fast", "table", "virtual", "graph", "collapsed"};
-  for (int i = 1; i < 5; ++i) {
+  const Moments* engines[] = {&table, &virt, &graph, &collapsed};
+  const char* names[] = {"table", "virtual", "graph", "collapsed"};
+  for (int i = 1; i < 4; ++i) {
     const double tol_u = 4.5 * (engines[0]->u.sem() + engines[i]->u.sem());
     EXPECT_NEAR(engines[0]->u.mean(), engines[i]->u.mean(), tol_u)
-        << "u mismatch: fast vs " << names[i] << " at horizon " << horizon;
+        << "u mismatch: table vs " << names[i] << " at horizon " << horizon;
     const double tol_x = 4.5 * (engines[0]->x0.sem() + engines[i]->x0.sem());
     EXPECT_NEAR(engines[0]->x0.mean(), engines[i]->x0.mean(), tol_x)
-        << "x0 mismatch: fast vs " << names[i] << " at horizon " << horizon;
+        << "x0 mismatch: table vs " << names[i] << " at horizon " << horizon;
   }
 }
 
@@ -143,13 +133,13 @@ TEST(EngineEquivalenceTest, OneStepLawMatchesDriftOnEveryEngine) {
   const UndecidedStateDynamics usd(kK);
   const InteractionGraph clique = InteractionGraph::complete(static_cast<NodeId>(kN));
 
-  int fast_clash = 0;
+  int table_clash = 0;
   int graph_clash = 0;
   int collapsed_clash = 0;
   for (int t = 0; t < kTrials; ++t) {
-    UsdEngine e(kOpinions, 50000 + static_cast<std::uint64_t>(t));
-    e.step();
-    if (e.undecided() > 0) ++fast_clash;
+    Simulator s(usd, Configuration({0, 25, 20, 15}), 50000 + static_cast<std::uint64_t>(t));
+    s.step();
+    if (undecided_count(s.configuration()) > 0) ++table_clash;
 
     GraphSimulator g(usd, clique, agent_layout(), 90000 + static_cast<std::uint64_t>(t));
     g.step();
@@ -162,7 +152,7 @@ TEST(EngineEquivalenceTest, OneStepLawMatchesDriftOnEveryEngine) {
       ++collapsed_clash;
     }
   }
-  EXPECT_NEAR(static_cast<double>(fast_clash) / kTrials, p_clash, 0.006);
+  EXPECT_NEAR(static_cast<double>(table_clash) / kTrials, p_clash, 0.006);
   EXPECT_NEAR(static_cast<double>(graph_clash) / kTrials, p_clash, 0.006);
   EXPECT_NEAR(static_cast<double>(collapsed_clash) / kTrials, p_clash, 0.006);
 }
@@ -201,20 +191,23 @@ TEST(EngineDeterminismTest, SameSeedReproducesRunOutcome) {
 
 TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
   // Full-run comparison: mean stabilization interactions across engines on
-  // a biased two-party instance. The collapsed engine runs in exactness mode
-  // (fixed_round = 1), so its stopping times follow the sequential law too.
+  // a biased two-party instance. Both sequential dispatch modes stop on the
+  // exact stabilizing interaction; the collapsed engine runs in exactness
+  // mode (fixed_round = 1), so its stopping times follow the sequential law
+  // too.
   const UndecidedStateDynamics usd(2);
   constexpr int kTrials = 150;
-  RunningStats fast_time;
+  RunningStats virtual_time;
   RunningStats table_time;
   RunningStats collapsed_time;
   for (int t = 0; t < kTrials; ++t) {
-    UsdEngine e({70, 30}, 600 + static_cast<std::uint64_t>(t));
-    e.run_until_stable(10'000'000);
-    fast_time.add(static_cast<double>(e.interactions()));
+    Simulator v(usd, Configuration({0, 70, 30}), 600 + static_cast<std::uint64_t>(t),
+                Simulator::Engine::kVirtual);
+    const RunOutcome vout = v.run_until_stable(10'000'000);
+    ASSERT_TRUE(vout.stabilized);
+    virtual_time.add(static_cast<double>(vout.interactions));
 
     Simulator s(usd, Configuration({0, 70, 30}), 800 + static_cast<std::uint64_t>(t));
-    s.set_stability_check_stride(1);  // per-step checks: exact stopping time
     const RunOutcome out = s.run_until_stable(10'000'000);
     ASSERT_TRUE(out.stabilized);
     table_time.add(static_cast<double>(out.interactions));
@@ -225,10 +218,10 @@ TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
     ASSERT_TRUE(cout_.stabilized);
     collapsed_time.add(static_cast<double>(cout_.interactions));
   }
-  EXPECT_NEAR(fast_time.mean(), table_time.mean(),
-              4.5 * (fast_time.sem() + table_time.sem()));
-  EXPECT_NEAR(fast_time.mean(), collapsed_time.mean(),
-              4.5 * (fast_time.sem() + collapsed_time.sem()));
+  EXPECT_NEAR(virtual_time.mean(), table_time.mean(),
+              4.5 * (virtual_time.sem() + table_time.sem()));
+  EXPECT_NEAR(virtual_time.mean(), collapsed_time.mean(),
+              4.5 * (virtual_time.sem() + collapsed_time.sem()));
 }
 
 // --------------------------------------- scalar-kernel determinism anchor --

@@ -4,13 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "ppsim/core/simulator.hpp"
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
 namespace {
 
+/// The USD configuration `opinions` (plus `undecided` agents in ⊥).
+Configuration usd_config(const std::vector<Count>& opinions, Count undecided = 0) {
+  return UndecidedStateDynamics::initial_configuration(opinions, undecided);
+}
+
+const UndecidedStateDynamics kUsd2(2);
+const UndecidedStateDynamics kUsd3(3);
+
 TEST(HittingTimesTest, AlreadyAtLevelHitsImmediately) {
-  UsdEngine engine({50, 50}, 1);
+  Simulator engine(kUsd2, usd_config({50, 50}), 1);
   const HittingResult r = time_until_opinion_reaches(engine, 0, 50, 1000);
   EXPECT_TRUE(r.hit);
   EXPECT_EQ(r.interactions_at_hit, 0);
@@ -22,20 +33,20 @@ TEST(HittingTimesTest, SkipAheadMatchesStepByStepReference) {
   // exactly.
   constexpr Count kLevel = 60;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    UsdEngine fast({50, 30, 20}, seed);
+    Simulator fast(kUsd3, usd_config({50, 30, 20}), seed);
     const HittingResult via_helper =
         time_until_opinion_reaches(fast, 0, kLevel, 500000);
 
-    UsdEngine slow({50, 30, 20}, seed);
+    Simulator slow(kUsd3, usd_config({50, 30, 20}), seed);
     Interactions reference = -1;
-    while (slow.interactions() < 500000 && !slow.stabilized()) {
-      if (slow.opinion_count(0) >= kLevel) {
+    while (slow.interactions() < 500000 && !slow.is_stable()) {
+      if (opinion_count(slow.configuration(), 0) >= kLevel) {
         reference = slow.interactions();
         break;
       }
       slow.step();
     }
-    if (reference < 0 && slow.opinion_count(0) >= kLevel) {
+    if (reference < 0 && opinion_count(slow.configuration(), 0) >= kLevel) {
       reference = slow.interactions();
     }
 
@@ -50,19 +61,21 @@ TEST(HittingTimesTest, SkipAheadMatchesStepByStepReference) {
 TEST(HittingTimesTest, DeltaSkipAheadMatchesReference) {
   constexpr Count kLevel = 30;
   for (std::uint64_t seed = 20; seed <= 26; ++seed) {
-    UsdEngine fast({40, 30, 30}, seed);
+    Simulator fast(kUsd3, usd_config({40, 30, 30}), seed);
     const HittingResult via_helper = time_until_delta_reaches(fast, kLevel, 300000);
 
-    UsdEngine slow({40, 30, 30}, seed);
+    Simulator slow(kUsd3, usd_config({40, 30, 30}), seed);
     Interactions reference = -1;
-    while (slow.interactions() < 300000 && !slow.stabilized()) {
-      if (slow.delta_max() >= kLevel) {
+    while (slow.interactions() < 300000 && !slow.is_stable()) {
+      if (delta_max(slow.configuration()) >= kLevel) {
         reference = slow.interactions();
         break;
       }
       slow.step();
     }
-    if (reference < 0 && slow.delta_max() >= kLevel) reference = slow.interactions();
+    if (reference < 0 && delta_max(slow.configuration()) >= kLevel) {
+      reference = slow.interactions();
+    }
 
     if (via_helper.hit) {
       ASSERT_EQ(via_helper.interactions_at_hit, reference) << "seed " << seed;
@@ -73,7 +86,7 @@ TEST(HittingTimesTest, DeltaSkipAheadMatchesReference) {
 }
 
 TEST(HittingTimesTest, BudgetPreventsHit) {
-  UsdEngine engine({500, 500}, 5);
+  Simulator engine(kUsd2, usd_config({500, 500}), 5);
   // level n is unreachable in 10 interactions from a balanced start
   const HittingResult r = time_until_opinion_reaches(engine, 0, 1000, 10);
   EXPECT_FALSE(r.hit);
@@ -83,30 +96,20 @@ TEST(HittingTimesTest, BudgetPreventsHit) {
 TEST(HittingTimesTest, StabilizationEndsTheRun) {
   // Tiny population stabilizes long before the budget; the helper must
   // report stabilized and not spin.
-  UsdEngine engine({3, 2}, 9);
+  Simulator engine(kUsd2, usd_config({3, 2}), 9);
   const HittingResult r = time_until_opinion_reaches(engine, 1, 5, 1'000'000);
   EXPECT_TRUE(r.stabilized || r.hit);
   EXPECT_LT(r.interactions_used, 1'000'000);
 }
 
-TEST(HittingTimesTest, TimeUntilStableMatchesEngine) {
-  UsdEngine a({60, 40}, 77);
-  const HittingResult r = time_until_stable(a, 10'000'000);
-  ASSERT_TRUE(r.hit);
-
-  UsdEngine b({60, 40}, 77);
-  b.run_until_stable(10'000'000);
-  EXPECT_EQ(r.interactions_at_hit, b.interactions());
-}
-
 TEST(HittingTimesTest, InvalidArguments) {
-  UsdEngine engine({5, 5}, 1);
+  Simulator engine(kUsd2, usd_config({5, 5}), 1);
   EXPECT_THROW(time_until_opinion_reaches(engine, 2, 5, 100), CheckFailure);
   EXPECT_THROW(time_until_opinion_reaches(engine, 0, 5, -1), CheckFailure);
 }
 
 TEST(UndecidedExcursionTest, TracksRunningMaximum) {
-  UsdEngine engine({400, 300, 300}, 3);
+  Engine engine(EngineKind::kSequential, kUsd3, usd_config({400, 300, 300}), 3);
   const UndecidedExcursion exc = max_undecided_over_run(engine, 200000);
   EXPECT_GT(exc.max_undecided, 0);
   // The maximum is at least the final value and at most n.
@@ -117,7 +120,7 @@ TEST(UndecidedExcursionTest, TracksRunningMaximum) {
 
 TEST(UndecidedExcursionTest, StartsFromCurrentValue) {
   // All-undecided start: the max is n immediately, and the config is stable.
-  UsdEngine engine({0, 0}, 10, 3);
+  Engine engine(EngineKind::kSequential, kUsd2, usd_config({0, 0}, 10), 3);
   const UndecidedExcursion exc = max_undecided_over_run(engine, 1000);
   EXPECT_EQ(exc.max_undecided, 10);
   EXPECT_TRUE(exc.stabilized);

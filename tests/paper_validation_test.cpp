@@ -11,10 +11,18 @@
 #include "ppsim/analysis/hitting_times.hpp"
 #include "ppsim/analysis/initial.hpp"
 #include "ppsim/core/runner.hpp"
+#include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/usd.hpp"
 
 namespace ppsim {
 namespace {
+
+/// The exact sequential engine on `init`'s opinion counts.
+Simulator usd_sim(const UndecidedStateDynamics& usd, const InitialConfig& init,
+                  std::uint64_t seed) {
+  return Simulator(usd, UndecidedStateDynamics::initial_configuration(init.opinion_counts),
+                   seed);
+}
 
 // ----------------------------------------------------------- Lemma 3.1 ----
 
@@ -23,10 +31,13 @@ TEST(PaperLemma31, UndecidedNeverExceedsCeiling) {
   // handful of seeds is effectively impossible.
   const Count n = 20000;
   const std::size_t k = 10;
+  const UndecidedStateDynamics usd(k);
   const double ceiling = bounds::lemma31_ceiling(n, k);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const InitialConfig init = figure1_configuration(n, k);
-    UsdEngine engine(init.opinion_counts, seed);
+    Engine engine(EngineKind::kSequential, usd,
+                  UndecidedStateDynamics::initial_configuration(init.opinion_counts),
+                  seed);
     const UndecidedExcursion exc = max_undecided_over_run(engine, 100 * n);
     EXPECT_LT(static_cast<double>(exc.max_undecided), ceiling) << "seed " << seed;
   }
@@ -37,16 +48,17 @@ TEST(PaperLemma31, UndecidedSettlesNearSettlePoint) {
   // line); with the √(n log n) correction terms this is a loose band test.
   const Count n = 50000;
   const std::size_t k = 8;
+  const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
-  UsdEngine engine(init.opinion_counts, 42);
+  Simulator engine = usd_sim(usd, init, 42);
   // burn in 10 parallel time units
   for (Interactions i = 0; i < 10 * n; ++i) engine.step();
   const double settle = bounds::usd_settle_point(n, k);
   RunningStats u_obs;
   for (int s = 0; s < 1000; ++s) {
     for (Interactions i = 0; i < n / 100; ++i) engine.step();
-    u_obs.add(static_cast<double>(engine.undecided()));
-    if (engine.stabilized()) break;
+    u_obs.add(static_cast<double>(undecided_count(engine.configuration())));
+    if (engine.is_stable()) break;
   }
   const double slack = 3.0 * std::sqrt(static_cast<double>(n) *
                                        std::log(static_cast<double>(n)));
@@ -59,17 +71,18 @@ TEST(PaperLemma31, AmirSandwichHolds) {
   // √(n log n) slack on both sides).
   const Count n = 30000;
   const std::size_t k = 6;
+  const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
-  UsdEngine engine(init.opinion_counts, 7);
+  Simulator engine = usd_sim(usd, init, 7);
   const auto burn_in = static_cast<Interactions>(
       static_cast<double>(n) * std::log(static_cast<double>(n)));
-  for (Interactions i = 0; i < burn_in && !engine.stabilized(); ++i) engine.step();
+  for (Interactions i = 0; i < burn_in && !engine.is_stable(); ++i) engine.step();
   const double slack =
       2.0 * std::sqrt(static_cast<double>(n) * std::log(static_cast<double>(n)));
-  for (int probe = 0; probe < 200 && !engine.stabilized(); ++probe) {
+  for (int probe = 0; probe < 200 && !engine.is_stable(); ++probe) {
     for (Interactions i = 0; i < n / 20; ++i) engine.step();
-    const auto u = static_cast<double>(engine.undecided());
-    const auto x1 = static_cast<double>(engine.max_opinion_count());
+    const auto u = static_cast<double>(undecided_count(engine.configuration()));
+    const auto x1 = static_cast<double>(max_opinion_count(engine.configuration()));
     ASSERT_LE(u, static_cast<double>(n) / 2.0 + slack);
     ASSERT_GE(u, static_cast<double>(n) / 2.0 - x1 / 2.0 - slack);
   }
@@ -83,13 +96,14 @@ TEST(PaperLemma33, OpinionGrowthIsSlow) {
   // likely violator.
   const Count n = 50000;
   const std::size_t k = 10;
+  const UndecidedStateDynamics usd(k);
   const auto target = static_cast<Count>(bounds::lemma33_target_level(n, k));
   const auto budget = static_cast<Interactions>(bounds::lemma33_interactions(n, k));
   for (std::uint64_t seed = 11; seed <= 15; ++seed) {
     const InitialConfig init = figure1_configuration(n, k);
     ASSERT_LT(static_cast<double>(init.majority()),
               bounds::lemma33_start_level(n, k));
-    UsdEngine engine(init.opinion_counts, seed);
+    Simulator engine = usd_sim(usd, init, seed);
     const HittingResult r = time_until_opinion_reaches(engine, 0, target, budget);
     EXPECT_FALSE(r.hit) << "seed " << seed << ": x_0 reached 2n/k after "
                         << r.interactions_at_hit << " interactions (budget "
@@ -104,11 +118,12 @@ TEST(PaperLemma34, MaxDifferenceDoesNotDoubleFast) {
   // interactions to reach α, w.h.p.
   const Count n = 50000;
   const std::size_t k = 10;
+  const UndecidedStateDynamics usd(k);
   const auto alpha_half = static_cast<Count>(2.0 * bounds::whp_bias(n));
   const auto budget = static_cast<Interactions>(bounds::lemma34_interactions(n, k));
   for (std::uint64_t seed = 21; seed <= 25; ++seed) {
     const InitialConfig init = adversarial_configuration(n, k, alpha_half);
-    UsdEngine engine(init.opinion_counts, seed);
+    Simulator engine = usd_sim(usd, init, seed);
     const HittingResult r =
         time_until_delta_reaches(engine, 2 * init.bias, budget);
     EXPECT_FALSE(r.hit) << "seed " << seed << ": Δmax doubled after "
@@ -123,16 +138,17 @@ TEST(PaperTheorem35, StabilizationSlowerThanLowerBound) {
   // bound (k/25)·ln(√n/(k ln n)) on the adversarial configuration.
   const Count n = 40000;
   const std::size_t k = 8;
+  const UndecidedStateDynamics usd(k);
   const double lb = bounds::theorem35_parallel_lower_bound(n, k);
   ASSERT_GT(lb, 0.0);
   auto trial = [&](std::uint64_t seed, std::size_t) {
     const InitialConfig init = figure1_configuration(n, k);
-    UsdEngine engine(init.opinion_counts, seed);
+    Simulator engine = usd_sim(usd, init, seed);
     engine.run_until_stable(5000 * n);
     TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.parallel_time = engine.time();
-    r.winner = engine.winner();
+    r.stabilized = engine.is_stable();
+    r.parallel_time = engine.parallel_time();
+    r.winner = engine.consensus_output();
     return r;
   };
   const auto results = run_trials(trial, 5, 123, 0);
@@ -148,13 +164,14 @@ TEST(PaperTheorem35, BiasWithinTheoremStillWinsWithWhpBias) {
   // every trial.
   const Count n = 40000;
   const std::size_t k = 8;
+  const UndecidedStateDynamics usd(k);
   auto trial = [&](std::uint64_t seed, std::size_t) {
     const InitialConfig init = figure1_configuration(n, k);
-    UsdEngine engine(init.opinion_counts, seed);
+    Simulator engine = usd_sim(usd, init, seed);
     engine.run_until_stable(5000 * n);
     TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.winner = engine.winner();
+    r.stabilized = engine.is_stable();
+    r.winner = engine.consensus_output();
     return r;
   };
   const auto results = run_trials(trial, 8, 321, 0);
@@ -175,20 +192,21 @@ TEST(PaperFigure1, DoublingTakesMostOfTheStabilizationTime) {
   // assert it takes at least a third of the total stabilization time.
   const Count n = 30000;
   const std::size_t k = bounds::paper_k(n);  // paper's k(n)
+  const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
 
-  UsdEngine doubling_engine(init.opinion_counts, 99);
+  Simulator doubling_engine = usd_sim(usd, init, 99);
   const HittingResult doubling = time_until_opinion_reaches(
       doubling_engine, 0, 2 * init.majority(), 100000 * n);
   ASSERT_TRUE(doubling.hit);
 
-  UsdEngine full_engine(init.opinion_counts, 99);
-  const HittingResult full = time_until_stable(full_engine, 100000 * n);
-  ASSERT_TRUE(full.hit);
+  Simulator full_engine = usd_sim(usd, init, 99);
+  const RunOutcome full = full_engine.run_until_stable(100000 * n);
+  ASSERT_TRUE(full.stabilized);
 
   EXPECT_GT(static_cast<double>(doubling.interactions_at_hit),
-            static_cast<double>(full.interactions_at_hit) / 3.0);
-  EXPECT_LE(doubling.interactions_at_hit, full.interactions_at_hit);
+            static_cast<double>(full.interactions) / 3.0);
+  EXPECT_LE(doubling.interactions_at_hit, full.interactions);
 }
 
 TEST(PaperFigure1, MinorityOpinionsAreNotMonotone) {
@@ -199,17 +217,18 @@ TEST(PaperFigure1, MinorityOpinionsAreNotMonotone) {
   // clear margin.
   const Count n = 30000;
   const std::size_t k = 10;
+  const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
-  UsdEngine engine(init.opinion_counts, 5);
+  Simulator engine = usd_sim(usd, init, 5);
   for (Interactions i = 0; i < 5 * n; ++i) engine.step();  // burn-in
   std::vector<Count> after_burn_in(k);
-  for (Opinion j = 0; j < k; ++j) after_burn_in[j] = engine.opinion_count(j);
+  for (Opinion j = 0; j < k; ++j) after_burn_in[j] = opinion_count(engine.configuration(), j);
 
   bool some_minority_rose = false;
-  for (int sample = 0; sample < 2000 && !engine.stabilized(); ++sample) {
+  for (int sample = 0; sample < 2000 && !engine.is_stable(); ++sample) {
     for (Interactions i = 0; i < n / 10; ++i) engine.step();
     for (Opinion j = 1; j < k; ++j) {
-      if (static_cast<double>(engine.opinion_count(j)) >
+      if (static_cast<double>(opinion_count(engine.configuration(), j)) >
           1.1 * static_cast<double>(after_burn_in[j])) {
         some_minority_rose = true;
         break;
@@ -225,12 +244,13 @@ TEST(PaperFigure1, UndecidedClimbsFastThenStaysNearSettle) {
   // time units, then stays in a band around it.
   const Count n = 30000;
   const std::size_t k = 10;
+  const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
-  UsdEngine engine(init.opinion_counts, 17);
+  Simulator engine = usd_sim(usd, init, 17);
   for (Interactions i = 0; i < 5 * n; ++i) engine.step();  // 5 parallel units
   const double settle = bounds::usd_settle_point(n, k);
-  EXPECT_GT(static_cast<double>(engine.undecided()), 0.8 * settle);
-  EXPECT_LT(static_cast<double>(engine.undecided()),
+  EXPECT_GT(static_cast<double>(undecided_count(engine.configuration())), 0.8 * settle);
+  EXPECT_LT(static_cast<double>(undecided_count(engine.configuration())),
             bounds::lemma31_ceiling(n, k));
 }
 

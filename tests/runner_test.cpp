@@ -21,15 +21,11 @@ TEST(RunnerTest, TrialSeedsAreDistinctAndStable) {
 }
 
 TEST(RunnerTest, ResultsIndependentOfThreadCount) {
-  auto trial = [](std::uint64_t seed, std::size_t) {
-    UsdEngine engine({60, 40}, seed);
-    engine.run_until_stable(1'000'000);
-    TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.interactions = engine.interactions();
-    r.parallel_time = engine.time();
-    r.winner = engine.winner();
-    return r;
+  const UndecidedStateDynamics usd(2);
+  auto trial = [&usd](std::uint64_t seed, std::size_t) {
+    Engine engine(EngineKind::kSequential, usd,
+                  UndecidedStateDynamics::initial_configuration({60, 40}), seed);
+    return run_engine_trial(engine, 1'000'000);
   };
   const auto serial = run_trials(trial, 16, 99, 1);
   const auto parallel = run_trials(trial, 16, 99, 8);

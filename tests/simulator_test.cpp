@@ -1,5 +1,6 @@
-// Generic engine: conservation, determinism, stability-driven termination,
-// table vs virtual dispatch equivalence, predicates, and the recorder.
+// Generic engine: conservation, determinism, exact stability-driven
+// termination in both dispatch modes, predicates, fault hooks, and the
+// recorder.
 #include "ppsim/core/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,10 @@
 #include <sstream>
 
 #include "ppsim/core/recorder.hpp"
+#include "ppsim/protocols/averaging_majority.hpp"
+#include "ppsim/protocols/cancel_duplicate.hpp"
 #include "ppsim/protocols/epidemic.hpp"
+#include "ppsim/protocols/four_state_majority.hpp"
 #include "ppsim/protocols/leader_election.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
@@ -96,9 +100,7 @@ TEST(SimulatorTest, BudgetIsRespected) {
   Simulator sim(usd, Configuration({0, 500, 500}), 3);
   const RunOutcome out = sim.run_until_stable(250);
   EXPECT_FALSE(out.stabilized);
-  // run_until_stable works in stability-check strides; it may finish the
-  // current stride but never exceeds the requested budget.
-  EXPECT_LE(out.interactions, 250);
+  EXPECT_EQ(out.interactions, 250);
 }
 
 TEST(SimulatorTest, RunUntilPredicateFires) {
@@ -131,11 +133,108 @@ TEST(SimulatorTest, ConsensusOutputRules) {
   EXPECT_EQ(*mono.consensus_output(), 1u);
 }
 
-TEST(SimulatorTest, StrideValidation) {
+constexpr Simulator::Engine kModes[] = {Simulator::Engine::kTable,
+                                        Simulator::Engine::kVirtual};
+
+/// Reference stability: every ordered pair of two distinct present agents'
+/// states is null under f (the O(S²) scan the witness replaces).
+bool brute_force_stable(const Protocol& protocol, const Configuration& c) {
+  const auto& counts = c.counts();
+  for (State a = 0; a < counts.size(); ++a) {
+    for (State b = 0; b < counts.size(); ++b) {
+      if (counts[a] == 0 || counts[b] < (a == b ? 2 : 1)) continue;
+      const Transition t = protocol.apply(a, b);
+      if (t.initiator != a || t.responder != b) return false;
+    }
+  }
+  return true;
+}
+
+TEST(SimulatorTest, StopsOnTheExactStabilizingInteraction) {
+  // The stopping interaction changed a state, and the same-seed run one
+  // interaction shorter is not yet stable: the stopping time is not rounded.
+  const UndecidedStateDynamics usd(3);
+  const Configuration initial({0, 40, 30, 30});
+  for (const Simulator::Engine mode : kModes) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + " seed " +
+                   std::to_string(seed));
+      Simulator sim(usd, initial, seed, mode);
+      const RunOutcome out = sim.run_until_stable(10'000'000);
+      ASSERT_TRUE(out.stabilized);
+      ASSERT_GT(out.interactions, 0);
+
+      Simulator early(usd, initial, seed, mode);
+      const RunOutcome before = early.run_until_stable(out.interactions - 1);
+      EXPECT_FALSE(before.stabilized);
+      EXPECT_EQ(before.interactions, out.interactions - 1);
+      EXPECT_FALSE(brute_force_stable(usd, early.configuration()));
+      EXPECT_TRUE(early.step());  // the stopping interaction changed a state
+      EXPECT_TRUE(early.is_stable());
+      EXPECT_EQ(early.configuration(), sim.configuration());
+    }
+  }
+}
+
+TEST(SimulatorTest, StabilityWitnessMatchesBruteForceScan) {
+  // is_stable() after every interaction, a corruption and a checkpoint
+  // restore, against the full pair scan, on protocols whose null pairs
+  // differ in shape.
+  const UndecidedStateDynamics usd(3);
+  const FourStateMajority four;
+  const CancellationDuplication cancel(4);
+  const LeaderElection leader;
+  const AveragingMajority averaging(64);
+  const std::pair<const Protocol*, Configuration> cases[] = {
+      {&usd, Configuration({2, 5, 4, 3})},
+      {&four, FourStateMajority::initial(9, 7)},
+      {&cancel, cancel.initial(9, 6)},
+      {&leader, LeaderElection::initial(12)},
+      {&averaging, averaging.initial(8, 6)},
+  };
+  for (const Simulator::Engine mode : kModes) {
+    for (const auto& [protocol, initial] : cases) {
+      SCOPED_TRACE(protocol->name() + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      Simulator sim(*protocol, initial, 5, mode);
+      ASSERT_EQ(sim.is_stable(), brute_force_stable(*protocol, sim.configuration()));
+      while (sim.interactions() < 200'000 && !sim.is_stable()) {
+        sim.step();
+        ASSERT_EQ(sim.is_stable(), brute_force_stable(*protocol, sim.configuration()))
+            << "after interaction " << sim.interactions();
+      }
+      ASSERT_TRUE(sim.is_stable());
+      // Corrupt every occupied state out and back: each move keeps the
+      // witness exact, whether it breaks or restores stability.
+      const EngineCheckpoint stable_state = sim.checkpoint_state();
+      const std::size_t s = sim.configuration().num_states();
+      for (State from = 0; from < s; ++from) {
+        if (sim.configuration().count(from) == 0) continue;
+        const State to = static_cast<State>((from + 1) % s);
+        sim.corrupt_agent(from, to);
+        EXPECT_EQ(sim.is_stable(), brute_force_stable(*protocol, sim.configuration()));
+        sim.corrupt_agent(to, from);
+        EXPECT_TRUE(sim.is_stable());
+      }
+      // A restore rebuilds the witness from the restored counts.
+      Simulator fresh(*protocol, initial, 5, mode);
+      ASSERT_FALSE(fresh.is_stable());
+      fresh.restore_checkpoint(stable_state);
+      EXPECT_TRUE(fresh.is_stable());
+    }
+  }
+}
+
+TEST(SimulatorTest, CorruptAgentValidatesAndIsNotAnInteraction) {
   const UndecidedStateDynamics usd(2);
-  Simulator sim(usd, Configuration({0, 5, 5}), 1);
-  EXPECT_THROW(sim.set_stability_check_stride(0), CheckFailure);
-  EXPECT_NO_THROW(sim.set_stability_check_stride(10));
+  Simulator sim(usd, Configuration({0, 3, 2}), 1);
+  EXPECT_THROW(sim.corrupt_agent(0, 1), CheckFailure);  // no agent in ⊥
+  EXPECT_THROW(sim.corrupt_agent(1, 3), CheckFailure);  // out of range
+  sim.corrupt_agent(2, 1);
+  sim.corrupt_agent(2, 1);
+  EXPECT_EQ(sim.configuration(), Configuration({0, 5, 0}));
+  EXPECT_EQ(sim.interactions(), 0);
+  EXPECT_TRUE(sim.is_stable());
 }
 
 TEST(RecorderTest, SamplesAtStride) {

@@ -41,14 +41,10 @@ SweepSpec small_usd_spec(unsigned threads) {
 SweepMetrics usd_trial(const SweepTrial& ctx) {
   std::vector<Count> counts(ctx.cell.k, ctx.cell.n / static_cast<Count>(ctx.cell.k));
   counts[0] += ctx.cell.n - counts[0] * static_cast<Count>(ctx.cell.k);
-  UsdEngine engine(counts, ctx.seed);
-  engine.run_until_stable(1'000'000);
-  TrialResult r;
-  r.stabilized = engine.stabilized();
-  r.interactions = engine.interactions();
-  r.parallel_time = engine.time();
-  r.winner = engine.winner();
-  return consensus_metrics(r);
+  const UndecidedStateDynamics usd(ctx.cell.k);
+  Engine engine(EngineKind::kSequential, usd,
+                UndecidedStateDynamics::initial_configuration(counts), ctx.seed);
+  return consensus_metrics(run_engine_trial(engine, 1'000'000));
 }
 
 TEST(SweepRunnerTest, ThreadCountDoesNotChangeTheJsonByte4Byte) {

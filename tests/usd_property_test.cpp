@@ -2,6 +2,7 @@
 // must hold for every population size and opinion count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <tuple>
@@ -9,6 +10,7 @@
 #include "ppsim/analysis/bounds.hpp"
 #include "ppsim/analysis/drift.hpp"
 #include "ppsim/analysis/initial.hpp"
+#include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/rng.hpp"
 
@@ -21,24 +23,33 @@ class UsdGridTest : public ::testing::TestWithParam<NK> {
  protected:
   Count n() const { return std::get<0>(GetParam()); }
   std::size_t k() const { return std::get<1>(GetParam()); }
+
+  /// The exact sequential engine on `init`'s opinion counts.
+  Simulator simulate(const InitialConfig& init, std::uint64_t seed) const {
+    return Simulator(usd_, UndecidedStateDynamics::initial_configuration(init.opinion_counts),
+                     seed);
+  }
+
+ private:
+  const UndecidedStateDynamics usd_{k()};
 };
 
 TEST_P(UsdGridTest, PopulationConservedThroughoutRun) {
   const InitialConfig init = balanced_configuration(n(), k());
-  UsdEngine engine(init.opinion_counts, 1);
+  Simulator engine = simulate(init, 1);
   for (int i = 0; i < 5000; ++i) {
     engine.step();
-    const auto& c = engine.counts();
+    const auto& c = engine.configuration().counts();
     ASSERT_EQ(std::accumulate(c.begin(), c.end(), Count{0}), n());
   }
 }
 
 TEST_P(UsdGridTest, CountsStayNonNegativeAndBounded) {
   const InitialConfig init = balanced_configuration(n(), k());
-  UsdEngine engine(init.opinion_counts, 2);
+  Simulator engine = simulate(init, 2);
   for (int i = 0; i < 5000; ++i) {
     engine.step();
-    for (const Count c : engine.counts()) {
+    for (const Count c : engine.configuration().counts()) {
       ASSERT_GE(c, 0);
       ASSERT_LE(c, n());
     }
@@ -49,14 +60,15 @@ TEST_P(UsdGridTest, UndecidedCannotExceedHalfPlusSlack) {
   // Coarse version of Lemma 3.1 valid at any scale: u(t) <= n/2 + O(√(n ln n)).
   // (The n/2 barrier comes from E[Δu] < 0 whenever u > n/2.)
   const InitialConfig init = balanced_configuration(n(), k());
-  UsdEngine engine(init.opinion_counts, 3);
+  Simulator engine = simulate(init, 3);
   const double cap =
       static_cast<double>(n()) / 2.0 +
       4.0 * std::sqrt(static_cast<double>(n()) * std::log(static_cast<double>(n())));
   Count max_u = 0;
-  engine.run_observed(50 * n(), [&max_u](const UsdEngine& e) {
-    max_u = std::max(max_u, e.undecided());
-  });
+  while (engine.interactions() < 50 * n() && !engine.is_stable()) {
+    engine.step();
+    max_u = std::max(max_u, undecided_count(engine.configuration()));
+  }
   EXPECT_LT(static_cast<double>(max_u), cap);
 }
 
@@ -84,18 +96,18 @@ TEST_P(UsdGridTest, DriftFormulasConsistentWithCounts) {
 
 TEST_P(UsdGridTest, StabilizesWithinGenerousBudgetAndWinnerIsValid) {
   const InitialConfig init = figure1_configuration(n(), k());
-  UsdEngine engine(init.opinion_counts, 5);
+  Simulator engine = simulate(init, 5);
   // Budget: 400·k·ln(n) parallel time — far above the Amir et al. bound.
   const auto budget = static_cast<Interactions>(
       400.0 * static_cast<double>(k()) * std::log(static_cast<double>(n())) *
       static_cast<double>(n()));
-  ASSERT_TRUE(engine.run_until_stable(budget))
-      << "did not stabilize within " << budget << " interactions";
-  if (engine.winner().has_value()) {
-    EXPECT_LT(*engine.winner(), k());
-    EXPECT_EQ(engine.opinion_count(*engine.winner()), n());
+  const RunOutcome out = engine.run_until_stable(budget);
+  ASSERT_TRUE(out.stabilized) << "did not stabilize within " << budget << " interactions";
+  if (out.consensus.has_value()) {
+    EXPECT_LT(*out.consensus, k());
+    EXPECT_EQ(opinion_count(engine.configuration(), *out.consensus), n());
   } else {
-    EXPECT_EQ(engine.undecided(), n());
+    EXPECT_EQ(undecided_count(engine.configuration()), n());
   }
 }
 
@@ -129,12 +141,14 @@ TEST_P(BiasSweepTest, LargerBiasNeverHurtsTheMajority) {
   const double multiplier = GetParam();
   const auto bias = static_cast<Count>(multiplier * bounds::whp_bias(n));
   const InitialConfig init = two_party_configuration(n, (n + bias) / 2);
+  const UndecidedStateDynamics usd(2);
   int wins = 0;
   constexpr int kTrials = 10;
   for (int t = 0; t < kTrials; ++t) {
-    UsdEngine engine(init.opinion_counts, 1000 + static_cast<std::uint64_t>(t));
-    engine.run_until_stable(10'000'000);
-    if (engine.winner().has_value() && *engine.winner() == 0) ++wins;
+    Simulator engine(usd, UndecidedStateDynamics::initial_configuration(init.opinion_counts),
+                     1000 + static_cast<std::uint64_t>(t));
+    const RunOutcome out = engine.run_until_stable(10'000'000);
+    if (out.consensus.has_value() && *out.consensus == 0) ++wins;
   }
   if (multiplier >= 4.0) {
     EXPECT_EQ(wins, kTrials);

@@ -1,14 +1,17 @@
-// Undecided State Dynamics: transition semantics, engine bookkeeping,
-// equivalence of the specialized engine with the generic simulator, and
-// consensus behaviour under bias.
+// Undecided State Dynamics: transition semantics, the observables over a
+// USD-layout Configuration, exact stopping of the sequential Simulator
+// (pinned against stopping times of the retired hand-written USD engine),
+// and consensus behaviour under bias.
 #include "ppsim/protocols/usd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
-#include "ppsim/core/simulator.hpp"
+#include "ppsim/analysis/initial.hpp"
 #include "ppsim/core/runner.hpp"
+#include "ppsim/core/simulator.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
 
@@ -48,150 +51,166 @@ TEST(UsdProtocolTest, StateSpaceIsKPlusOne) {
   EXPECT_THROW(UndecidedStateDynamics(0), CheckFailure);
 }
 
-// --------------------------------------------------------------- engine ----
+// ------------------------------------------------ sequential Simulator ----
 
-TEST(UsdEngineTest, ConstructionAndAccessors) {
-  UsdEngine engine({50, 30, 20}, 5, 1);
-  EXPECT_EQ(engine.population(), 105);
-  EXPECT_EQ(engine.num_opinions(), 3u);
-  EXPECT_EQ(engine.undecided(), 5);
-  EXPECT_EQ(engine.opinion_count(0), 50);
-  EXPECT_EQ(engine.opinion_count(2), 20);
-  EXPECT_EQ(engine.surviving_opinions(), 3u);
-  EXPECT_EQ(engine.max_opinion_count(), 50);
-  EXPECT_EQ(engine.min_opinion_count(), 20);
-  EXPECT_EQ(engine.delta_max(), 30);
-  EXPECT_THROW(engine.opinion_count(3), CheckFailure);
+/// The USD configuration `opinions` (plus `undecided` agents in ⊥).
+Configuration usd_config(const std::vector<Count>& opinions, Count undecided = 0) {
+  return UndecidedStateDynamics::initial_configuration(opinions, undecided);
 }
 
-TEST(UsdEngineTest, RejectsBadConstruction) {
-  EXPECT_THROW(UsdEngine({}, 1), CheckFailure);
-  EXPECT_THROW(UsdEngine({-1, 2}, 1), CheckFailure);
-  EXPECT_THROW(UsdEngine({1}, -1, 1), CheckFailure);
-  EXPECT_THROW(UsdEngine({1}, 0, 1), CheckFailure);  // population 1
+TEST(UsdSimulatorTest, ConstructionAndAccessors) {
+  const UndecidedStateDynamics usd(3);
+  const Simulator sim(usd, usd_config({50, 30, 20}, 5), 1);
+  const Configuration& c = sim.configuration();
+  EXPECT_EQ(c.population(), 105);
+  EXPECT_EQ(undecided_count(c), 5);
+  EXPECT_EQ(opinion_count(c, 0), 50);
+  EXPECT_EQ(opinion_count(c, 2), 20);
+  EXPECT_EQ(surviving_opinions(c), 3u);
+  EXPECT_EQ(max_opinion_count(c), 50);
+  EXPECT_EQ(delta_max(c), 30);
+  EXPECT_THROW(opinion_count(c, 3), CheckFailure);
+  // Δmax ranges over extinct opinions too.
+  EXPECT_EQ(delta_max(usd_config({7, 0, 3})), 7);
+  EXPECT_EQ(surviving_opinions(usd_config({7, 0, 3})), 2u);
 }
 
-TEST(UsdEngineTest, PopulationConservedOverRun) {
-  UsdEngine engine({400, 300, 300}, 7);
+TEST(UsdSimulatorTest, RejectsBadConstruction) {
+  EXPECT_THROW(UndecidedStateDynamics(0), CheckFailure);
+  EXPECT_THROW(usd_config({-1, 2}), CheckFailure);
+  EXPECT_THROW(usd_config({1}, -1), CheckFailure);
+  const UndecidedStateDynamics usd(1);
+  EXPECT_THROW(Simulator(usd, usd_config({1}), 1), CheckFailure);  // population 1
+}
+
+TEST(UsdSimulatorTest, PopulationConservedOverRun) {
+  const UndecidedStateDynamics usd(3);
+  Simulator sim(usd, usd_config({400, 300, 300}), 7);
   for (int i = 0; i < 20000; ++i) {
-    engine.step();
-    const auto& c = engine.counts();
+    sim.step();
+    const auto& c = sim.configuration().counts();
     ASSERT_EQ(std::accumulate(c.begin(), c.end(), Count{0}), 1000);
   }
 }
 
-TEST(UsdEngineTest, StabilizationDetection) {
+TEST(UsdSimulatorTest, StabilizationDetection) {
+  const UndecidedStateDynamics usd(2);
   // Monochromatic opinion: stable from the start.
-  UsdEngine mono({10, 0}, 1);
-  EXPECT_TRUE(mono.stabilized());
-  ASSERT_TRUE(mono.winner().has_value());
-  EXPECT_EQ(*mono.winner(), 0u);
+  const Simulator mono(usd, usd_config({10, 0}), 1);
+  EXPECT_TRUE(mono.is_stable());
+  ASSERT_TRUE(mono.consensus_output().has_value());
+  EXPECT_EQ(*mono.consensus_output(), 0u);
 
   // All undecided: stable, no winner.
-  UsdEngine all_undecided({0, 0}, 10, 1);
-  EXPECT_TRUE(all_undecided.stabilized());
-  EXPECT_FALSE(all_undecided.winner().has_value());
+  const Simulator all_undecided(usd, usd_config({0, 0}, 10), 1);
+  EXPECT_TRUE(all_undecided.is_stable());
+  EXPECT_FALSE(all_undecided.consensus_output().has_value());
 
   // Active configuration.
-  UsdEngine active({5, 5}, 1);
-  EXPECT_FALSE(active.stabilized());
-  EXPECT_FALSE(active.winner().has_value());
+  const Simulator active(usd, usd_config({5, 5}), 1);
+  EXPECT_FALSE(active.is_stable());
+  EXPECT_FALSE(active.consensus_output().has_value());
 
   // Opinion + undecided: adoption still possible.
-  UsdEngine adopt({5, 0}, 5, 1);
-  EXPECT_FALSE(adopt.stabilized());
+  const Simulator adopt(usd, usd_config({5, 0}, 5), 1);
+  EXPECT_FALSE(adopt.is_stable());
+
+  // One agent per opinion and one undecided: (op, ⊥) still fires.
+  const Simulator lone(usd, usd_config({1, 0}, 1), 1);
+  EXPECT_FALSE(lone.is_stable());
 }
 
-TEST(UsdEngineTest, TwoAgentClashThenAbsorbed) {
+TEST(UsdSimulatorTest, TwoAgentClashThenAbsorbed) {
   // Two agents of different opinions must clash to all-undecided (the only
   // reachable stable state for n = 2 without bias).
-  UsdEngine engine({1, 1}, 42);
-  EXPECT_TRUE(engine.run_until_stable(100));
-  EXPECT_EQ(engine.undecided(), 2);
-  EXPECT_FALSE(engine.winner().has_value());
+  const UndecidedStateDynamics usd(2);
+  Simulator sim(usd, usd_config({1, 1}), 42);
+  EXPECT_TRUE(sim.run_until_stable(100).stabilized);
+  EXPECT_EQ(undecided_count(sim.configuration()), 2);
+  EXPECT_FALSE(sim.consensus_output().has_value());
 }
 
-TEST(UsdEngineTest, StepReportsStateChanges) {
+TEST(UsdSimulatorTest, StepReportsStateChanges) {
   // From all-same-opinion-plus-one-other every non-null step changes counts.
-  UsdEngine engine({2, 2}, 3);
+  const UndecidedStateDynamics usd(2);
+  Simulator sim(usd, usd_config({2, 2}), 3);
   int changes = 0;
-  for (int i = 0; i < 50 && !engine.stabilized(); ++i) {
-    if (engine.step()) ++changes;
+  for (int i = 0; i < 50 && !sim.is_stable(); ++i) {
+    if (sim.step()) ++changes;
   }
   EXPECT_GT(changes, 0);
 }
 
-TEST(UsdEngineTest, DeterministicForSeed) {
-  UsdEngine a({600, 400}, 31337);
-  UsdEngine b({600, 400}, 31337);
+TEST(UsdSimulatorTest, DeterministicForSeed) {
+  const UndecidedStateDynamics usd(2);
+  Simulator a(usd, usd_config({600, 400}), 31337);
+  Simulator b(usd, usd_config({600, 400}), 31337);
   a.run_until_stable(1'000'000);
   b.run_until_stable(1'000'000);
   EXPECT_EQ(a.interactions(), b.interactions());
-  EXPECT_EQ(a.counts(), b.counts());
+  EXPECT_EQ(a.configuration(), b.configuration());
 }
 
-TEST(UsdEngineTest, SnapshotMatchesCounts) {
-  UsdEngine engine({30, 20, 10}, 4, 9);
-  for (int i = 0; i < 100; ++i) engine.step();
-  const Configuration snap = engine.snapshot();
-  EXPECT_EQ(snap.counts(), engine.counts());
-  EXPECT_EQ(snap.population(), engine.population());
+TEST(UsdSimulatorTest, RunUntilVisitsEveryInteraction) {
+  const UndecidedStateDynamics usd(2);
+  Simulator sim(usd, usd_config({500, 500}), 77);
+  Interactions visits = 0;
+  const RunOutcome out = sim.run_until(
+      [&](const Configuration&, Interactions t) {
+        EXPECT_EQ(t, visits);
+        ++visits;
+        return false;
+      },
+      1000);
+  // Once before every interaction (n = 1000 cannot stabilize in 1000).
+  EXPECT_FALSE(out.stabilized);
+  EXPECT_EQ(out.interactions, 1000);
+  EXPECT_EQ(visits, 1000);
 }
 
-TEST(UsdEngineTest, RunObservedVisitsEveryInteraction) {
-  UsdEngine engine({50, 50}, 77);
-  Interactions observed = 0;
-  engine.run_observed(1000, [&](const UsdEngine&) { ++observed; });
-  EXPECT_EQ(observed, engine.interactions());
+TEST(UsdSimulatorTest, RunUntilPredicate) {
+  const UndecidedStateDynamics usd(2);
+  Simulator sim(usd, usd_config({500, 500}), 13);
+  const RunOutcome out = sim.run_until(
+      [](const Configuration& c, Interactions) { return undecided_count(c) >= 100; },
+      1'000'000);
+  EXPECT_LT(out.interactions, 1'000'000);
+  EXPECT_GE(undecided_count(sim.configuration()), 100);
 }
 
-TEST(UsdEngineTest, RunUntilPredicate) {
-  UsdEngine engine({500, 500}, 13);
-  const bool hit = engine.run_until(
-      1'000'000, [](const UsdEngine& e) { return e.undecided() >= 100; });
-  EXPECT_TRUE(hit);
-  EXPECT_GE(engine.undecided(), 100);
-}
-
-// -------------------------------------------- engine/simulator agreement ----
-
-TEST(UsdEngineTest, DistributionMatchesGenericSimulator) {
-  // The specialized engine and the generic table-driven simulator implement
-  // the same Markov chain. Compare the mean undecided count after a fixed
-  // number of interactions over many trials; the two means must agree
-  // within Monte-Carlo error.
-  constexpr int kTrials = 300;
-  constexpr Interactions kSteps = 2000;
-  RunningStats engine_u;
-  RunningStats simulator_u;
-  const UndecidedStateDynamics usd(3);
-  for (int t = 0; t < kTrials; ++t) {
-    UsdEngine engine({40, 30, 30}, 500 + static_cast<std::uint64_t>(t));
-    for (Interactions i = 0; i < kSteps; ++i) engine.step();
-    engine_u.add(static_cast<double>(engine.undecided()));
-
-    Simulator sim(usd, Configuration({0, 40, 30, 30}),
-                  90000 + static_cast<std::uint64_t>(t));
-    for (Interactions i = 0; i < kSteps; ++i) sim.step();
-    simulator_u.add(
-        static_cast<double>(sim.configuration().count(UndecidedStateDynamics::kUndecided)));
+// The sequential Simulator with the USD table draws the same pairs as the
+// retired hand-written USD engine (PairSampler makes the same two `bounded`
+// draws), so it must stop on the very interactions that engine reported.
+// Captured from that engine on figure1_configuration(20000, 9).
+TEST(UsdSimulatorTest, StopsWhereTheFormerSpecializedEngineStopped) {
+  const UndecidedStateDynamics usd(9);
+  const Configuration initial =
+      usd_config(figure1_configuration(20000, 9).opinion_counts);
+  const std::pair<std::uint64_t, Interactions> golden[] = {
+      {1, 522904}, {2, 448670}, {42, 609578}};
+  for (const auto& [seed, interactions] : golden) {
+    Simulator sim(usd, initial, seed);
+    const RunOutcome out = sim.run_until_stable(1'000'000'000);
+    ASSERT_TRUE(out.stabilized) << "seed " << seed;
+    EXPECT_EQ(out.interactions, interactions) << "seed " << seed;
+    ASSERT_TRUE(out.consensus.has_value()) << "seed " << seed;
+    EXPECT_EQ(*out.consensus, 0u) << "seed " << seed;
   }
-  const double tolerance = 4.0 * (engine_u.sem() + simulator_u.sem());
-  EXPECT_NEAR(engine_u.mean(), simulator_u.mean(), tolerance);
 }
 
 // ----------------------------------------------------- consensus quality ----
 
-TEST(UsdEngineTest, LargeBiasMajorityWinsAllTrials) {
+TEST(UsdSimulatorTest, LargeBiasMajorityWinsAllTrials) {
   // n = 4000, k = 2, bias 800 >> √(n ln n) ≈ 182: the majority must win in
   // every one of 20 trials (failure probability is cosmically small).
-  auto trial = [](std::uint64_t seed, std::size_t) {
-    UsdEngine engine({2400, 1600}, seed);
-    engine.run_until_stable(50'000'000);
+  const UndecidedStateDynamics usd(2);
+  auto trial = [&usd](std::uint64_t seed, std::size_t) {
+    Simulator sim(usd, usd_config({2400, 1600}), seed);
+    const RunOutcome out = sim.run_until_stable(50'000'000);
     TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.winner = engine.winner();
-    r.parallel_time = engine.time();
+    r.stabilized = out.stabilized;
+    r.winner = out.consensus;
+    r.parallel_time = sim.parallel_time();
     return r;
   };
   const auto results = run_trials(trial, 20, 4242, 0);
@@ -202,16 +221,17 @@ TEST(UsdEngineTest, LargeBiasMajorityWinsAllTrials) {
   }
 }
 
-TEST(UsdEngineTest, MultiOpinionBiasMajorityWins) {
+TEST(UsdSimulatorTest, MultiOpinionBiasMajorityWins) {
   // k = 8, majority has a huge lead: opinion 0 wins.
   std::vector<Count> counts(8, 100);
   counts[0] = 400;
-  auto trial = [&counts](std::uint64_t seed, std::size_t) {
-    UsdEngine engine(counts, seed);
-    engine.run_until_stable(100'000'000);
+  const UndecidedStateDynamics usd(8);
+  auto trial = [&](std::uint64_t seed, std::size_t) {
+    Simulator sim(usd, usd_config(counts), seed);
+    const RunOutcome out = sim.run_until_stable(100'000'000);
     TrialResult r;
-    r.stabilized = engine.stabilized();
-    r.winner = engine.winner();
+    r.stabilized = out.stabilized;
+    r.winner = out.consensus;
     return r;
   };
   const auto results = run_trials(trial, 10, 777, 0);
@@ -222,13 +242,16 @@ TEST(UsdEngineTest, MultiOpinionBiasMajorityWins) {
   }
 }
 
-TEST(UsdEngineTest, SurvivingOpinionsMonotoneNonIncreasing) {
-  UsdEngine engine({100, 100, 100, 100}, 21);
-  std::size_t prev = engine.surviving_opinions();
-  engine.run_observed(500'000, [&prev](const UsdEngine& e) {
-    ASSERT_LE(e.surviving_opinions(), prev);
-    prev = e.surviving_opinions();
-  });
+TEST(UsdSimulatorTest, SurvivingOpinionsMonotoneNonIncreasing) {
+  const UndecidedStateDynamics usd(4);
+  Simulator sim(usd, usd_config({100, 100, 100, 100}), 21);
+  std::size_t prev = surviving_opinions(sim.configuration());
+  while (sim.interactions() < 500'000 && !sim.is_stable()) {
+    sim.step();
+    const std::size_t now = surviving_opinions(sim.configuration());
+    ASSERT_LE(now, prev);
+    prev = now;
+  }
 }
 
 }  // namespace
