@@ -40,6 +40,21 @@ void Configuration::move_agents(State from, State to, Count m) {
   counts_[to] += m;
 }
 
+void Configuration::assign_counts(std::vector<Count> counts) {
+  PPSIM_CHECK(counts.size() == counts_.size(),
+              "assigned counts must cover the same state space");
+  Count total = 0;
+  for (const Count c : counts) {
+    PPSIM_CHECK(c >= 0, "per-state counts must be non-negative");
+    // Bounding each partial sum by the population also rules out overflow.
+    PPSIM_CHECK(c <= population_ - total,
+                "assigned counts must conserve the population");
+    total += c;
+  }
+  PPSIM_CHECK(total == population_, "assigned counts must conserve the population");
+  counts_ = std::move(counts);
+}
+
 bool Configuration::is_monochromatic() const noexcept {
   for (const Count c : counts_) {
     if (c == population_) return true;

@@ -3,7 +3,7 @@
 // construction and preserved by every mutator:
 //   1. every per-state count is non-negative;
 //   2. the total population size never changes — move_agent/move_agents
-//      preserve it exactly.
+//      preserve it exactly, and assign_counts re-checks it.
 #pragma once
 
 #include <string>
@@ -34,6 +34,12 @@ class Configuration {
 
   /// Moves `m` agents at once (bulk variant used by the Gossip engine).
   void move_agents(State from, State to, Count m);
+
+  /// Replaces every count at once: the round engines' one-pass commit. One
+  /// pass re-checks both invariants — `counts` has num_states() entries, none
+  /// negative, summing to population() — and throws CheckFailure otherwise,
+  /// leaving this configuration unchanged.
+  void assign_counts(std::vector<Count> counts);
 
   /// True iff all agents share one state.
   bool is_monochromatic() const noexcept;

@@ -95,7 +95,9 @@ ApplyResult apply_one(const PairLaw& law, Configuration& config, std::size_t i,
                       Interactions m);
 
 /// Applies a whole round's multinomial draws (draws[i] interactions of pair
-/// i, in pair order) through apply_one, accumulating the clamp count.
+/// i, in pair order) with the same clamp as apply_one, accumulating the
+/// clamp count. The round works on one copy of the counts and commits it
+/// with a single Configuration::assign_counts check.
 ApplyResult apply_draws(const PairLaw& law, Configuration& config,
                         const std::vector<std::int64_t>& draws);
 

@@ -50,56 +50,61 @@ const AliasTable& PairLaw::alias() const {
   return alias_;
 }
 
-ApplyResult apply_one(const PairLaw& law, Configuration& config, std::size_t i,
-                      Interactions m) {
-  ApplyResult result;
+namespace {
+
+/// The engines' one overdraw clamp: applies up to m interactions of pair i to
+/// the raw counts and returns how many it applied. Earlier pairs in this
+/// round may have drained a state below what the start-of-round weights
+/// promised, so m is limited to the live counts. Every clamp keeps the bulk
+/// result inside the sequential chain's reachable set: each (a, a)
+/// interaction needs two live a-agents, so with one leaver at most count-1
+/// interactions can fire (never draining the state), and with two leavers at
+/// most count/2. No count can go negative, so the caller checks the
+/// invariants once per commit instead of once per move.
+Interactions clamp_apply(const PairLaw& law, std::size_t i, Interactions m,
+                         std::vector<Count>& counts) {
   const State a = law.a(i);
   const State b = law.b(i);
   const Transition& t = law.transition(i);
-  const Interactions drawn = m;
-  // Clamp to the live counts: earlier pairs in this round may have drained a
-  // state below what the start-of-round weights promised. Every clamp keeps
-  // the bulk result inside the sequential chain's reachable set: each (a, a)
-  // interaction needs two live a-agents, so with one leaver at most count-1
-  // interactions can fire (never draining the state), and with two leavers
-  // at most count/2.
   if (a == b) {
     const int leavers = (t.initiator != a ? 1 : 0) + (t.responder != a ? 1 : 0);
-    const Interactions cap =
-        leavers == 2 ? config.count(a) / 2 : config.count(a) - 1;
+    const Count cap = leavers == 2 ? counts[a] / 2 : counts[a] - 1;
     m = std::min(m, std::max<Interactions>(0, cap));
-    result.clamped = drawn - m;
-    if (m == 0) return result;
-    if (t.initiator != a) config.move_agents(a, t.initiator, m);
-    if (t.responder != a) config.move_agents(a, t.responder, m);
   } else {
     // Both participants must be live, even on the side f leaves unchanged.
-    if (config.count(a) == 0 || config.count(b) == 0) {
-      result.clamped = drawn;
-      return result;
-    }
-    if (t.initiator != a) m = std::min<Interactions>(m, config.count(a));
-    if (t.responder != b) m = std::min<Interactions>(m, config.count(b));
-    result.clamped = drawn - m;
-    if (m == 0) return result;
-    // Remove both participants before re-adding so a swap transition
-    // (f(a,b) = (b,a)) never transiently overdraws either state.
-    config.move_agents(a, t.initiator, m);
-    config.move_agents(b, t.responder, m);
+    if (counts[a] == 0 || counts[b] == 0) return 0;
+    if (t.initiator != a) m = std::min<Interactions>(m, counts[a]);
+    if (t.responder != b) m = std::min<Interactions>(m, counts[b]);
   }
-  result.moved = true;
-  return result;
+  if (m <= 0) return 0;
+  counts[a] -= m;
+  counts[t.initiator] += m;
+  counts[b] -= m;
+  counts[t.responder] += m;
+  return m;
+}
+
+}  // namespace
+
+ApplyResult apply_one(const PairLaw& law, Configuration& config, std::size_t i,
+                      Interactions m) {
+  std::vector<Count> counts = config.counts();
+  const Interactions applied = clamp_apply(law, i, m, counts);
+  if (applied > 0) config.assign_counts(std::move(counts));
+  return {m - applied, applied > 0};
 }
 
 ApplyResult apply_draws(const PairLaw& law, Configuration& config,
                         const std::vector<std::int64_t>& draws) {
   ApplyResult result;
+  std::vector<Count> counts = config.counts();
   for (std::size_t i = 0; i < draws.size(); ++i) {
     if (draws[i] <= 0) continue;
-    const ApplyResult one = apply_one(law, config, i, draws[i]);
-    result.clamped = sat_add(result.clamped, one.clamped);
-    result.moved = result.moved || one.moved;
+    const Interactions applied = clamp_apply(law, i, draws[i], counts);
+    result.clamped = sat_add(result.clamped, draws[i] - applied);
+    result.moved = result.moved || applied > 0;
   }
+  if (result.moved) config.assign_counts(std::move(counts));
   return result;
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
@@ -60,6 +63,21 @@ TEST(ConfigurationTest, BulkMove) {
   EXPECT_THROW(c.move_agents(1, 0, -1), CheckFailure);  // negative
   c.move_agents(1, 1, 5);                               // self-move no-op
   EXPECT_EQ(c.count(1), 7);
+}
+
+TEST(ConfigurationTest, AssignCountsChecksBothInvariantsInOnePass) {
+  Configuration c({10, 0, 5});
+  c.assign_counts({3, 7, 5});
+  EXPECT_EQ(c.counts(), (std::vector<Count>{3, 7, 5}));
+  EXPECT_EQ(c.population(), 15);
+  // Each rejected assignment leaves the configuration as it was.
+  EXPECT_THROW(c.assign_counts({3, -1, 13}), CheckFailure);  // negative
+  EXPECT_THROW(c.assign_counts({3, 7, 6}), CheckFailure);    // grew
+  EXPECT_THROW(c.assign_counts({3, 7, 4}), CheckFailure);    // shrank
+  EXPECT_THROW(c.assign_counts({3, 12}), CheckFailure);      // lost a state
+  constexpr Count kMax = std::numeric_limits<Count>::max();
+  EXPECT_THROW(c.assign_counts({kMax, kMax, 2}), CheckFailure);  // overflow
+  EXPECT_EQ(c.counts(), (std::vector<Count>{3, 7, 5}));
 }
 
 TEST(ConfigurationTest, MonochromaticDetection) {
