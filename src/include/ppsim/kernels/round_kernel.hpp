@@ -4,7 +4,11 @@
 // frozen start-of-round PairLaw:
 //
 //   active ~ Binomial(batch, active_weight / total_weight)   // null split
-//   draws  ~ Multinomial(active, pair weights)               // pair split
+//   draws  ~ Multinomial(active, bucket weights)             // bucket split
+//
+// A bucket is an ordered state pair or a merged mirror pair {a, b} whose two
+// orders change the counts identically (see pair_law.hpp), so the chain has
+// one conditional binomial per bucket: 378 for USD at k = 27, not 756.
 //
 // That sampling step — not the O(S²) law rebuild or the count updates — is
 // the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell), and it

@@ -6,54 +6,19 @@
 
 namespace ppsim::kernels {
 
-void PairLaw::rebuild(const TransitionTable& table, const Configuration& config) {
-  const auto n = static_cast<double>(config.population());
-  total_weight_ = n * (n - 1.0);
-  a_.clear();
-  b_.clear();
-  t_.clear();
-  weight_.clear();
-  consumption_.assign(config.num_states(), 0.0);
-  active_weight_ = 0.0;
-  const auto& counts = config.counts();
-  const auto q = static_cast<State>(config.num_states());
-  for (State a = 0; a < q; ++a) {
-    if (counts[a] == 0) continue;
-    for (State b = 0; b < q; ++b) {
-      if (counts[b] == 0) continue;
-      if (a == b && counts[a] < 2) continue;
-      if (table.is_null(a, b)) continue;
-      const double w = static_cast<double>(counts[a]) *
-                       static_cast<double>(a == b ? counts[b] - 1 : counts[b]);
-      const Transition t = table.apply(a, b);
-      a_.push_back(a);
-      b_.push_back(b);
-      t_.push_back(t);
-      weight_.push_back(w);
-      active_weight_ += w;
-      // One interaction on (a, b) removes an agent from each side whose
-      // state actually changes — exactly what apply_one will move, so the
-      // collapsed engine's τ drain bound matches the clamp's exposure.
-      if (t.initiator != a) consumption_[a] += w;
-      if (t.responder != b) consumption_[b] += w;
-    }
-  }
-  ++generation_;
-}
-
-const AliasTable& PairLaw::alias() const {
-  PPSIM_CHECK(!empty(), "alias table requires at least one active pair");
-  if (alias_generation_ != generation_) {
-    alias_ = AliasTable(weight_);
-    alias_generation_ = generation_;
-  }
-  return alias_;
-}
-
 namespace {
 
-/// The engines' one overdraw clamp: applies up to m interactions of pair i to
-/// the raw counts and returns how many it applied. Earlier pairs in this
+/// True when f(b, a) is the mirror image of f(a, b): the two ordered pairs
+/// then have the same count delta, the same leavers and the same catalysts,
+/// so one bucket carries both.
+bool mirrored(const TransitionTable& table, State a, State b) {
+  const Transition ab = table.apply(a, b);
+  const Transition ba = table.apply(b, a);
+  return ba.initiator == ab.responder && ba.responder == ab.initiator;
+}
+
+/// The engines' one overdraw clamp: applies up to m interactions of bucket i to
+/// the raw counts and returns how many it applied. Earlier buckets in this
 /// round may have drained a state below what the start-of-round weights
 /// promised, so m is limited to the live counts. Every clamp keeps the bulk
 /// result inside the sequential chain's reachable set: each (a, a)
@@ -85,6 +50,56 @@ Interactions clamp_apply(const PairLaw& law, std::size_t i, Interactions m,
 }
 
 }  // namespace
+
+void PairLaw::rebuild(const TransitionTable& table, const Configuration& config) {
+  const auto n = static_cast<double>(config.population());
+  total_weight_ = n * (n - 1.0);
+  a_.clear();
+  b_.clear();
+  t_.clear();
+  weight_.clear();
+  consumption_.assign(config.num_states(), 0.0);
+  active_weight_ = 0.0;
+  const auto& counts = config.counts();
+  const auto q = static_cast<State>(config.num_states());
+  for (State a = 0; a < q; ++a) {
+    if (counts[a] == 0) continue;
+    for (State b = 0; b < q; ++b) {
+      if (counts[b] == 0) continue;
+      if (a == b && counts[a] < 2) continue;
+      if (table.is_null(a, b)) continue;
+      // A mirrored pair is one bucket, listed at (min, max) with f(min, max).
+      const bool merged = a != b && mirrored(table, a, b);
+      if (merged && b < a) continue;
+      double w = static_cast<double>(counts[a]) *
+                 static_cast<double>(a == b ? counts[b] - 1 : counts[b]);
+      if (merged) w += w;  // w(a, b) + w(b, a) = 2·c_a·c_b, exact in double
+      const Transition t = table.apply(a, b);
+      a_.push_back(a);
+      b_.push_back(b);
+      t_.push_back(t);
+      weight_.push_back(w);
+      active_weight_ += w;
+      // One interaction on (a, b) removes an agent from each side whose
+      // state actually changes — exactly what apply_one will move, so the
+      // collapsed engine's τ drain bound matches the clamp's exposure. The
+      // mirror (b, a) removes the same agents, so a merged bucket adds both
+      // ordered pairs' removal weight at once.
+      if (t.initiator != a) consumption_[a] += w;
+      if (t.responder != b) consumption_[b] += w;
+    }
+  }
+  ++generation_;
+}
+
+const AliasTable& PairLaw::alias() const {
+  PPSIM_CHECK(!empty(), "alias table requires at least one active pair");
+  if (alias_generation_ != generation_) {
+    alias_ = AliasTable(weight_);
+    alias_generation_ = generation_;
+  }
+  return alias_;
+}
 
 ApplyResult apply_one(const PairLaw& law, Configuration& config, std::size_t i,
                       Interactions m) {
