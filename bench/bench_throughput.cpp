@@ -17,13 +17,9 @@
 // BENCH_throughput.json) so CI can track the perf trajectory.
 //
 // A second mode, --kernel-shootout, benches the round *kernels*: one
-// collapsed cell runs its trial batch as whole-cell lockstep launches
-// (SweepRunner::run with a LockstepPlan) once per available kernel. The
-// scalar lockstep report must be byte-identical to the ordinary per-trial
-// path (checked fatally — the lockstep machinery must not change the
-// science); the AVX2 kernel is then timed against scalar and the speedup
-// recorded in the JSON (kernels/avx2_kernel.cpp vectorizes the stage-1
-// binomial and the multinomial chain across 4 lanes of trials).
+// collapsed cell runs its --trials trials once per available kernel through
+// the ordinary per-trial sweep path (spec.kernel set), and the AVX2 kernel
+// is timed against scalar with the speedup recorded in the JSON.
 //
 // Flags: --n, --k, --trials, --seed, --max-parallel, --round-divisor,
 //        --tau-epsilon, --threads (0 = hardware), --kernel, --json (empty
@@ -31,6 +27,7 @@
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -45,21 +42,18 @@ namespace {
 using namespace ppsim;
 
 // --kernel-shootout: the same collapsed workload through each round kernel,
-// executed as lockstep whole-cell launches. Scalar is the determinism
-// anchor (lockstep == per-trial, byte for byte); AVX2 is the speed leg.
+// one per-trial sweep per kernel. Scalar is the determinism anchor; AVX2 is
+// the speed leg.
 int run_kernel_shootout(const SweepCliOptions& opts, Count n, std::size_t k,
                         double max_parallel, double tau_epsilon) {
   PPSIM_CHECK(!opts.stopping.adaptive,
-              "--kernel-shootout groups a fixed trial batch into lockstep "
-              "lanes; adaptive stopping cannot hold the groups together");
+              "--kernel-shootout times a fixed trial batch per kernel; "
+              "adaptive stopping would run the kernels on different batches");
   benchutil::banner("throughput --kernel-shootout",
-                    "scalar vs avx2 round kernels on one collapsed cell, "
-                    "trials advanced in lockstep groups");
-  // Lockstep needs a group's worth of trials to fill the SIMD lanes.
-  const std::size_t trials = std::max<std::size_t>(opts.trials, 8);
+                    "scalar vs avx2 round kernels on one collapsed cell");
   benchutil::param("n", n);
   benchutil::param("k", static_cast<std::int64_t>(k));
-  benchutil::param("trials", static_cast<std::int64_t>(trials));
+  benchutil::param("trials", static_cast<std::int64_t>(opts.trials));
   benchutil::param("seed", static_cast<std::int64_t>(opts.seed));
   benchutil::param("avx2 compiled", kernels::avx2_compiled() ? "yes" : "no");
   benchutil::param("avx2 supported", kernels::avx2_supported() ? "yes" : "no");
@@ -71,11 +65,10 @@ int run_kernel_shootout(const SweepCliOptions& opts, Count n, std::size_t k,
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration(init.opinion_counts);
 
-  auto spec_for = [&](kernels::KernelKind kind) {
+  auto run_kernel = [&](kernels::KernelKind kind) {
     SweepSpec spec;
     spec.name = "throughput_kernel_shootout";
     opts.configure(spec);
-    spec.trials = trials;
     spec.kernel = kind;
     SweepCell cell;
     cell.n = n;
@@ -85,47 +78,28 @@ int run_kernel_shootout(const SweepCliOptions& opts, Count n, std::size_t k,
     cell.tau_epsilon = tau_epsilon;
     cell.name = std::string("collapsed-") + kernels::to_string(kind);
     spec.cells.push_back(cell);
-    return spec;
-  };
-  auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
-    Engine engine = ctx.make_engine(usd, initial);
-    return consensus_metrics(run_engine_trial(engine, budget));
-  };
-  auto plan = [&](const SweepCell&) -> std::optional<LockstepPlan> {
-    return LockstepPlan{&usd, &initial, budget};
+    return SweepRunner(std::move(spec)).run([&](const SweepTrial& ctx) {
+      Engine engine = ctx.make_engine(usd, initial);
+      return consensus_metrics(run_engine_trial(engine, budget));
+    });
   };
 
-  const SweepResult scalar_per_trial =
-      SweepRunner(spec_for(kernels::KernelKind::kScalar)).run(trial);
-  const SweepResult scalar_lockstep =
-      SweepRunner(spec_for(kernels::KernelKind::kScalar)).run(trial, plan);
-  const bool identical =
-      scalar_per_trial.to_json() == scalar_lockstep.to_json();
-
-  Table table({"kernel", "mode", "wall_seconds", "stabilized"});
+  const SweepResult scalar = run_kernel(kernels::KernelKind::kScalar);
+  Table table({"kernel", "wall_seconds", "stabilized"});
   table.row()
       .cell("scalar")
-      .cell("per-trial")
-      .cell(scalar_per_trial.wall_seconds, 4)
-      .cell(scalar_per_trial.cells[0].rate("stabilized"), 2)
-      .done();
-  table.row()
-      .cell("scalar")
-      .cell("lockstep")
-      .cell(scalar_lockstep.wall_seconds, 4)
-      .cell(scalar_lockstep.cells[0].rate("stabilized"), 2)
+      .cell(scalar.wall_seconds, 4)
+      .cell(scalar.cells[0].rate("stabilized"), 2)
       .done();
 
   double avx2_wall = 0.0;
   double speedup = 0.0;
   if (kernels::avx2_supported()) {
-    const SweepResult avx2 =
-        SweepRunner(spec_for(kernels::KernelKind::kAvx2)).run(trial, plan);
+    const SweepResult avx2 = run_kernel(kernels::KernelKind::kAvx2);
     avx2_wall = avx2.wall_seconds;
-    speedup = avx2_wall > 0.0 ? scalar_lockstep.wall_seconds / avx2_wall : 0.0;
+    speedup = avx2_wall > 0.0 ? scalar.wall_seconds / avx2_wall : 0.0;
     table.row()
         .cell("avx2")
-        .cell("lockstep")
         .cell(avx2_wall, 4)
         .cell(avx2.cells[0].rate("stabilized"), 2)
         .done();
@@ -133,13 +107,11 @@ int run_kernel_shootout(const SweepCliOptions& opts, Count n, std::size_t k,
   benchutil::tsv_block("kernel_shootout", table);
   table.write_pretty(std::cout);
 
-  std::cout << "\nscalar lockstep == per-trial (byte-identical JSON): "
-            << (identical ? "yes" : "NO") << "\n";
   if (kernels::avx2_supported()) {
-    std::cout << "avx2 vs scalar lockstep (wall-clock): "
-              << format_double(speedup, 2) << "x\n";
+    std::cout << "\navx2 vs scalar (wall-clock): " << format_double(speedup, 2)
+              << "x\n";
   } else {
-    std::cout << "avx2 leg skipped: kernel unavailable on this host\n";
+    std::cout << "\navx2 leg skipped: kernel unavailable on this host\n";
   }
 
   if (!opts.json.empty()) {
@@ -147,23 +119,17 @@ int run_kernel_shootout(const SweepCliOptions& opts, Count n, std::size_t k,
     report.field("bench", "throughput_kernel_shootout")
         .field("n", static_cast<std::int64_t>(n))
         .field("k", static_cast<std::int64_t>(k))
-        .field("trials", static_cast<std::int64_t>(trials))
-        .field("threads", static_cast<std::int64_t>(scalar_lockstep.threads))
+        .field("trials", static_cast<std::int64_t>(opts.trials))
+        .field("threads", static_cast<std::int64_t>(scalar.threads))
         .field("avx2_compiled", kernels::avx2_compiled())
         .field("avx2_supported", kernels::avx2_supported())
-        .field("scalar_per_trial_wall_seconds", scalar_per_trial.wall_seconds)
-        .field("scalar_lockstep_wall_seconds", scalar_lockstep.wall_seconds)
-        .field("avx2_lockstep_wall_seconds", avx2_wall)
+        .field("scalar_wall_seconds", scalar.wall_seconds)
+        .field("avx2_wall_seconds", avx2_wall)
         .field("avx2_speedup", speedup)
-        .field("reports_identical", identical)
-        .field_json("sweep", scalar_lockstep.to_json());
+        .field_json("sweep", scalar.to_json());
     report.write_file(opts.json);
     std::cout << "json report written to " << opts.json << "\n";
   }
-
-  PPSIM_CHECK(identical,
-              "lockstep launches changed the science: scalar lockstep and "
-              "per-trial sweep reports differ");
   return 0;
 }
 

@@ -66,8 +66,8 @@ void print_cell(const SweepCellResult& cr) {
             << "stabilized:   " << stabilized << " ("
             << format_double(cr.rate("stabilized") * 100.0, 1) << "%)\n";
   if (cr.find("parallel_time") != nullptr && stabilized > 0) {
-    // Stabilized trials only, matching the legacy TrialAggregate semantics
-    // (budget-capped trials would report the budget, not a time).
+    // Stabilized trials only: budget-capped trials would report the budget,
+    // not a time.
     std::cout << "parallel time: mean "
               << format_double(cr.mean_where("parallel_time", "stabilized"), 2)
               << ", min "

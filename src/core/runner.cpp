@@ -1,12 +1,5 @@
 #include "ppsim/core/runner.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
-#include "ppsim/util/check.hpp"
-#include "ppsim/util/rng.hpp"
-
 namespace ppsim {
 
 TrialResult run_engine_trial(Engine& engine, Interactions max_interactions) {
@@ -32,80 +25,6 @@ TrialResult run_engine_trial(Engine& engine, Interactions max_interactions,
   r.parallel_time = engine.parallel_time();
   r.winner = out.consensus;
   return r;
-}
-
-std::uint64_t trial_seed(std::uint64_t base_seed, std::size_t trial) {
-  // SplitMix64 is an injective mixing of the counter, so distinct trials get
-  // distinct, well-scrambled seeds from one base seed.
-  SplitMix64 sm(base_seed);
-  std::uint64_t seed = 0;
-  for (std::size_t i = 0; i <= trial; ++i) seed = sm.next();
-  return seed;
-}
-
-std::vector<TrialResult> run_trials(const TrialFn& trial_fn, std::size_t num_trials,
-                                    std::uint64_t base_seed, unsigned num_threads) {
-  PPSIM_CHECK(static_cast<bool>(trial_fn), "trial function must be callable");
-  std::vector<TrialResult> results(num_trials);
-  if (num_trials == 0) return results;
-
-  // Precompute seeds sequentially (the stream is cheap); workers then only
-  // read their own slots.
-  std::vector<std::uint64_t> seeds(num_trials);
-  {
-    SplitMix64 sm(base_seed);
-    for (auto& s : seeds) s = sm.next();
-  }
-
-  unsigned threads = num_threads == 0 ? std::thread::hardware_concurrency() : num_threads;
-  threads = std::max(1u, std::min<unsigned>(threads, narrow_cast<unsigned>(num_trials)));
-
-  if (threads == 1) {
-    for (std::size_t i = 0; i < num_trials; ++i) results[i] = trial_fn(seeds[i], i);
-    return results;
-  }
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_trials) return;
-      results[i] = trial_fn(seeds[i], i);
-    }
-  };
-  std::vector<std::jthread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  pool.clear();  // joins
-  return results;
-}
-
-double TrialAggregate::stabilized_fraction() const {
-  return trials == 0 ? 0.0
-                     : static_cast<double>(stabilized) / static_cast<double>(trials);
-}
-
-double TrialAggregate::win_rate(Opinion opinion) const {
-  if (trials == 0) return 0.0;
-  const auto it = wins.find(opinion);
-  const std::size_t w = it == wins.end() ? 0 : it->second;
-  return static_cast<double>(w) / static_cast<double>(trials);
-}
-
-TrialAggregate aggregate(const std::vector<TrialResult>& results) {
-  TrialAggregate agg;
-  agg.trials = results.size();
-  for (const auto& r : results) {
-    if (!r.stabilized) continue;
-    ++agg.stabilized;
-    agg.parallel_time.add(r.parallel_time);
-    if (r.winner.has_value()) {
-      ++agg.wins[*r.winner];
-    } else {
-      ++agg.no_winner;
-    }
-  }
-  return agg;
 }
 
 }  // namespace ppsim

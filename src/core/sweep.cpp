@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "ppsim/analysis/streaming_ci.hpp"
-#include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/task_scheduler.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/json.hpp"
@@ -258,13 +257,6 @@ SweepResult SweepRunner::run(const SweepTrialFn& fn) const {
   return run_job(fn, SweepJobOptions{});
 }
 
-SweepResult SweepRunner::run(const SweepTrialFn& fn,
-                             const LockstepPlanFn& plan) const {
-  SweepJobOptions opts;
-  opts.lockstep = plan;
-  return run_job(fn, opts);
-}
-
 SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
                                  const SweepJobOptions& opts) const {
   PPSIM_CHECK(static_cast<bool>(fn), "sweep trial function must be callable");
@@ -314,26 +306,6 @@ SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
   const auto skipped = [&](std::size_t c) {
     return !opts.skip.empty() && opts.skip[c];
   };
-
-  // Lockstep eligibility, decided up front on the controller thread. A
-  // lockstep cell's trials run in groups of the kernel's lockstep width
-  // through the collapsed engine's staging API; adaptive stopping issues
-  // trials in data-dependent waves that would split the groups, so it
-  // forces the per-trial path.
-  std::vector<std::optional<LockstepPlan>> lockstep(num_cells);
-  if (opts.lockstep && !stopping.adaptive) {
-    for (std::size_t c = 0; c < num_cells; ++c) {
-      const SweepCell& cell = spec_.cells[c];
-      if (skipped(c) || cell.engine != EngineKind::kCollapsed) continue;
-      lockstep[c] = opts.lockstep(cell);
-      if (!lockstep[c].has_value()) continue;
-      PPSIM_CHECK(lockstep[c]->protocol != nullptr &&
-                      lockstep[c]->initial != nullptr &&
-                      lockstep[c]->budget > 0,
-                  "lockstep plan needs a protocol, an initial configuration "
-                  "and a positive interaction budget");
-    }
-  }
 
   // Per-cell job state. `outstanding` and `executed` are the only fields
   // touched by concurrent trial tasks; everything else is owned by the wave
@@ -403,90 +375,6 @@ SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
     };
   };
 
-  // Runs trials [from, to) of a lockstep cell as one group: per-lane
-  // engines replicate the per-trial seed discipline (the trial's scalar
-  // `seed` draw, then make_engine's own draw), and every round all live
-  // lanes stage their kernel task so one advance_batch call samples them
-  // together. With the scalar kernel this is draw-for-draw identical to the
-  // per-trial path; with the AVX2 kernel the lanes advance in SIMD lockstep.
-  auto run_lockstep_group = [&](std::size_t c, std::size_t from,
-                                std::size_t to) {
-    const SweepCell& cell = spec_.cells[c];
-    const LockstepPlan& lp = *lockstep[c];
-    const kernels::KernelKind kind =
-        cell.kernel.value_or(kernels::KernelKind::kScalar);
-    const kernels::RoundKernel& kernel = kernels::resolve(kind);
-    const std::size_t lanes = to - from;
-    std::vector<std::unique_ptr<CollapsedSimulator>> sims;
-    sims.reserve(lanes);
-    for (std::size_t t = from; t < to; ++t) {
-      Xoshiro256pp rng = trial_stream(spec_.base_seed, stream_index(c, cap, t));
-      (void)rng();  // the per-trial path's SweepTrial::seed draw
-      CollapsedSimulator::Options opts;
-      opts.tau_epsilon = cell.tau_epsilon;
-      opts.kernel = kind;
-      sims.push_back(std::make_unique<CollapsedSimulator>(
-          *lp.protocol, Configuration(*lp.initial), rng(), opts));
-    }
-    std::vector<kernels::RoundTask> tasks(lanes);
-    std::vector<kernels::RoundTask*> staged;
-    std::vector<std::size_t> staged_lane;
-    std::vector<bool> done(lanes, false);
-    std::size_t live = lanes;
-    while (live > 0) {
-      staged.clear();
-      staged_lane.clear();
-      for (std::size_t l = 0; l < lanes; ++l) {
-        if (done[l]) continue;
-        CollapsedSimulator& sim = *sims[l];
-        // Mirror run_until_stable's loop: stop on budget or stability,
-        // then package the same TrialResult run_engine_trial would.
-        if (sim.interactions() >= lp.budget || sim.is_stable()) {
-          TrialResult r;
-          r.stabilized = sim.is_stable();
-          r.interactions = sim.interactions();
-          r.clamped = sim.clamped_interactions();
-          r.parallel_time = sim.parallel_time();
-          r.winner = sim.consensus_output();
-          result.cells[c].trials[from + l] = consensus_metrics(r);
-          done[l] = true;
-          --live;
-          continue;
-        }
-        if (sim.stage_round(lp.budget - sim.interactions(), tasks[l])) {
-          staged.push_back(&tasks[l]);
-          staged_lane.push_back(l);
-        }
-      }
-      if (!staged.empty()) {
-        kernel.advance_batch(staged);
-        for (std::size_t i = 0; i < staged.size(); ++i) {
-          sims[staged_lane[i]]->commit_round(*staged[i]);
-        }
-      }
-    }
-  };
-
-  auto group_task = [&](std::size_t c, std::size_t from, std::size_t to) {
-    return [&, c, from, to] {
-      if (!stop_requested()) {
-        try {
-          run_lockstep_group(c, from, to);
-          control[c].executed.fetch_add(to - from, std::memory_order_relaxed);
-        } catch (...) {
-          {
-            const std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
-          errored.store(true, std::memory_order_release);
-        }
-      }
-      if (control[c].outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        wave_complete(c);
-      }
-    };
-  };
-
   auto submit_wave = [&](std::size_t c, std::size_t from, std::size_t to) {
     CellControl& cc = control[c];
     cc.outstanding.store(to - from, std::memory_order_relaxed);
@@ -531,46 +419,21 @@ SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
     submit_wave(c, cc.scheduled, std::min(cap, cc.scheduled * 2));
   };
 
-  // Lockstep cells submit one task per trial *group* (the kernel's lockstep
-  // width); everything else keeps the per-trial tasks. Groups are formed
-  // from consecutive trial indices only — never from "whatever is ready" —
-  // so the grouping is a pure function of (cell, cap, width) and results
-  // stay schedule-independent.
-  std::vector<std::size_t> group_width(num_cells, 0);
   for (std::size_t c = 0; c < num_cells; ++c) {
     if (skipped(c)) continue;  // no tasks, no waves, no callback
     if (stopping.adaptive) {
       control[c].ci = std::make_unique<StreamingCi>(stopping.confidence);
     }
-    if (lockstep[c].has_value()) {
-      const kernels::KernelKind kind =
-          spec_.cells[c].kernel.value_or(kernels::KernelKind::kScalar);
-      const std::size_t width =
-          std::max<std::size_t>(1, kernels::resolve(kind).lockstep_width());
-      group_width[c] = width;
-      const std::size_t groups = (cap + width - 1) / width;
-      control[c].outstanding.store(groups, std::memory_order_relaxed);
-      control[c].scheduled = cap;
-    } else {
-      control[c].outstanding.store(first_wave, std::memory_order_relaxed);
-      control[c].scheduled = first_wave;
-    }
+    control[c].outstanding.store(first_wave, std::memory_order_relaxed);
+    control[c].scheduled = first_wave;
   }
   // Interleave the initial submission by trial index across cells (trial 0
   // of every cell, then trial 1, ...): expensive cells start on the first
   // scheduling round instead of queueing behind every earlier cell's full
   // trial range — the convoy a cell-major submission order suffers.
-  // Lockstep groups join the interleave at their first trial index.
   for (std::size_t t = 0; t < first_wave; ++t) {
     for (std::size_t c = 0; c < num_cells; ++c) {
-      if (skipped(c)) continue;
-      if (group_width[c] > 0) {
-        if (t % group_width[c] == 0 && t < cap) {
-          scheduler.submit(group_task(c, t, std::min(cap, t + group_width[c])));
-        }
-      } else {
-        scheduler.submit(trial_task(c, t));
-      }
+      if (!skipped(c)) scheduler.submit(trial_task(c, t));
     }
   }
   scheduler.wait_idle();

@@ -152,14 +152,14 @@ class CollapsedSimulator {
   /// Options::kernel at construction).
   const kernels::RoundKernel& kernel() const noexcept { return *kernel_; }
 
-  /// Lockstep staging API (the sweep runner's whole-cell kernel launches —
-  /// see SweepRunner::run's lockstep overload). stage_round picks the round
-  /// length and either handles it locally (stable leap, exact single-draw
-  /// path) returning false, or stages a kernel task over this engine's law,
-  /// RNG and scratch and returns true; the caller then runs the kernel
-  /// (possibly batched with other engines' tasks) and calls commit_round.
-  /// step_round(b) ≡ stage_round(b, t) && (kernel().advance(t),
-  /// commit_round(t)). Requires max_interactions > 0.
+  /// Staging API: step_round split at the kernel call, so a caller can time
+  /// or drive the three phases separately (perfbench's collapsed workload
+  /// does). stage_round picks the round length and either handles it
+  /// locally (stable leap, exact single-draw path) returning false, or
+  /// stages a kernel task over this engine's law, RNG and scratch and
+  /// returns true; the caller then runs kernel().advance and calls
+  /// commit_round. step_round(b) ≡ stage_round(b, t) &&
+  /// (kernel().advance(t), commit_round(t)). Requires max_interactions > 0.
   bool stage_round(Interactions max_interactions, kernels::RoundTask& task);
   void commit_round(const kernels::RoundTask& task);
 

@@ -3,7 +3,7 @@
 // The library has two engines: the sequential Simulator (table-driven or
 // virtual dispatch) and the counts-space round engine CollapsedSimulator
 // (adaptive or fixed-length rounds). EngineKind names the four ways to run a
-// Protocol on them. Runner experiments, the benches and examples/ppsim_run
+// Protocol on them. Sweep trial functions, the benches and examples/ppsim_run
 // select one with an EngineKind value instead of hard-coding an engine type;
 // Engine forwards the shared surface (run_until_stable / run_until /
 // RunOutcome / observables) to whichever implementation the kind names.

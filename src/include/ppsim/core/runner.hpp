@@ -1,21 +1,13 @@
-// Multi-trial Monte-Carlo driver.
-//
-// Experiments in this library are functions (seed, trial_index) -> result.
-// The runner derives independent per-trial seeds from one user-facing base
-// seed (SplitMix64 stream), optionally fans trials out over a thread pool,
-// and aggregates outcomes. Results are bitwise independent of the thread
-// count: trial i always receives the same seed.
+// One Monte-Carlo trial of a consensus experiment: run an engine to
+// stabilization (or a budget) and package the outcome. SweepRunner
+// (core/sweep.hpp) owns seeding, scheduling and aggregation; this header is
+// the glue its trial functions, the benches and perfbench share.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
-#include <vector>
 
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/types.hpp"
-#include "ppsim/util/stats.hpp"
 
 namespace ppsim {
 
@@ -29,8 +21,8 @@ struct TrialResult {
 };
 
 /// Runs `engine` to stabilization (or budget) and packages the outcome —
-/// the glue letting any EngineKind be driven from a sweep cell or a legacy
-/// trial loop with identical accounting (attempted vs clamped interactions).
+/// the glue letting any EngineKind be driven from a sweep cell with
+/// identical accounting (attempted vs clamped interactions).
 TrialResult run_engine_trial(Engine& engine, Interactions max_interactions);
 
 /// Same, streaming through `recorder` (attached for the duration of the run,
@@ -39,31 +31,5 @@ TrialResult run_engine_trial(Engine& engine, Interactions max_interactions);
 /// sink through one call site.
 TrialResult run_engine_trial(Engine& engine, Interactions max_interactions,
                              Recorder* recorder);
-
-using TrialFn = std::function<TrialResult(std::uint64_t seed, std::size_t trial)>;
-
-/// Runs `num_trials` trials. `num_threads == 0` means use the hardware
-/// concurrency (capped by the trial count).
-std::vector<TrialResult> run_trials(const TrialFn& trial_fn, std::size_t num_trials,
-                                    std::uint64_t base_seed, unsigned num_threads = 0);
-
-/// Deterministic per-trial seed derivation (exposed for tests and for
-/// reproducing a single trial from a recorded experiment).
-std::uint64_t trial_seed(std::uint64_t base_seed, std::size_t trial);
-
-/// Aggregate view over a batch of trials.
-struct TrialAggregate {
-  std::size_t trials = 0;
-  std::size_t stabilized = 0;
-  RunningStats parallel_time;                 ///< over stabilized trials only
-  std::map<Opinion, std::size_t> wins;        ///< winner histogram
-  std::size_t no_winner = 0;                  ///< stabilized without consensus
-
-  double stabilized_fraction() const;
-  /// Fraction of *all* trials won by `opinion`.
-  double win_rate(Opinion opinion) const;
-};
-
-TrialAggregate aggregate(const std::vector<TrialResult>& results);
 
 }  // namespace ppsim

@@ -1,12 +1,10 @@
-// Declarative parameter-sweep harness: the scaling substrate for every
-// experiment in this repo.
+// Declarative parameter-sweep harness: the one way a trial runs.
 //
 // Validating the paper's lower bound empirically means sweeping (n, k, bias,
-// engine, protocol) over many independent trials. Before this subsystem each
-// of the 15 bench binaries hand-rolled its own single-threaded trial loop
-// and its own JSON emit code; now a bench is a SweepSpec (the grid) plus a
-// trial lambda (one cell, one RNG stream -> named scalar metrics), and the
-// runner owns everything repeatable:
+// engine, protocol) over many independent trials. A bench, ppsim_run or a
+// test is a SweepSpec (the grid) plus a trial lambda (one cell, one RNG
+// stream -> named scalar metrics), and the runner owns everything
+// repeatable:
 //
 //   * a work-stealing task scheduler (core/task_scheduler.hpp) fanning
 //     (cell, trial) tasks out over --threads workers — cells complete out of
@@ -24,9 +22,9 @@
 //     byte-identical-JSON guarantee as fixed ones;
 //   * per-cell aggregation (count/mean/stddev/min/quantiles/max via
 //     util/stats summarize());
-//   * one unified JSON reporter (SweepResult::to_json) replacing the ad-hoc
-//     per-bench emit code — reports from --threads 1 and --threads N are
-//     byte-identical (wall-clock time is deliberately kept out of the JSON).
+//   * one JSON reporter (SweepResult::to_json) — reports from --threads 1
+//     and --threads N are byte-identical (wall-clock time is deliberately
+//     kept out of the JSON).
 //
 // Trial lambdas must be thread-compatible: read-only on shared captures,
 // writes confined to the returned metrics (the runner stores them in
@@ -132,25 +130,6 @@ using SweepMetrics = std::vector<std::pair<std::string, double>>;
 
 using SweepTrialFn = std::function<SweepMetrics(const SweepTrial&)>;
 
-/// Lockstep cell description for whole-cell kernel launches (the run()
-/// overload below). A cell is lockstep-eligible when its trial function is
-/// exactly "run the collapsed engine over `initial` to stabilization or
-/// `budget` interactions and report consensus_metrics" — the plan hands the
-/// runner enough to build the per-trial engines itself, so one kernel
-/// launch can advance a whole group of trials in lockstep. The protocol and
-/// configuration must outlive the run() call.
-struct LockstepPlan {
-  const Protocol* protocol = nullptr;
-  const Configuration* initial = nullptr;
-  Interactions budget = 0;
-};
-
-/// Returns the lockstep plan for a cell, or nullopt when the cell must run
-/// through the ordinary per-trial path (non-collapsed engine, recording,
-/// bench-specific metrics, ...).
-using LockstepPlanFn =
-    std::function<std::optional<LockstepPlan>(const SweepCell&)>;
-
 /// Per-cell aggregate of one metric (Summary: count, mean, stddev, min,
 /// p25, median, p75, max) plus the raw per-trial values in trial order.
 struct SweepMetricAggregate {
@@ -252,8 +231,6 @@ using SweepCellCallback = std::function<void(const SweepCellResult&)>;
 struct SweepJobOptions {
   /// Per-cell completion callback (see SweepCellCallback); null = none.
   SweepCellCallback on_cell;
-  /// Lockstep eligibility plan (the run(fn, plan) overload's second arg).
-  LockstepPlanFn lockstep;
   /// Per-cell skip mask (empty = run everything). Skipped cells execute no
   /// trials and fire no callback; they come back empty (trials_run = 0) at
   /// their original cell_index, which is what keeps the seeding discipline
@@ -300,20 +277,7 @@ class SweepRunner {
   /// over run_job with default options.
   SweepResult run(const SweepTrialFn& fn) const;
 
-  /// Like run(fn), but cells for which `plan` returns a LockstepPlan are
-  /// executed as whole-cell kernel launches: their trials are grouped in
-  /// runs of kernel().lockstep_width() consecutive trial indices, each
-  /// group's engines are stepped round-by-round through the staging API
-  /// (CollapsedSimulator::stage_round / commit_round) and one
-  /// advance_batch call per round samples every lane — the layout the AVX2
-  /// kernel vectorizes across. Seeding replicates the per-trial discipline
-  /// exactly, so with the scalar kernel the report is byte-identical to
-  /// run(fn) (tests/sweep_test.cpp pins this). Cells fall back to the
-  /// per-trial path when the plan is nullopt, the engine is not collapsed,
-  /// or stopping is adaptive. Thin wrapper over run_job.
-  SweepResult run(const SweepTrialFn& fn, const LockstepPlanFn& plan) const;
-
-  /// The job form both run() overloads delegate to: a sweep submission with
+  /// The job form run(fn) delegates to: a sweep submission with
   /// incremental result assembly. Each cell is aggregated by its last
   /// finisher the moment its final trial lands (not in a sequential pass at
   /// the end), opts.on_cell hands completed cells to the caller while later

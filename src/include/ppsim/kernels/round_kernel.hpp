@@ -16,12 +16,12 @@
 // accelerator-dispatch shape: a scalar CPU baseline that is *always* built
 // and whose draw sequence every byte-identical-JSON determinism pin is
 // recorded against, plus optional accelerated backends compiled behind CMake
-// feature checks and selected at *runtime* from CPU capability bits. Today's accelerated backend is kAvx2
-// (4-lane SIMD xoshiro256++ feeding batched BTRS/inversion binomial
-// variates, advancing 4 lockstep trials per uniform block); a CUDA/OpenCL
-// backend plugs in by adding a KernelKind, an implementation file gated in
-// CMake, and a branch in resolve() — engines and the sweep runner are
-// already written against the interface.
+// feature checks and selected at *runtime* from CPU capability bits. Today's
+// accelerated backend is kAvx2 (the same sampler built with -mavx2, its
+// uniforms drawn from a SIMD xoshiro256++); a CUDA/OpenCL backend plugs in
+// by adding a KernelKind, an implementation file gated in CMake, and a
+// branch in resolve() — engines and the sweep runner are already written
+// against the interface.
 //
 // Determinism contract:
 //   * kScalar consumes the engine RNG through util/random_variates: one
@@ -32,15 +32,13 @@
 //     trial's generator run as SIMD lanes, so its draw sequence
 //     legitimately differs; it is validated distributionally (chi-square on
 //     the exact pair law, KS against scalar hitting times —
-//     tests/kernel_distribution_test.cpp).
-//     Results are still deterministic per (seed, kernel, lockstep group):
-//     lockstep groups are formed by trial index, never by schedule order,
-//     so sweep JSON stays byte-identical at any --threads for kAvx2 too.
+//     tests/kernel_distribution_test.cpp). One advance() is still a pure
+//     function of (RNG state, law, batch), so sweep JSON stays
+//     byte-identical at any --threads for kAvx2 too.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,20 +76,8 @@ class RoundKernel {
   virtual ~RoundKernel() = default;
   virtual KernelKind kind() const noexcept = 0;
 
-  /// Number of lockstep trials one advance_batch() call exploits; 1 means
-  /// the kernel gains nothing from batching beyond a plain loop.
-  virtual std::size_t lockstep_width() const noexcept { return 1; }
-
   /// Samples one round into task.active / *task.draws.
   virtual void advance(RoundTask& task) const = 0;
-
-  /// Samples one round for each staged task. The default runs advance() per
-  /// task, so for kScalar a lockstep launch is *bit-identical* to advancing
-  /// the trials one by one — the scalar path never forks behavior on how
-  /// the sweep runner happened to group work.
-  virtual void advance_batch(std::span<RoundTask* const> tasks) const {
-    for (RoundTask* task : tasks) advance(*task);
-  }
 };
 
 /// True when the AVX2 backend was compiled in (CMake found -mavx2 and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ppsim/core/runner.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 
@@ -37,21 +38,17 @@ RunOutcome drive(const Protocol& protocol, const Configuration& initial,
   if (checkpoint.has_value()) {
     engine.restore_checkpoint(*checkpoint);
     recorder.resume_at(*checkpoint);
-  }
-  engine.set_recorder(&recorder);
-  if (!checkpoint.has_value()) {
+  } else {
     // Archive the initial configuration: engines only observe after their
     // first step, so without this the t = 0 point would never be stored.
     recorder.sample(engine.configuration(), 0);
   }
-  const RunOutcome out = engine.run_until_stable(spec.max_interactions);
-  recorder.finalize(engine.configuration(),
-                    RecordFinish{.stabilized = out.stabilized,
-                                 .interactions = out.interactions,
-                                 .clamped = out.clamped,
-                                 .consensus = out.consensus});
-  engine.set_recorder(nullptr);
-  return out;
+  const TrialResult r =
+      run_engine_trial(engine, spec.max_interactions, &recorder);
+  return RunOutcome{.stabilized = r.stabilized,
+                    .interactions = r.interactions,
+                    .clamped = r.clamped,
+                    .consensus = r.winner};
 }
 
 }  // namespace

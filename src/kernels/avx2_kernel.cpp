@@ -1,36 +1,30 @@
-// AVX2 round kernel: batched exact binomial/multinomial variates for up to
-// four lockstep trials of the same sweep cell.
+// AVX2 round kernel: exact binomial/multinomial variates for one round of
+// one trial, drawn from a SIMD xoshiro256++.
 //
 // Shape of the implementation (real code only when PPSIM_KERNELS_AVX2 is
 // set by CMake after the -mavx2 feature check; otherwise this file compiles
 // to the "compiled out" registry stubs):
 //
-//   * The four trial generators are run as lanes of a SIMD xoshiro256++
-//     (one __m256i per state word, the exact update rule of
-//     util/rng.hpp's scalar generator). Each advance loads the tasks' live
-//     256-bit states into the lanes and stores them back afterwards, so a
-//     trial's randomness still flows through its own checkpointable RNG —
-//     the lanes just advance in lockstep, one _mm256 step producing one
-//     52-bit uniform per trial via the exponent-splice bit trick.
+//   * The generator is a SIMD xoshiro256++ (one __m256i per state word, the
+//     exact update rule of util/rng.hpp's scalar generator). advance() loads
+//     the task's live 256-bit state into lane 0, mirrors it into the unused
+//     lanes (their output is discarded) and stores lane 0 back afterwards,
+//     so a trial's randomness still flows through its own checkpointable
+//     RNG. One _mm256 step yields a 52-bit uniform per lane via the
+//     exponent-splice bit trick.
 //   * Binomial draws are exact and use the library's one sampler
 //     (src/util/binomial_sampler.hpp, shared with the scalar binomial()):
 //     inversion (one uniform, CDF walk) when n·min(p,1−p) < 10, else BTRS
-//     transformed rejection. All lanes draw from shared (u, v) uniform
-//     blocks and iterate until every lane's rejection loop accepts, so a
-//     group's draw count is a deterministic function of the group's RNG
-//     states alone.
+//     transformed rejection, drawing (u, v) uniform blocks until the
+//     rejection test accepts.
 //   * The multinomial is the same conditional-binomial chain as the scalar
-//     kernel, walked bucket-by-bucket across all lanes so the per-bucket
-//     binomials vectorize their uniform supply.
+//     kernel, walked bucket by bucket.
 //
-// Determinism: a single advance() is a pure function of (task RNG state,
-// law, batch); an advance_batch() group of the same tasks in the same order
-// is a pure function of the group. The sweep runner forms groups by trial
-// index, never by schedule, so avx2 sweep JSON is --threads-invariant. The
-// draw *sequence* differs from kScalar by design; equivalence is pinned
-// distributionally in tests/kernel_distribution_test.cpp (chi-square on the
-// exact pair law, binomial moments at extreme parameters, KS against scalar
-// hitting times).
+// Determinism: advance() is a pure function of (task RNG state, law,
+// batch), so avx2 sweep JSON is --threads-invariant. The draw *sequence*
+// differs from kScalar by design; equivalence is pinned distributionally in
+// tests/kernel_distribution_test.cpp (chi-square on the exact pair law,
+// binomial moments at extreme parameters, KS against scalar hitting times).
 #include "ppsim/kernels/round_kernel.hpp"
 
 #if PPSIM_KERNELS_AVX2
@@ -156,17 +150,10 @@ void resolve_binomials(Xoshiro4& gen, BinomialReq* reqs, std::size_t count) {
 class Avx2Kernel final : public RoundKernel {
  public:
   KernelKind kind() const noexcept override { return KernelKind::kAvx2; }
-  std::size_t lockstep_width() const noexcept override { return kLanes; }
 
   void advance(RoundTask& task) const override {
     RoundTask* one[1] = {&task};
     advance_group(one, 1);
-  }
-
-  void advance_batch(std::span<RoundTask* const> tasks) const override {
-    for (std::size_t i = 0; i < tasks.size(); i += kLanes) {
-      advance_group(tasks.data() + i, std::min(kLanes, tasks.size() - i));
-    }
   }
 
  private:

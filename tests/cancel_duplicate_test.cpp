@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "ppsim/core/runner.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/util/check.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -102,19 +102,17 @@ TEST(CancelDuplicateTest, ExactMajorityInTheSafeRegime) {
   // d·2^J = 32 well within the unit-token capacity (the safe regime from
   // the header); all pinned seeds must reach consensus on A.
   const CancellationDuplication p(4);
-  auto trial = [&p](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(10, 909, [&p](std::uint64_t seed) {
     Simulator sim(p, p.initial(51, 49), seed);
     const RunOutcome out = sim.run_until_stable(100'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 10, 909, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    ASSERT_TRUE(r.winner.has_value());
-    EXPECT_EQ(*r.winner, CancellationDuplication::kOpinionA);
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  for (const double winner : cell.values("winner")) {
+    EXPECT_EQ(winner, CancellationDuplication::kOpinionA);
   }
 }
 
@@ -125,22 +123,21 @@ TEST(CancelDuplicateTest, UnsynchronizedDeadlockRegimeIsReal) {
   // synchronize cancellation/duplication phases with a leader. Even then,
   // no run may ever commit to the minority.
   const CancellationDuplication p(7);
-  std::size_t no_consensus = 0;
-  auto trial = [&p](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(20, 909, [&p](std::uint64_t seed) {
     Simulator sim(p, p.initial(51, 49), seed);
     const RunOutcome out = sim.run_until_stable(100'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 20, 909, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    if (!r.winner.has_value()) {
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  std::size_t no_consensus = 0;
+  for (const double winner : cell.values("winner")) {
+    if (winner < 0.0) {
       ++no_consensus;
     } else {
-      EXPECT_EQ(*r.winner, CancellationDuplication::kOpinionA);
+      EXPECT_EQ(winner, CancellationDuplication::kOpinionA);
     }
   }
   EXPECT_GT(no_consensus, 0u) << "deadlock regime unexpectedly disappeared";
@@ -153,18 +150,17 @@ TEST(CancelDuplicateTest, MinorityNeverCommitsWrongly) {
   // plus positive tokens cannot be a consensus). Check no trial reports
   // consensus on B.
   const CancellationDuplication p(6);
-  auto trial = [&p](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(10, 2024, [&p](std::uint64_t seed) {
     Simulator sim(p, p.initial(35, 25), seed);
     const RunOutcome out = sim.run_until_stable(100'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 10, 2024, 0);
-  for (const auto& r : results) {
-    if (r.winner.has_value()) {
-      EXPECT_EQ(*r.winner, CancellationDuplication::kOpinionA);
+  });
+  for (const double winner : cell.values("winner")) {
+    if (winner >= 0.0) {
+      EXPECT_EQ(winner, CancellationDuplication::kOpinionA);
     }
   }
 }

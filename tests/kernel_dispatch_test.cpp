@@ -1,14 +1,13 @@
 // Kernel registry and dispatch semantics: parsing, capability-driven
 // selection, the failure modes for explicitly requesting an unavailable
 // backend, PairLaw's generation-counter invalidation and its buckets
-// (checked against a brute-force ordered-pair enumeration), and the scalar
-// kernel's lockstep (advance_batch) contract — batching tasks must be
-// bit-identical to advancing them one by one.
+// (checked against a brute-force ordered-pair enumeration), and the
+// collapsed engine's staging API — stage, advance and commit must equal
+// step_round draw for draw.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -40,7 +39,6 @@ TEST(KernelRegistryTest, NamesRoundTrip) {
 TEST(KernelRegistryTest, ScalarIsAlwaysAvailable) {
   const RoundKernel& scalar = scalar_kernel();
   EXPECT_EQ(scalar.kind(), KernelKind::kScalar);
-  EXPECT_EQ(scalar.lockstep_width(), 1u);
   EXPECT_EQ(&resolve(KernelKind::kScalar), &scalar);
 
   const auto kinds = available_kernels();
@@ -62,7 +60,6 @@ TEST(KernelRegistryTest, AutoPicksTheWidestSupportedKernel) {
     EXPECT_EQ(auto_kind(), KernelKind::kAvx2);
     const RoundKernel& k = resolve(KernelKind::kAvx2);
     EXPECT_EQ(k.kind(), KernelKind::kAvx2);
-    EXPECT_GE(k.lockstep_width(), 2u);
     const auto kinds = available_kernels();
     EXPECT_NE(std::find(kinds.begin(), kinds.end(), KernelKind::kAvx2),
               kinds.end());
@@ -301,53 +298,9 @@ TEST(PairLawTest, MergedBucketOverdrawIsClampedAndCounted) {
   EXPECT_EQ(single, config);
 }
 
-// ------------------------------------------------------------- lockstep --
+// -------------------------------------------------------- staging API --
 
-/// Runs `rounds` staged rounds through the collapsed engine, advancing the
-/// staged tasks either one by one or as one advance_batch launch.
-std::vector<Count> run_staged(const Protocol& protocol, bool batched,
-                              int rounds) {
-  constexpr std::size_t kLanes = 3;
-  std::vector<std::unique_ptr<CollapsedSimulator>> lanes;
-  for (std::size_t t = 0; t < kLanes; ++t) {
-    lanes.push_back(std::make_unique<CollapsedSimulator>(
-        protocol, Configuration({0, 400, 350, 250}), 1000 + t));
-  }
-  const RoundKernel& kernel = scalar_kernel();
-  std::vector<RoundTask> tasks(kLanes);
-  for (int r = 0; r < rounds; ++r) {
-    std::vector<RoundTask*> staged;
-    std::vector<std::size_t> staged_lane;
-    for (std::size_t t = 0; t < kLanes; ++t) {
-      if (lanes[t]->stage_round(1'000'000, tasks[t])) {
-        staged.push_back(&tasks[t]);
-        staged_lane.push_back(t);
-      }
-    }
-    if (batched) {
-      kernel.advance_batch(staged);
-    } else {
-      for (RoundTask* task : staged) kernel.advance(*task);
-    }
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      lanes[staged_lane[i]]->commit_round(*staged[i]);
-    }
-  }
-  std::vector<Count> out;
-  for (const auto& lane : lanes) {
-    const auto& c = lane->configuration().counts();
-    out.insert(out.end(), c.begin(), c.end());
-    out.push_back(static_cast<Count>(lane->interactions()));
-  }
-  return out;
-}
-
-TEST(ScalarLockstepTest, AdvanceBatchIsBitIdenticalToPerTaskAdvance) {
-  const UndecidedStateDynamics usd(3);
-  EXPECT_EQ(run_staged(usd, true, 40), run_staged(usd, false, 40));
-}
-
-TEST(ScalarLockstepTest, StagedPathMatchesStepRound) {
+TEST(StagingApiTest, StagedPathMatchesStepRound) {
   // stage_round + kernel.advance + commit_round must equal step_round draw
   // for draw: run the same seed both ways and compare the trajectory.
   const UndecidedStateDynamics usd(3);

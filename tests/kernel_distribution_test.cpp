@@ -53,24 +53,23 @@ class Avx2DistributionTest : public ::testing::Test {
     kernel_ = &resolve(KernelKind::kAvx2);
   }
 
-  /// Stages `lanes` independent tasks over `law` with the given batch and
-  /// runs one advance_batch; returns per-lane (active, draws).
+  /// Advances one task per generator over `law` with the given batch, one
+  /// advance() call each — the per-trial path a sweep runs; returns
+  /// per-generator (active, draws).
   void advance_lanes(const PairLaw& law, Interactions batch,
                      std::vector<Xoshiro256pp>& rngs,
                      std::vector<RoundTask>& tasks,
                      std::vector<std::vector<std::int64_t>>& draws) {
     tasks.resize(rngs.size());
     draws.resize(rngs.size());
-    std::vector<RoundTask*> staged;
     for (std::size_t l = 0; l < rngs.size(); ++l) {
       tasks[l].law = &law;
       tasks[l].batch = batch;
       tasks[l].rng = &rngs[l];
       tasks[l].draws = &draws[l];
       tasks[l].active = 0;
-      staged.push_back(&tasks[l]);
+      kernel_->advance(tasks[l]);
     }
-    kernel_->advance_batch(staged);
   }
 
   const RoundKernel* kernel_ = nullptr;
@@ -175,30 +174,50 @@ TEST_F(Avx2DistributionTest, NullSplitBinomialMomentsAtExtremeP) {
   }
 }
 
-TEST_F(Avx2DistributionTest, LockstepGroupIsDeterministic) {
-  // Same seeds, same group → identical results on repeat (the lane packing
-  // and shared uniform blocks must not leak nondeterminism).
+TEST_F(Avx2DistributionTest, AdvanceDependsOnlyOnRngStateLawAndBatch) {
+  // advance() must be a pure function of (RNG state, law, batch): replaying
+  // a round from the same generator state gives the same (active, draws)
+  // and the same generator state afterwards, even when another task ran in
+  // between, the scratch held stale draws and an equal law lives in a
+  // different PairLaw object.
   const UndecidedStateDynamics usd(3);
   const TransitionTable table(usd);
   PairLaw law;
   law.rebuild(table, Configuration({0, 400, 350, 250}));
+  PairLaw same_law;
+  same_law.rebuild(table, Configuration({0, 400, 350, 250}));
+  PairLaw other_law;
+  other_law.rebuild(table, Configuration({10, 40, 35, 25}));
 
-  auto run_once = [&]() {
-    std::vector<Xoshiro256pp> rngs;
-    for (int l = 0; l < 4; ++l) rngs.emplace_back(555 + l);
-    std::vector<RoundTask> tasks;
-    std::vector<std::vector<std::int64_t>> draws;
-    std::vector<std::int64_t> trace;
-    for (int r = 0; r < 50; ++r) {
-      advance_lanes(law, 300, rngs, tasks, draws);
-      for (std::size_t l = 0; l < rngs.size(); ++l) {
-        trace.push_back(tasks[l].active);
-        for (const std::int64_t d : draws[l]) trace.push_back(d);
+  Xoshiro256pp rng(555);
+  Xoshiro256pp other_rng(556);
+  std::vector<std::int64_t> draws;
+  std::vector<std::int64_t> replay_draws;
+  std::vector<std::int64_t> other_draws;
+  // Small batches take the inversion sampler, large ones BTRS.
+  for (const Interactions batch : {Interactions{3}, Interactions{300},
+                                   Interactions{1'000'000'000}}) {
+    for (int r = 0; r < 20; ++r) {
+      const auto start = rng.state();
+      RoundTask task{&law, batch, &rng, &draws};
+      kernel_->advance(task);
+
+      RoundTask other{&other_law, 77, &other_rng, &other_draws};
+      kernel_->advance(other);
+
+      Xoshiro256pp replay_rng(1);
+      replay_rng.set_state(start);
+      replay_draws.assign(law.size() + 5, -7);
+      RoundTask replay{&same_law, batch, &replay_rng, &replay_draws};
+      kernel_->advance(replay);
+
+      ASSERT_EQ(replay.active, task.active) << "batch " << batch;
+      if (task.active > 0) {
+        ASSERT_EQ(replay_draws, draws) << "batch " << batch;
       }
+      ASSERT_EQ(replay_rng.state(), rng.state()) << "batch " << batch;
     }
-    return trace;
-  };
-  EXPECT_EQ(run_once(), run_once());
+  }
 }
 
 TEST_F(Avx2DistributionTest, StabilizationTimesMatchScalarByKS) {

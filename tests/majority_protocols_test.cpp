@@ -2,11 +2,11 @@
 // and quantized averaging's conservation law and sign correctness.
 #include <gtest/gtest.h>
 
-#include "ppsim/core/runner.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/averaging_majority.hpp"
 #include "ppsim/protocols/four_state_majority.hpp"
 #include "ppsim/util/check.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -52,36 +52,33 @@ TEST(FourStateMajorityTest, StrongDifferenceIsInvariant) {
 TEST(FourStateMajorityTest, ExactEvenWithMinimalBias) {
   // d = 1 out of n = 101: exact majority must still always pick A.
   const FourStateMajority p;
-  auto trial = [&p](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(20, 1234, [&p](std::uint64_t seed) {
     Simulator sim(p, FourStateMajority::initial(51, 50), seed);
     const RunOutcome out = sim.run_until_stable(50'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 20, 1234, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    ASSERT_TRUE(r.winner.has_value());
-    EXPECT_EQ(*r.winner, FourStateMajority::kOpinionA);
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  for (const double winner : cell.values("winner")) {
+    EXPECT_EQ(winner, FourStateMajority::kOpinionA);
   }
 }
 
 TEST(FourStateMajorityTest, MinorityNeverWins) {
   const FourStateMajority p;
-  auto trial = [&p](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(10, 555, [&p](std::uint64_t seed) {
     Simulator sim(p, FourStateMajority::initial(40, 60), seed);
     const RunOutcome out = sim.run_until_stable(50'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 10, 555, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    EXPECT_EQ(*r.winner, FourStateMajority::kOpinionB);
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  for (const double winner : cell.values("winner")) {
+    EXPECT_EQ(winner, FourStateMajority::kOpinionB);
   }
 }
 
@@ -146,19 +143,17 @@ TEST(AveragingMajorityTest, ExactMajorityWithLargeResolution) {
   // m >= n makes the protocol exact: with a = 26 vs b = 24 (d = 2, n = 50),
   // the terminal mean is m·d/n = 64·2/50 > 1, so every agent ends positive.
   const AveragingMajority p(64);
-  auto trial = [&p](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(10, 2222, [&p](std::uint64_t seed) {
     Simulator sim(p, p.initial(26, 24), seed, Simulator::Engine::kVirtual);
     const RunOutcome out = sim.run_until_stable(20'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 10, 2222, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    ASSERT_TRUE(r.winner.has_value());
-    EXPECT_EQ(*r.winner, AveragingMajority::kOpinionA);
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  for (const double winner : cell.values("winner")) {
+    EXPECT_EQ(winner, AveragingMajority::kOpinionA);
   }
 }
 

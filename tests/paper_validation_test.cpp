@@ -10,9 +10,9 @@
 #include "ppsim/analysis/drift.hpp"
 #include "ppsim/analysis/hitting_times.hpp"
 #include "ppsim/analysis/initial.hpp"
-#include "ppsim/core/runner.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/usd.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -141,7 +141,7 @@ TEST(PaperTheorem35, StabilizationSlowerThanLowerBound) {
   const UndecidedStateDynamics usd(k);
   const double lb = bounds::theorem35_parallel_lower_bound(n, k);
   ASSERT_GT(lb, 0.0);
-  auto trial = [&](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(5, 123, [&](std::uint64_t seed) {
     const InitialConfig init = figure1_configuration(n, k);
     Simulator engine = usd_sim(usd, init, seed);
     engine.run_until_stable(5000 * n);
@@ -150,11 +150,10 @@ TEST(PaperTheorem35, StabilizationSlowerThanLowerBound) {
     r.parallel_time = engine.parallel_time();
     r.winner = engine.consensus_output();
     return r;
-  };
-  const auto results = run_trials(trial, 5, 123, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    EXPECT_GT(r.parallel_time, lb);
+  });
+  ASSERT_EQ(cell.rate("stabilized"), 1.0);
+  for (const double parallel_time : cell.values("parallel_time")) {
+    EXPECT_GT(parallel_time, lb);
   }
 }
 
@@ -165,7 +164,7 @@ TEST(PaperTheorem35, BiasWithinTheoremStillWinsWithWhpBias) {
   const Count n = 40000;
   const std::size_t k = 8;
   const UndecidedStateDynamics usd(k);
-  auto trial = [&](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(8, 321, [&](std::uint64_t seed) {
     const InitialConfig init = figure1_configuration(n, k);
     Simulator engine = usd_sim(usd, init, seed);
     engine.run_until_stable(5000 * n);
@@ -173,15 +172,10 @@ TEST(PaperTheorem35, BiasWithinTheoremStillWinsWithWhpBias) {
     r.stabilized = engine.is_stable();
     r.winner = engine.consensus_output();
     return r;
-  };
-  const auto results = run_trials(trial, 8, 321, 0);
-  int majority_wins = 0;
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    if (r.winner.has_value() && *r.winner == 0) ++majority_wins;
-  }
+  });
+  ASSERT_EQ(cell.rate("stabilized"), 1.0);
   // w.h.p. all trials; allow at most one upset at this small n.
-  EXPECT_GE(majority_wins, 7);
+  EXPECT_GE(cell.sum("majority_win"), 7.0);
 }
 
 // -------------------------------------------- Figure 1 qualitative shape ----

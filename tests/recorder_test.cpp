@@ -1,12 +1,15 @@
 // Recorder edge cases: stride validation, stride larger than the whole run,
-// forced final samples, channel registration rules, and TSV round-trip of
-// the recorded series.
+// forced final samples, channel registration rules, TSV round-trip of the
+// recorded series, and run_engine_trial's attach/finalize/detach sequence.
 #include "ppsim/core/recorder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "ppsim/core/engine.hpp"
+#include "ppsim/core/runner.hpp"
+#include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
@@ -242,6 +245,43 @@ TEST(RecorderTest, ResumeRequiresPristineRecorder) {
   EngineCheckpoint cp;
   cp.interactions = 20;
   EXPECT_THROW(rec.resume_at(cp), CheckFailure);
+}
+
+TEST(RunEngineTrialTest, AttachesFinalizesAndDetachesTheRecorder) {
+  // One budget-capped sequential run and one stabilizing collapsed run: the
+  // recorder streams samples during the run, gets one finish record equal
+  // to the trial's outcome, and hears nothing once the trial returns.
+  const UndecidedStateDynamics usd(2);
+  struct Case {
+    EngineKind kind;
+    std::vector<Count> opinions;
+    Interactions budget;
+  };
+  for (const Case& c : {Case{EngineKind::kSequential, {600, 400}, 2'000},
+                        Case{EngineKind::kCollapsed, {900, 100}, 10'000'000}}) {
+    Engine engine(c.kind, usd,
+                  UndecidedStateDynamics::initial_configuration(c.opinions), 5);
+    Recorder rec(100);
+    rec.add_channel("undecided", count_of(UndecidedStateDynamics::kUndecided));
+    CapturingSink sink;
+    rec.add_sink(sink);
+
+    const TrialResult r = run_engine_trial(engine, c.budget, &rec);
+
+    EXPECT_GT(sink.samples.size(), 1u) << to_string(c.kind);
+    ASSERT_EQ(sink.finishes.size(), 1u) << to_string(c.kind);
+    const RecordFinish& fin = sink.finishes.front();
+    EXPECT_EQ(fin.stabilized, r.stabilized);
+    EXPECT_EQ(fin.interactions, r.interactions);
+    EXPECT_EQ(fin.clamped, r.clamped);
+    EXPECT_EQ(fin.consensus, r.winner);
+    EXPECT_EQ(sink.samples.back(), r.interactions);
+    EXPECT_EQ(r.stabilized, c.kind == EngineKind::kCollapsed);
+
+    const std::size_t samples = sink.samples.size();
+    engine.run_until_stable(c.budget + 2'000);
+    EXPECT_EQ(sink.samples.size(), samples) << to_string(c.kind);
+  }
 }
 
 TEST(TimeSeriesTest, WriteTsvNeverEmitsUnescapedNames) {

@@ -2,14 +2,18 @@
 // goodness-of-fit p-values (wrapping util/stats chi_square_statistic /
 // chi_square_sf with the conventional buckets−1 degrees of freedom) and the
 // two-sample Kolmogorov–Smirnov distance. Used by collapsed_simulator_test,
-// kernel_distribution_test and faults_test.
+// kernel_distribution_test and faults_test. Also run_cell, the one-cell
+// sweep the protocol tests run their Monte-Carlo trials through.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "ppsim/core/sweep.hpp"
 #include "ppsim/util/stats.hpp"
 
 namespace ppsim::testutil {
@@ -58,6 +62,24 @@ inline double ks_two_sample_critical(std::size_t na, std::size_t nb,
   const double a = static_cast<double>(na);
   const double b = static_cast<double>(nb);
   return c_alpha * std::sqrt((a + b) / (a * b));
+}
+
+/// Runs `trials` trials of `fn` as a one-cell sweep on all hardware threads.
+/// Trial t calls fn with the scalar seed of jump stream t of `base_seed`;
+/// the cell holds each outcome as consensus_metrics (stabilized, winner,
+/// majority_win, parallel_time, ...), in trial order.
+inline SweepCellResult run_cell(
+    std::size_t trials, std::uint64_t base_seed,
+    const std::function<TrialResult(std::uint64_t seed)>& fn) {
+  SweepSpec spec;
+  spec.name = "test_cell";
+  spec.cells.emplace_back();
+  spec.trials = trials;
+  spec.base_seed = base_seed;
+  spec.threads = 0;
+  SweepResult result = SweepRunner(std::move(spec)).run(
+      [&](const SweepTrial& t) { return consensus_metrics(fn(t.seed)); });
+  return std::move(result.cells.front());
 }
 
 }  // namespace ppsim::testutil

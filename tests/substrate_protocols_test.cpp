@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "ppsim/core/runner.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/epidemic.hpp"
 #include "ppsim/protocols/leader_election.hpp"
@@ -12,6 +11,7 @@
 #include "ppsim/protocols/synchronized_usd.hpp"
 #include "ppsim/protocols/three_majority.hpp"
 #include "ppsim/util/check.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -231,18 +231,15 @@ TEST(ThreeMajorityTest, MonochromaticIsConsensus) {
 }
 
 TEST(ThreeMajorityTest, BiasedStartConvergesToMajority) {
-  auto trial = [](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(10, 31, [](std::uint64_t seed) {
     ThreeMajorityEngine engine({700, 300}, seed);
     TrialResult r;
     r.stabilized = engine.run_until_consensus(10000);
     r.winner = engine.winner();
     return r;
-  };
-  const auto results = run_trials(trial, 10, 31, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    EXPECT_EQ(*r.winner, 0u);
-  }
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  EXPECT_EQ(cell.rate("majority_win"), 1.0);
 }
 
 TEST(ThreeMajorityTest, ConvergesInLogarithmicRounds) {

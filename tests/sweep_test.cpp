@@ -430,53 +430,5 @@ TEST(SweepRunnerTest, CellCallbackOrderNeverAffectsTheEmittedJson) {
   }
 }
 
-TEST(SweepRunnerTest, LockstepLaunchIsByteIdenticalToPerTrialWithScalar) {
-  // run(fn, plan) routes eligible collapsed cells through whole-cell kernel
-  // launches (grouped trials, staged rounds, one advance_batch per round).
-  // The scalar kernel's lockstep contract is bit-identical draws, and the
-  // group runner replicates the per-trial seed discipline — so the unified
-  // JSON must match run(fn) byte for byte, at any thread count.
-  const UndecidedStateDynamics usd(3);
-  const Configuration initial({0, 400, 350, 250});
-  auto spec_for = [&](unsigned threads) {
-    SweepSpec spec;
-    spec.name = "sweep_lockstep_test";
-    spec.trials = 6;
-    spec.base_seed = 31337;
-    spec.threads = threads;
-    for (const double eps : {0.05, 0.2}) {
-      SweepCell cell;
-      cell.n = 1000;
-      cell.k = 3;
-      cell.engine = EngineKind::kCollapsed;
-      cell.tau_epsilon = eps;
-      spec.cells.push_back(cell);
-    }
-    // A batched cell in the same sweep must silently take the per-trial
-    // path (the plan only covers collapsed cells).
-    SweepCell batched;
-    batched.n = 1000;
-    batched.k = 3;
-    batched.engine = EngineKind::kBatched;
-    spec.cells.push_back(batched);
-    return spec;
-  };
-  constexpr Interactions kBudget = 50'000'000;
-  auto trial = [&](const SweepTrial& ctx) {
-    Engine engine = ctx.make_engine(usd, initial);
-    return consensus_metrics(run_engine_trial(engine, kBudget));
-  };
-  auto plan = [&](const SweepCell& cell) -> std::optional<LockstepPlan> {
-    if (cell.engine != EngineKind::kCollapsed) return std::nullopt;
-    return LockstepPlan{&usd, &initial, kBudget};
-  };
-  const std::string per_trial =
-      SweepRunner(spec_for(1)).run(trial).to_json();
-  EXPECT_EQ(per_trial, SweepRunner(spec_for(1)).run(trial, plan).to_json());
-  EXPECT_EQ(per_trial, SweepRunner(spec_for(8)).run(trial, plan).to_json());
-  // The report records the kernel on the header and every cell.
-  EXPECT_NE(per_trial.find("\"kernel\": \"scalar\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ppsim

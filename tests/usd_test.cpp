@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "ppsim/analysis/initial.hpp"
-#include "ppsim/core/runner.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
+#include "stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -204,7 +204,7 @@ TEST(UsdSimulatorTest, LargeBiasMajorityWinsAllTrials) {
   // n = 4000, k = 2, bias 800 >> √(n ln n) ≈ 182: the majority must win in
   // every one of 20 trials (failure probability is cosmically small).
   const UndecidedStateDynamics usd(2);
-  auto trial = [&usd](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(20, 4242, [&](std::uint64_t seed) {
     Simulator sim(usd, usd_config({2400, 1600}), seed);
     const RunOutcome out = sim.run_until_stable(50'000'000);
     TrialResult r;
@@ -212,13 +212,9 @@ TEST(UsdSimulatorTest, LargeBiasMajorityWinsAllTrials) {
     r.winner = out.consensus;
     r.parallel_time = sim.parallel_time();
     return r;
-  };
-  const auto results = run_trials(trial, 20, 4242, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    ASSERT_TRUE(r.winner.has_value());
-    EXPECT_EQ(*r.winner, 0u);
-  }
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  EXPECT_EQ(cell.rate("majority_win"), 1.0);
 }
 
 TEST(UsdSimulatorTest, MultiOpinionBiasMajorityWins) {
@@ -226,20 +222,16 @@ TEST(UsdSimulatorTest, MultiOpinionBiasMajorityWins) {
   std::vector<Count> counts(8, 100);
   counts[0] = 400;
   const UndecidedStateDynamics usd(8);
-  auto trial = [&](std::uint64_t seed, std::size_t) {
+  const SweepCellResult cell = testutil::run_cell(10, 777, [&](std::uint64_t seed) {
     Simulator sim(usd, usd_config(counts), seed);
     const RunOutcome out = sim.run_until_stable(100'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
     r.winner = out.consensus;
     return r;
-  };
-  const auto results = run_trials(trial, 10, 777, 0);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.stabilized);
-    ASSERT_TRUE(r.winner.has_value());
-    EXPECT_EQ(*r.winner, 0u);
-  }
+  });
+  EXPECT_EQ(cell.rate("stabilized"), 1.0);
+  EXPECT_EQ(cell.rate("majority_win"), 1.0);
 }
 
 TEST(UsdSimulatorTest, SurvivingOpinionsMonotoneNonIncreasing) {
