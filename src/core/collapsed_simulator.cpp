@@ -161,13 +161,15 @@ EngineCheckpoint CollapsedSimulator::checkpoint_state() const {
 void CollapsedSimulator::restore_checkpoint(const EngineCheckpoint& state) {
   PPSIM_CHECK(state.counts.size() == config_.num_states(),
               "checkpoint state-space size must match the engine's");
+  PPSIM_CHECK(state.interactions >= 0 && state.clamped >= 0,
+              "checkpoint clocks must be non-negative");
   Configuration restored(state.counts);
   PPSIM_CHECK(restored.population() == config_.population(),
               "checkpoint population must match the engine's");
+  // Every check has passed: commit, so a rejected checkpoint leaves the
+  // engine as it was.
   config_ = std::move(restored);
   rng_.set_state(state.rng_state);
-  PPSIM_CHECK(state.interactions >= 0 && state.clamped >= 0,
-              "checkpoint clocks must be non-negative");
   interactions_ = state.interactions;
   clamped_ = state.clamped;
   last_round_size_ = 0;

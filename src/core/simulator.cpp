@@ -139,13 +139,15 @@ EngineCheckpoint Simulator::checkpoint_state() const {
 void Simulator::restore_checkpoint(const EngineCheckpoint& state) {
   PPSIM_CHECK(state.counts.size() == config_.num_states(),
               "checkpoint state-space size must match the engine's");
+  PPSIM_CHECK(state.interactions >= 0, "checkpoint clock must be non-negative");
   Configuration restored(state.counts);
   PPSIM_CHECK(restored.population() == config_.population(),
               "checkpoint population must match the engine's");
+  // Every check has passed: commit, so a rejected checkpoint leaves the
+  // engine as it was.
+  sampler_ = PairSampler(restored);
   config_ = std::move(restored);
-  sampler_ = PairSampler(config_);
   rng_.set_state(state.rng_state);
-  PPSIM_CHECK(state.interactions >= 0, "checkpoint clock must be non-negative");
   interactions_ = state.interactions;
   reset_stability();
 }

@@ -145,6 +145,8 @@ class CollapsedSimulator {
   /// alias table are deterministic functions of the counts, so restoring
   /// just bumps the counts generation (the single invalidation point); the
   /// resumed run then makes exactly the draws the original would have made.
+  /// A checkpoint with the wrong shape or population, or a negative clock,
+  /// throws CheckFailure and leaves the engine unchanged.
   EngineCheckpoint checkpoint_state() const;
   void restore_checkpoint(const EngineCheckpoint& state);
 

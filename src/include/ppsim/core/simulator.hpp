@@ -27,6 +27,7 @@
 #include "ppsim/core/scheduler.hpp"
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/core/types.hpp"
+#include "ppsim/util/check.hpp"  // CheckFailure, thrown by the members below
 #include "ppsim/util/rng.hpp"
 
 namespace ppsim {
@@ -100,7 +101,8 @@ class Simulator {
   /// Restores a state captured by checkpoint_state() on an engine built
   /// with the same protocol and state-space shape. After restoring, the
   /// run continues on exactly the sequence of draws the original would
-  /// have made.
+  /// have made. A checkpoint with the wrong shape or population, or a
+  /// negative clock, throws CheckFailure and leaves the engine unchanged.
   void restore_checkpoint(const EngineCheckpoint& state);
 
  private:

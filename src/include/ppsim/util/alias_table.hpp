@@ -3,8 +3,9 @@
 //
 // Used where the distribution does not change between draws (workload
 // generators, initial-opinion assignment, gossip partner-class sampling in
-// tests). The interaction engines use FenwickTree instead because their
-// distributions mutate on every step.
+// tests). The sequential engines' PairSampler uses a prefix-sum tree
+// instead (core/scheduler.hpp) because its distribution mutates on every
+// step.
 #pragma once
 
 #include <cstdint>

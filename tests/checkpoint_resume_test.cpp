@@ -81,6 +81,51 @@ TEST(EngineCheckpointTest, CollapsedRoundtripContinuesBitExact) {
   roundtrip_engine(EngineKind::kCollapsed);
 }
 
+/// A checkpoint whose counts are valid but whose clock is not must be
+/// rejected before anything is restored: the engine keeps its counts, clock,
+/// stability flag and draw sequence, so it continues exactly like a twin that
+/// never saw the checkpoint.
+void rejected_restore_changes_nothing(EngineKind kind, Interactions interactions,
+                                      Interactions clamped) {
+  const UndecidedStateDynamics usd(3);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration({900, 600, 500});
+  Engine engine(kind, usd, initial, /*seed=*/42);
+  Engine twin(kind, usd, initial, /*seed=*/42);
+  engine.run_until_stable(50'000);
+  twin.run_until_stable(50'000);
+  const Configuration before = engine.configuration();
+  const Interactions clock = engine.interactions();
+  const bool stable = engine.is_stable();
+
+  EngineCheckpoint bad;
+  bad.counts = initial.counts();
+  bad.rng_state = {1, 2, 3, 4};
+  bad.interactions = interactions;
+  bad.clamped = clamped;
+  EXPECT_THROW(engine.restore_checkpoint(bad), CheckFailure);
+
+  expect_same_configuration(engine.configuration(), before);
+  EXPECT_EQ(engine.interactions(), clock);
+  EXPECT_EQ(engine.is_stable(), stable);
+  const RunOutcome a = engine.run_until_stable(400'000);
+  const RunOutcome b = twin.run_until_stable(400'000);
+  EXPECT_EQ(a.interactions, b.interactions);
+  EXPECT_EQ(a.stabilized, b.stabilized);
+  EXPECT_EQ(a.clamped, b.clamped);
+  expect_same_configuration(engine.configuration(), twin.configuration());
+}
+
+TEST(EngineCheckpointTest, RejectedRestoreLeavesSequentialUnchanged) {
+  rejected_restore_changes_nothing(EngineKind::kSequential, -1, 0);
+}
+
+TEST(EngineCheckpointTest, RejectedRestoreLeavesCollapsedUnchanged) {
+  rejected_restore_changes_nothing(EngineKind::kCollapsed, -1, 0);
+  rejected_restore_changes_nothing(EngineKind::kCollapsed, 10, -1);
+  rejected_restore_changes_nothing(EngineKind::kBatched, 10, -1);
+}
+
 io::ArchiveRunSpec acceptance_spec() {
   io::ArchiveRunSpec spec;
   spec.engine = EngineKind::kCollapsed;

@@ -2,13 +2,17 @@
 // uniformly. With counts-based states this means:
 //   P[first in state a]  = count(a)/n
 //   P[(a, b)]            = count(a)·(count(b) - [a=b]) / (n(n-1)).
-// We verify the exact pair distribution with a chi-square test and check
-// without-replacement behaviour on singleton states.
+// We verify the exact pair distribution with a chi-square test, check
+// without-replacement behaviour on singleton states, and pin the draws
+// draw-for-draw against a naive urn. PrefixSumTree, the inverse-CDF structure
+// under the sampler, is checked against a naive reference under random moves,
+// at sizes on both sides of its node width.
 #include "ppsim/core/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "ppsim/util/check.hpp"
@@ -16,6 +20,161 @@
 
 namespace ppsim {
 namespace {
+
+// ----------------------------------------------------------- PrefixSumTree ----
+
+TEST(PrefixSumTree, RejectsEmptyWeights) {
+  EXPECT_THROW(PrefixSumTree(std::vector<std::int64_t>{}), CheckFailure);
+}
+
+TEST(PrefixSumTree, ConstructFromWeights) {
+  const std::vector<std::int64_t> w = {3, 0, 5, 2};
+  PrefixSumTree t(w);
+  EXPECT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.total(), 10);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(t.prefix_sum(i + 1) - t.prefix_sum(i), w[i]) << "category " << i;
+  }
+}
+
+TEST(PrefixSumTree, RejectsNegativeWeights) {
+  EXPECT_THROW(PrefixSumTree(std::vector<std::int64_t>{1, -1}), CheckFailure);
+}
+
+TEST(PrefixSumTree, PrefixSumsMatchDefinition) {
+  PrefixSumTree t(std::vector<std::int64_t>{3, 0, 5, 2});
+  EXPECT_EQ(t.prefix_sum(0), 0);
+  EXPECT_EQ(t.prefix_sum(1), 3);
+  EXPECT_EQ(t.prefix_sum(2), 3);
+  EXPECT_EQ(t.prefix_sum(3), 8);
+  EXPECT_EQ(t.prefix_sum(4), 10);
+}
+
+TEST(PrefixSumTree, MoveUpdatesSums) {
+  PrefixSumTree t(std::vector<std::int64_t>{1, 1, 1});
+  t.move(0, 1);
+  t.move(2, 1);
+  EXPECT_EQ(t.prefix_sum(1), 0);
+  EXPECT_EQ(t.prefix_sum(2), 3);
+  EXPECT_EQ(t.total(), 3);
+  t.move(1, 0);
+  EXPECT_EQ(t.prefix_sum(1), 1);
+  EXPECT_EQ(t.prefix_sum(2), 3);
+}
+
+TEST(PrefixSumTree, FindMapsTargetsToCategories) {
+  // weights [3, 0, 5, 2] -> CDF boundaries 3, 3, 8, 10.
+  PrefixSumTree t(std::vector<std::int64_t>{3, 0, 5, 2});
+  EXPECT_EQ(t.find(0), 0u);
+  EXPECT_EQ(t.find(2), 0u);
+  EXPECT_EQ(t.find(3), 2u);  // category 1 has zero weight and is skipped
+  EXPECT_EQ(t.find(7), 2u);
+  EXPECT_EQ(t.find(8), 3u);
+  EXPECT_EQ(t.find(9), 3u);
+}
+
+TEST(PrefixSumTree, FindNeverReturnsZeroWeightCategory) {
+  // Zero weights at node boundaries (31, 32, 63, 64) and at the very end.
+  std::vector<std::int64_t> w(70, 0);
+  for (const std::size_t i : {1u, 30u, 33u, 40u, 62u, 65u}) w[i] = 3;
+  PrefixSumTree t(w);
+  for (std::int64_t target = 0; target < t.total(); ++target) {
+    const std::size_t c = t.find(target);
+    ASSERT_LT(c, w.size()) << "target " << target;
+    EXPECT_GT(w[c], 0) << "target " << target << " mapped to " << c;
+  }
+}
+
+TEST(PrefixSumTree, PaddedSlotsNeverReturned) {
+  // The last leaf node and the root are partly padding: the top targets
+  // must still land on the last real category.
+  for (const std::size_t size : {1u, 3u, 31u, 33u, 65u, 1025u, 1057u}) {
+    std::vector<std::int64_t> w(size, 0);
+    w.back() = 2;
+    PrefixSumTree t(w);
+    EXPECT_EQ(t.find(0), size - 1) << "size " << size;
+    EXPECT_EQ(t.find(1), size - 1) << "size " << size;
+    t.move(size - 1, 0);
+    EXPECT_EQ(t.find(1), size - 1) << "size " << size;
+  }
+}
+
+TEST(PrefixSumTree, SingleCategory) {
+  PrefixSumTree t(std::vector<std::int64_t>{42});
+  EXPECT_EQ(t.total(), 42);
+  for (std::int64_t target : {0, 1, 41}) EXPECT_EQ(t.find(target), 0u);
+}
+
+TEST(PrefixSumTree, SizesAroundTheNodeWidth) {
+  for (std::size_t size : {1u, 2u, 3u, 7u, 8u, 9u, 31u, 32u, 33u, 100u, 1024u, 1025u}) {
+    std::vector<std::int64_t> w(size);
+    std::iota(w.begin(), w.end(), 1);  // 1, 2, ..., size
+    PrefixSumTree t(w);
+    std::int64_t cum = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(t.prefix_sum(i), cum) << "size " << size;
+      cum += w[i];
+      // every target inside category i maps back to i
+      ASSERT_EQ(t.find(cum - 1), i) << "size " << size;
+      ASSERT_EQ(t.find(cum - w[i]), i) << "size " << size;
+    }
+    EXPECT_EQ(t.total(), cum);
+  }
+}
+
+TEST(PrefixSumTree, RandomizedAgainstNaiveReference) {
+  constexpr int kOps = 5000;
+  Xoshiro256pp rng(2024);
+  for (const std::size_t size : {37u, 1100u}) {
+    std::vector<std::int64_t> naive(size);
+    for (auto& w : naive) w = static_cast<std::int64_t>(rng.bounded(10));
+    PrefixSumTree t(naive);
+    const std::int64_t total = t.total();
+    for (int op = 0; op < kOps; ++op) {
+      const auto from = static_cast<std::size_t>(rng.bounded(size));
+      const auto to = static_cast<std::size_t>(rng.bounded(size));
+      if (naive[from] > 0 && from != to) {
+        --naive[from];
+        ++naive[to];
+        t.move(from, to);
+      }
+      ASSERT_EQ(t.total(), total);
+
+      // spot-check prefix sums and find()
+      const auto probe = static_cast<std::size_t>(rng.bounded(size + 1));
+      const std::int64_t expect =
+          std::accumulate(naive.begin(), naive.begin() + probe, std::int64_t{0});
+      ASSERT_EQ(t.prefix_sum(probe), expect) << "size " << size << " op " << op;
+
+      const auto target =
+          static_cast<std::int64_t>(rng.bounded(static_cast<std::uint64_t>(total)));
+      const std::size_t found = t.find(target);
+      // inverse-CDF contract: prefix_sum(found) <= target < prefix_sum(found+1)
+      ASSERT_LE(t.prefix_sum(found), target);
+      ASSERT_GT(t.prefix_sum(found + 1), target);
+    }
+  }
+}
+
+TEST(PrefixSumTree, SamplingDistributionMatchesWeights) {
+  const std::vector<std::int64_t> w = {1, 2, 3, 4};
+  PrefixSumTree t(w);
+  Xoshiro256pp rng(555);
+  constexpr int kDraws = 100000;
+  std::vector<int> hits(4, 0);
+  for (int i = 0; i < kDraws; ++i) {
+    const auto target =
+        static_cast<std::int64_t>(rng.bounded(static_cast<std::uint64_t>(t.total())));
+    ++hits[t.find(target)];
+  }
+  for (std::size_t c = 0; c < 4; ++c) {
+    const double expected = static_cast<double>(w[c]) / 10.0;
+    const double actual = static_cast<double>(hits[c]) / kDraws;
+    EXPECT_NEAR(actual, expected, 0.01) << "category " << c;
+  }
+}
+
+// ------------------------------------------------------------- PairSampler ----
 
 TEST(PairSamplerTest, RequiresTwoAgents) {
   EXPECT_THROW(PairSampler(Configuration({1, 0})), CheckFailure);
@@ -46,8 +205,8 @@ TEST(PairSamplerTest, SamplingDoesNotMutateWeights) {
   Xoshiro256pp rng(3);
   std::map<std::pair<State, State>, int> first_pass;
   for (int i = 0; i < 1000; ++i) ++first_pass[sampler.sample(rng)];
-  // Re-running with the same seed must reproduce the same draws — the urn
-  // was restored after every sample.
+  // Re-running with the same seed must reproduce the same draws: sample()
+  // is const, so the tree it reads is the one it was built with.
   Xoshiro256pp rng2(3);
   std::map<std::pair<State, State>, int> second_pass;
   for (int i = 0; i < 1000; ++i) ++second_pass[sampler.sample(rng2)];
@@ -108,6 +267,60 @@ TEST(PairSamplerTest, MoveAgentKeepsSamplerInSync) {
     const auto [a, b] = sampler.sample(rng);
     EXPECT_EQ(a, 1u);
     EXPECT_EQ(b, 1u);
+  }
+}
+
+/// The urn PairSampler replaced, written naively: draw the initiator by a
+/// linear inverse-CDF scan, take it out, draw the responder from the n-1
+/// agents left, and put the initiator back.
+std::pair<State, State> reference_sample(std::vector<Count>& counts, Count n,
+                                         Xoshiro256pp& rng) {
+  const auto scan = [&](std::uint64_t target) {
+    State s = 0;
+    while (target >= static_cast<std::uint64_t>(counts[s])) {
+      target -= static_cast<std::uint64_t>(counts[s]);
+      ++s;
+    }
+    return s;
+  };
+  const auto total = static_cast<std::uint64_t>(n);
+  const State first = scan(rng.bounded(total));
+  --counts[first];
+  const State second = scan(rng.bounded(total - 1));
+  ++counts[first];
+  return {first, second};
+}
+
+TEST(PairSamplerTest, DrawsMatchTheNaiveUrnDrawForDraw) {
+  Xoshiro256pp setup(99);
+  for (const std::size_t size : {2u, 3u, 31u, 32u, 33u, 64u, 65u, 1025u}) {
+    for (int config = 0; config < 4; ++config) {
+      // A quarter of the states empty, a quarter singletons, the rest small.
+      std::vector<Count> counts(size);
+      for (auto& c : counts) {
+        const std::uint64_t kind = setup.bounded(4);
+        c = kind == 0 ? 0 : kind == 1 ? 1 : static_cast<Count>(setup.bounded(40));
+      }
+      counts[setup.bounded(size)] += 2;  // at least two agents
+      const Count n = std::accumulate(counts.begin(), counts.end(), Count{0});
+      PairSampler sampler{Configuration(counts)};
+      const std::uint64_t seed = setup();
+      Xoshiro256pp rng(seed);
+      Xoshiro256pp reference_rng(seed);
+      for (int draw = 0; draw < 3000; ++draw) {
+        const auto pair = sampler.sample(rng);
+        ASSERT_EQ(pair, reference_sample(counts, n, reference_rng))
+            << "size " << size << " config " << config << " draw " << draw;
+        // Interleave moves: the initiator to a random state, as an
+        // interaction would.
+        if (setup.bounded(2) == 0) {
+          const auto to = static_cast<State>(setup.bounded(size));
+          --counts[pair.first];
+          ++counts[to];
+          sampler.move_agent(pair.first, to);
+        }
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "ppsim/analysis/initial.hpp"
@@ -195,6 +196,25 @@ TEST(UsdSimulatorTest, StopsWhereTheFormerSpecializedEngineStopped) {
     EXPECT_EQ(out.interactions, interactions) << "seed " << seed;
     ASSERT_TRUE(out.consensus.has_value()) << "seed " << seed;
     EXPECT_EQ(*out.consensus, 0u) << "seed " << seed;
+  }
+}
+
+// k = 40 gives 41 states, more than one 32-wide node of PairSampler's
+// prefix-sum tree, so these stopping times pin draws taken through a
+// two-level tree. Captured with the binary-indexed-tree urn that preceded it.
+TEST(UsdSimulatorTest, StopsWhereTheFormerUrnStoppedAtK40) {
+  const UndecidedStateDynamics usd(40);
+  const Configuration initial =
+      usd_config(figure1_configuration(20000, 40).opinion_counts);
+  const std::tuple<std::uint64_t, Interactions, Opinion> golden[] = {
+      {1, 1062189, 0}, {2, 728037, 0}, {42, 854138, 38}};
+  for (const auto& [seed, interactions, winner] : golden) {
+    Simulator sim(usd, initial, seed);
+    const RunOutcome out = sim.run_until_stable(1'000'000'000);
+    ASSERT_TRUE(out.stabilized) << "seed " << seed;
+    EXPECT_EQ(out.interactions, interactions) << "seed " << seed;
+    ASSERT_TRUE(out.consensus.has_value()) << "seed " << seed;
+    EXPECT_EQ(*out.consensus, winner) << "seed " << seed;
   }
 }
 
