@@ -105,12 +105,6 @@ void CollapsedSimulator::commit_round(const kernels::RoundTask& task) {
   if (applied.moved) touch_counts();
 }
 
-void CollapsedSimulator::corrupt_agents(State from, State to, Count m) {
-  if (from == to || m == 0) return;
-  config_.move_agents(from, to, m);
-  touch_counts();
-}
-
 Interactions CollapsedSimulator::step_round(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   if (max_interactions == 0) return 0;

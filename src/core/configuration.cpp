@@ -29,15 +29,12 @@ Count Configuration::count(State s) const {
   return counts_[s];
 }
 
-void Configuration::move_agent(State from, State to) { move_agents(from, to, 1); }
-
-void Configuration::move_agents(State from, State to, Count m) {
+void Configuration::move_agent(State from, State to) {
   PPSIM_CHECK(from < counts_.size() && to < counts_.size(), "state out of range");
-  PPSIM_CHECK(m >= 0, "cannot move a negative number of agents");
-  if (from == to || m == 0) return;
-  PPSIM_CHECK(counts_[from] >= m, "not enough agents in source state");
-  counts_[from] -= m;
-  counts_[to] += m;
+  if (from == to) return;
+  PPSIM_CHECK(counts_[from] > 0, "no agent in source state");
+  --counts_[from];
+  ++counts_[to];
 }
 
 void Configuration::assign_counts(std::vector<Count> counts) {

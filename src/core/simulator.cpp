@@ -81,16 +81,6 @@ void Simulator::reset_stability() {
   find_witness();
 }
 
-void Simulator::corrupt_agent(State from, State to) {
-  PPSIM_CHECK(from < config_.num_states() && to < config_.num_states(),
-              "state out of range");
-  PPSIM_CHECK(config_.counts()[from] > 0, "no agent occupies the source state");
-  if (from == to) return;
-  move_agent(from, to);
-  // A corruption can also make a stable configuration unstable again.
-  if (stable_ || !applicable(witness_a_, witness_b_)) find_witness();
-}
-
 RunOutcome Simulator::run_until_stable(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   while (interactions_ < max_interactions && !stable_) {

@@ -131,12 +131,6 @@ class CollapsedSimulator {
     return ppsim::consensus_output(protocol_, config_);
   }
 
-  /// Fault hook (core/faults.hpp): counts-space corruption between rounds.
-  /// Moves `m` agents from → to without consuming interactions, through the
-  /// single counts-invalidation point, so the pair law rebuilds before the
-  /// next round.
-  void corrupt_agents(State from, State to, Count m);
-
   /// Streams strided samples (and engine checkpoints) from inside the run
   /// loops, once per round. Not owned; nullptr detaches.
   void set_recorder(Recorder* recorder) noexcept { recorder_ = recorder; }

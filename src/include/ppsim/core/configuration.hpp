@@ -2,8 +2,8 @@
 // each protocol state. The class maintains two invariants established at
 // construction and preserved by every mutator:
 //   1. every per-state count is non-negative;
-//   2. the total population size never changes — move_agent/move_agents
-//      preserve it exactly, and assign_counts re-checks it.
+//   2. the total population size never changes — move_agent preserves it
+//      exactly, and assign_counts re-checks it.
 #pragma once
 
 #include <string>
@@ -28,12 +28,10 @@ class Configuration {
   Count count(State s) const;
   const std::vector<Count>& counts() const noexcept { return counts_; }
 
-  /// Moves one agent from state `from` to state `to`.
-  /// Throws CheckFailure if no agent is in `from`.
+  /// Moves one agent from state `from` to state `to`; a self-move is a
+  /// no-op. Throws CheckFailure if a state is out of range or no agent is in
+  /// `from`.
   void move_agent(State from, State to);
-
-  /// Moves `m` agents at once (bulk variant used by the Gossip engine).
-  void move_agents(State from, State to, Count m);
 
   /// Replaces every count at once: the round engines' one-pass commit. One
   /// pass re-checks both invariants — `counts` has num_states() entries, none

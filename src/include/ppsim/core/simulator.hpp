@@ -83,12 +83,6 @@ class Simulator {
   /// If every agent's output is the same committed opinion, returns it.
   std::optional<Opinion> consensus_output() const;
 
-  /// Moves one agent from `from` to `to` outside the protocol's dynamics:
-  /// the hook for fault injection (core/faults.hpp). It does not count as an
-  /// interaction and draws no randomness. Throws CheckFailure if a state is
-  /// out of range or no agent occupies `from`.
-  void corrupt_agent(State from, State to);
-
   /// Streams strided samples (and, when the recorder has a checkpoint
   /// stride, full engine snapshots) from inside the run loops. Not owned;
   /// nullptr detaches. The recorder must outlive the run calls.

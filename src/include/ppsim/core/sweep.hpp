@@ -51,7 +51,7 @@ namespace ppsim {
 
 /// One grid point of a sweep: the canonical axes the paper's experiments
 /// vary (n, k, bias, engine, protocol) plus free-form named scalars for
-/// bench-specific knobs (corruption rate, walk drift, ...). Cells are plain
+/// bench-specific knobs (bias multiplier, walk drift, ...). Cells are plain
 /// data — the trial lambda interprets them.
 struct SweepCell {
   Count n = 0;

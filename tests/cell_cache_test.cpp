@@ -70,7 +70,7 @@ TEST(CanonicalCellKeyTest, KeysContentNotPresentation) {
   // Per-cell knobs live in the cell params, so a swept knob never
   // shares entries with the otherwise identical plain cell.
   SweepSpec knob = tiny_spec();
-  knob.cells[1].params = {{"corruption_rate", 0.001}};
+  knob.cells[1].params = {{"beta", 0.001}};
   EXPECT_NE(canonical_cell_key(knob, 1, "fn/v1"), key);
   SweepSpec kern = tiny_spec();
   kern.cells[1].kernel = kernels::KernelKind::kScalar;

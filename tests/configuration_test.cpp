@@ -54,15 +54,16 @@ TEST(ConfigurationTest, MoveFromEmptyStateThrows) {
   EXPECT_THROW(c.move_agent(2, 0), CheckFailure);  // out of range
 }
 
-TEST(ConfigurationTest, BulkMove) {
+TEST(ConfigurationTest, RepeatedMovesDrainSourceThenThrow) {
   Configuration c({10, 0});
-  c.move_agents(0, 1, 7);
+  for (int i = 0; i < 7; ++i) c.move_agent(0, 1);
   EXPECT_EQ(c.count(0), 3);
   EXPECT_EQ(c.count(1), 7);
-  EXPECT_THROW(c.move_agents(0, 1, 4), CheckFailure);   // only 3 left
-  EXPECT_THROW(c.move_agents(1, 0, -1), CheckFailure);  // negative
-  c.move_agents(1, 1, 5);                               // self-move no-op
-  EXPECT_EQ(c.count(1), 7);
+  for (int i = 0; i < 3; ++i) c.move_agent(0, 1);
+  EXPECT_THROW(c.move_agent(0, 1), CheckFailure);  // source drained
+  EXPECT_EQ(c.counts(), (std::vector<Count>{0, 10}));
+  c.move_agent(0, 0);  // a self-move is a no-op, even from an empty state
+  EXPECT_EQ(c.counts(), (std::vector<Count>{0, 10}));
 }
 
 TEST(ConfigurationTest, AssignCountsChecksBothInvariantsInOnePass) {

@@ -1,8 +1,7 @@
-// Cross-validation of the four USD execution paths — table-driven
-// Simulator, virtual-dispatch Simulator, GraphSimulator on an explicit
-// clique, and the counts-space CollapsedSimulator restricted to
-// single-interaction rounds — which by construction realise the *same*
-// Markov chain. Rather than comparing trajectories (the engines consume randomness
+// Cross-validation of the three USD execution paths — table-driven
+// Simulator, virtual-dispatch Simulator, and the counts-space
+// CollapsedSimulator restricted to single-interaction rounds — which by
+// construction realise the *same* Markov chain. Rather than comparing trajectories (the engines consume randomness
 // differently), we compare distributions: means and variances of the key
 // observables at several horizons must agree within Monte-Carlo error, and
 // exact one-step transition probabilities must match the drift formulas on
@@ -13,8 +12,6 @@
 
 #include "ppsim/analysis/drift.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
-#include "ppsim/core/graph.hpp"
-#include "ppsim/core/graph_simulator.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/stats.hpp"
@@ -22,19 +19,7 @@
 namespace ppsim {
 namespace {
 
-constexpr Count kN = 60;
 constexpr std::size_t kK = 3;
-const std::vector<Count> kOpinions = {25, 20, 15};
-
-std::vector<State> agent_layout() {
-  std::vector<State> states;
-  for (std::size_t op = 0; op < kOpinions.size(); ++op) {
-    for (Count c = 0; c < kOpinions[op]; ++c) {
-      states.push_back(UndecidedStateDynamics::opinion_state(static_cast<Opinion>(op)));
-    }
-  }
-  return states;
-}
 
 struct Moments {
   RunningStats u;
@@ -59,7 +44,6 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
   const Interactions horizon = GetParam();
   constexpr int kTrials = 500;
   const UndecidedStateDynamics usd(kK);
-  const InteractionGraph clique = InteractionGraph::complete(static_cast<NodeId>(kN));
 
   const Moments table = collect(
       kTrials, horizon, 2000,
@@ -82,16 +66,6 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
       [](const Configuration& c) { return static_cast<double>(c.count(0)); },
       [](const Configuration& c) { return static_cast<double>(c.count(1)); });
 
-  const Moments graph = collect(
-      kTrials, horizon, 4000,
-      [&](std::uint64_t seed, Interactions h) {
-        GraphSimulator s(usd, clique, agent_layout(), seed);
-        for (Interactions i = 0; i < h; ++i) s.step();
-        return s.configuration();
-      },
-      [](const Configuration& c) { return static_cast<double>(c.count(0)); },
-      [](const Configuration& c) { return static_cast<double>(c.count(1)); });
-
   // Single-interaction rounds (fixed_round = 1): each round is one draw from
   // the exact ordered-pair law, so the collapsed engine must realise the
   // sequential chain distribution step for step.
@@ -106,9 +80,9 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
       [](const Configuration& c) { return static_cast<double>(c.count(0)); },
       [](const Configuration& c) { return static_cast<double>(c.count(1)); });
 
-  const Moments* engines[] = {&table, &virt, &graph, &collapsed};
-  const char* names[] = {"table", "virtual", "graph", "collapsed"};
-  for (int i = 1; i < 4; ++i) {
+  const Moments* engines[] = {&table, &virt, &collapsed};
+  const char* names[] = {"table", "virtual", "collapsed"};
+  for (int i = 1; i < 3; ++i) {
     const double tol_u = 4.5 * (engines[0]->u.sem() + engines[i]->u.sem());
     EXPECT_NEAR(engines[0]->u.mean(), engines[i]->u.mean(), tol_u)
         << "u mismatch: table vs " << names[i] << " at horizon " << horizon;
@@ -131,19 +105,13 @@ TEST(EngineEquivalenceTest, OneStepLawMatchesDriftOnEveryEngine) {
   const double p_clash = drift.prob_undecided_increase();
   constexpr int kTrials = 60000;
   const UndecidedStateDynamics usd(kK);
-  const InteractionGraph clique = InteractionGraph::complete(static_cast<NodeId>(kN));
 
   int table_clash = 0;
-  int graph_clash = 0;
   int collapsed_clash = 0;
   for (int t = 0; t < kTrials; ++t) {
     Simulator s(usd, Configuration({0, 25, 20, 15}), 50000 + static_cast<std::uint64_t>(t));
     s.step();
     if (undecided_count(s.configuration()) > 0) ++table_clash;
-
-    GraphSimulator g(usd, clique, agent_layout(), 90000 + static_cast<std::uint64_t>(t));
-    g.step();
-    if (g.count(UndecidedStateDynamics::kUndecided) > 0) ++graph_clash;
 
     CollapsedSimulator c(usd, Configuration({0, 25, 20, 15}),
                          130000 + static_cast<std::uint64_t>(t), {.fixed_round = 1});
@@ -153,7 +121,6 @@ TEST(EngineEquivalenceTest, OneStepLawMatchesDriftOnEveryEngine) {
     }
   }
   EXPECT_NEAR(static_cast<double>(table_clash) / kTrials, p_clash, 0.006);
-  EXPECT_NEAR(static_cast<double>(graph_clash) / kTrials, p_clash, 0.006);
   EXPECT_NEAR(static_cast<double>(collapsed_clash) / kTrials, p_clash, 0.006);
 }
 

@@ -41,10 +41,8 @@ TEST(RecorderTest, StrideLargerThanRunKeepsOnlyInitialSample) {
 TEST(RecorderTest, ForcedSampleCapturesFinalConfiguration) {
   Recorder rec(1'000'000);
   rec.add_channel("x", count_of(0));
-  Configuration config({40, 60});
-  rec.maybe_sample(config, 0);
-  config.move_agents(0, 1, 15);
-  rec.sample(config, 500);  // engines force a sample at run end
+  rec.maybe_sample(Configuration({40, 60}), 0);
+  rec.sample(Configuration({25, 75}), 500);  // engines force a sample at run end
   ASSERT_EQ(rec.series().num_samples(), 2u);
   EXPECT_DOUBLE_EQ(rec.series().channels[0][1], 25.0);
   EXPECT_DOUBLE_EQ(rec.series().parallel_time[1], 5.0);  // 500 / n=100

@@ -1,8 +1,8 @@
 // Shared distribution-test helpers for the statistical pins: chi-square
 // goodness-of-fit p-values (wrapping util/stats chi_square_statistic /
 // chi_square_sf with the conventional buckets−1 degrees of freedom) and the
-// two-sample Kolmogorov–Smirnov distance. Used by collapsed_simulator_test,
-// kernel_distribution_test and faults_test. Also run_cell, the one-cell
+// two-sample Kolmogorov–Smirnov distance. Used by collapsed_simulator_test
+// and kernel_distribution_test. Also run_cell, the one-cell
 // sweep the protocol tests run their Monte-Carlo trials through.
 #pragma once
 

@@ -17,6 +17,10 @@ For each command found in fenced code blocks or inline code spans:
 A documented --cache-dir is rewritten to one cell cache inside the scratch
 directory, so a quoted cold/warm recipe replays its own cold run.
 
+The "Paper claims → benches" table in docs/REPRODUCING.md must list exactly
+the bench/bench_*.cpp sources: a bench without a row, or a row without a
+bench, is a failure.
+
 Usage: tools/docs_check.py [--build-dir build] [--repo-root .]
 """
 
@@ -41,12 +45,14 @@ SMOKE_OVERRIDES = {
 }
 # Binaries whose model limits need smaller smoke sizes than the default.
 PER_BINARY_OVERRIDES = {
-    "bench_graph_topology": {"n": "2000"},  # explicit clique capped at 4096
     # At the smoke-scale n the documented checkpoint stride would never
     # fire; shrink it so recording recipes exercise the checkpoint path.
     "ppsim_run": {"checkpoint-every": "100000"},
 }
 PER_COMMAND_TIMEOUT = 180  # seconds
+
+BENCH_TABLE_HEADING = "## Paper claims → benches"
+BENCH_ROW_RE = re.compile(r"^\| `(bench_[a-z0-9_]+)` \|", flags=re.MULTILINE)
 
 # Commands sharing one scratch directory run in document order, so a recipe
 # that records an archive and then resumes/queries it works as quoted.
@@ -60,6 +66,22 @@ def doc_files(root: pathlib.Path):
     files = [root / "README.md"]
     files += sorted((root / "docs").glob("*.md"))
     return [f for f in files if f.is_file()]
+
+
+def bench_table_failures(root: pathlib.Path):
+    """Differences between the bench sources and the REPRODUCING.md table."""
+    doc = root / "docs" / "REPRODUCING.md"
+    text = doc.read_text()
+    start = text.find(BENCH_TABLE_HEADING)
+    if start < 0:
+        return [f"{doc.relative_to(root)}: no '{BENCH_TABLE_HEADING}' section"]
+    section = text[start:].split("\n## ", 1)[0]
+    rows = set(BENCH_ROW_RE.findall(section))
+    sources = {f.stem for f in (root / "bench").glob("bench_*.cpp")}
+    return ([f"bench/{b}.cpp has no row in the {BENCH_TABLE_HEADING[3:]} table"
+             for b in sorted(sources - rows)] +
+            [f"{doc.relative_to(root)}: row `{b}` has no bench/{b}.cpp"
+             for b in sorted(rows - sources)])
 
 
 def looks_like_command(text: str) -> bool:
@@ -138,7 +160,9 @@ def main() -> int:
         return 1
 
     seen = set()
-    failures = []
+    failures = bench_table_failures(root)
+    print(f"docs-check: bench table vs bench/ sources, "
+          f"{len(failures)} mismatches")
     checked = 0
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="ppsim-docs-check-"))
     for source_file, cmd in commands:
