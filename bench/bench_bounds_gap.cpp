@@ -1,26 +1,33 @@
-// Theory-gap bench: measured USD stabilization time against all three
-// published curves at once —
-//   * the paper's lower bound   (k/25)·ln(√n/(k ln n))     (Theorem 3.5),
+// Theorem 3.5 bench: measured USD stabilization time on the adversarial
+// configuration, swept over k at fixed n, against all three published
+// curves at once —
+//   * the paper's lower bound   (k/25)·ln(√n/(k ln n))     (Theorem 3.5) —
+//     must lie below every measurement,
 //   * the Amir et al. upper-bound shape  k·ln n            (arXiv:2302.12508),
 //   * the Clementi et al. two-color bound  Θ(ln n)         (arXiv:1707.05135,
 //     k = 2 only — the regime where plurality degenerates to majority).
 //
-// bench_scaling_lower_bound answers "does the lower bound hold and does the
-// growth match the UB shape?"; this bench quantifies the *gap*: one sweep
-// over k at fixed n, one combined JSON report carrying the fitted constant
-// against every curve plus the full per-trial sweep, so CI can track how
-// much daylight sits between measurement and each bound. The k sweep starts
-// at 2 by default so the Clementi curve has a cell to calibrate against
-// (pass --kmin above 2 and the report marks that fit as not fitted).
+// The paper's claim is about *shape*: stabilization time grows ~linearly in
+// k (for fixed n), sandwiched between the bounds, making the lower bound
+// "almost tight". One sweep cell per k, fanned out over --threads with
+// deterministic per-trial streams; output: one row per k with measured
+// mean/min/max parallel time, the bound values and the measured/LB ratio,
+// then the fitted constants (and the affine fit T = a·k + b), and one
+// combined JSON report carrying the fitted constant against every curve
+// plus the full per-trial sweep. The k sweep starts at 2 by default so the
+// Clementi curve has a cell to calibrate against (pass --kmin above 2 and
+// the report marks that fit as not fitted).
 //
 // Every trial runs under the uniform scheduler, the one all three bounds
 // are stated for. --record-to DIR archives trial 0 of each cell as
 // cell-named .pptraj files.
 //
-// Flags: --n, --kmin, --kmax, plus the shared sweep flags
+// Flags: --n, --kmin, --kmax, --engine auto|sequential|batched|collapsed
+//        (auto picks collapsed above n = 10^7 — the counts-space engine
+//        makes n = 10^9-10^11 sweeps tractable; see docs/REPRODUCING.md),
+//        --round-divisor, --tau-epsilon, plus the shared sweep flags
 //        (--trials/--seed/--threads/--json/--record-to/--checkpoint-every).
 // Exit code 0 iff the lower bound holds on every measured point.
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -49,10 +56,16 @@ int run(int argc, char** argv) {
   // k = o(√n/ln n) at the top (the LB degenerates beyond ~40 for n = 250k).
   const std::int64_t kmin = cli.get_int("kmin", 2);
   const std::int64_t kmax = cli.get_int("kmax", 32);
+  const std::string engine_flag = cli.get_string("engine", "auto");
+  const Interactions round_divisor = cli.get_int("round-divisor", 16);
+  PPSIM_CHECK(round_divisor > 0, "--round-divisor must be positive");
+  const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 7, "BENCH_bounds_gap.json");
   cli.validate_no_unknown_flags();
   PPSIM_CHECK(kmin >= 2 && kmax >= kmin, "need 2 <= kmin <= kmax");
+  const benchutil::ResolvedEngine engine =
+      benchutil::resolve_usd_engine(engine_flag, n, {"batched", "collapsed"});
 
   benchutil::banner("bounds_gap",
                     "measured stabilization vs LB (k/25)ln(sqrt(n)/(k ln n)), "
@@ -60,6 +73,7 @@ int run(int argc, char** argv) {
   benchutil::param("n", n);
   benchutil::param("trials per k", static_cast<std::int64_t>(opts.trials));
   benchutil::param("seed", static_cast<std::int64_t>(opts.seed));
+  benchutil::param("engine", engine.name);
   benchutil::param("threads", static_cast<std::int64_t>(opts.threads));
 
   SweepSpec spec;
@@ -78,8 +92,10 @@ int run(int argc, char** argv) {
     cell.n = n;
     cell.k = ku;
     cell.bias = static_cast<double>(inits.back().bias);
-    cell.engine = EngineKind::kSequential;
-    cell.protocol = "usd-specialized";
+    cell.engine = engine.kind;
+    cell.protocol = engine.protocol_label;
+    cell.round_divisor = round_divisor;
+    cell.tau_epsilon = tau_epsilon;
     spec.cells.push_back(cell);
   }
 
@@ -91,15 +107,19 @@ int run(int argc, char** argv) {
     const UndecidedStateDynamics& usd = protocols[ctx.cell_index];
     const Configuration& initial = initials[ctx.cell_index];
     if (!opts.record_to.empty() && ctx.trial == 0) {
-      // Archive cell trial 0: record_run drives the same sequential engine
-      // on the same seed, so the archived trial's metrics match the rest.
+      // Archive cell trial 0. record_run builds the engine on the seed the
+      // unrecorded trial would use (the trial's scalar seed for sequential
+      // cells, make_engine's single ctx.rng() draw for the round kinds), so
+      // the archived trial's metrics match the rest bit for bit.
       io::ArchiveRunSpec rspec;
-      rspec.engine = EngineKind::kSequential;
+      rspec.engine = ctx.cell.engine;
       rspec.protocol_name = "usd";
-      rspec.seed = ctx.seed;
+      rspec.seed = ctx.cell.engine == EngineKind::kSequential ? ctx.seed : ctx.rng();
       rspec.k = static_cast<Count>(ctx.cell.k);
       rspec.max_interactions = budget;
-      rspec.record_stride = std::max<Interactions>(1, static_cast<Interactions>(n) / 10);
+      rspec.checkpoint_every = opts.checkpoint_every;
+      rspec.round_divisor = ctx.cell.round_divisor;
+      rspec.tau_epsilon = ctx.cell.tau_epsilon;
       const std::string path =
           opts.record_to + "/bounds_gap_k" + std::to_string(ctx.cell.k) + ".pptraj";
       const RunOutcome out = io::record_run(
@@ -107,12 +127,13 @@ int run(int argc, char** argv) {
       TrialResult r;
       r.stabilized = out.stabilized;
       r.interactions = out.interactions;
+      r.clamped = out.clamped;
       r.parallel_time = parallel_time(out.interactions, n);
       r.winner = out.consensus;
       return consensus_metrics(r);
     }
-    Engine engine(EngineKind::kSequential, usd, initial, ctx.seed);
-    return consensus_metrics(run_engine_trial(engine, budget));
+    Engine sim = benchutil::make_usd_engine(ctx, usd, initial);
+    return consensus_metrics(run_engine_trial(sim, budget));
   };
 
   const SweepResult result = SweepRunner(spec).run(trial);
@@ -128,8 +149,8 @@ int run(int argc, char** argv) {
     const std::size_t k = cr.cell.k;
     const double lb = bounds::theorem35_parallel_lower_bound(n, k);
     const double ub = bounds::amir_parallel_upper_bound(n, k);
-    // Stabilized trials only, as in bench_scaling_lower_bound: budget-capped
-    // trials must not smuggle the cap into the fits or the LB verdict.
+    // Stabilized trials only: a budget-capped trial would smuggle the
+    // 100000-parallel-time budget into the fits and the LB verdict.
     const double mean = cr.mean_where("parallel_time", "stabilized");
     const bool two_color = k == 2;
     if (two_color) {
@@ -156,6 +177,12 @@ int run(int argc, char** argv) {
       cj.field("clementi_two_color", bounds::clementi_two_color_parallel_bound(n));
     }
     cell_reports.push_back(cj);
+    const auto stabilized =
+        static_cast<std::size_t>(cr.rate("stabilized") *
+                                 static_cast<double>(cr.trials.size()) + 0.5);
+    std::cout << "  k=" << k << " done: mean parallel time " << format_double(mean, 2)
+              << " (" << stabilized << "/" << cr.trials.size() << " stabilized, majority won "
+              << format_double(cr.rate("majority_win") * 100.0, 1) << "%)\n";
   }
 
   benchutil::tsv_block("bounds_gap", table);
@@ -163,7 +190,13 @@ int run(int argc, char** argv) {
 
   const ScalingFit fit = fit_scaling(points);
   const double clementi_c = have_two_color ? two_color_mean / ln_n : 0.0;
-  std::cout << "\nfit vs LB shape k·ln(sqrt(n)/(k ln n)): c = "
+  std::cout << "\naffine fit T = a*k + b (the testable form of the Θ(k·log) sandwich):\n"
+            << "  a = " << format_double(fit.affine_in_k.slope, 3)
+            << ", b = " << format_double(fit.affine_in_k.intercept, 2)
+            << ", R^2 = " << format_double(fit.affine_in_k.r_squared, 4)
+            << (fit.affine_in_k.r_squared > 0.9 ? "  -> linear in k\n"
+                                                : "  -> WARNING: not cleanly linear in k\n");
+  std::cout << "fit vs LB shape k·ln(sqrt(n)/(k ln n)): c = "
             << format_double(fit.lower_bound_shape.slope, 3)
             << " (paper constant 1/25 = 0.04)\n"
             << "fit vs Amir UB shape k·ln n:            c = "

@@ -2,10 +2,8 @@
 // parameters from the command line, echoes them (so captured output is
 // self-describing), emits a machine-readable TSV block delimited by
 // "### begin tsv <name>" / "### end tsv", and usually an ASCII rendering.
-// Machine-readable JSON comes from the library now: benches run on the
-// SweepRunner (ppsim/core/sweep.hpp) whose unified reporter replaced the
-// ad-hoc JsonObject emit code that used to live here (the writer itself
-// moved to ppsim/util/json.hpp).
+// Machine-readable JSON comes from the SweepRunner's unified reporter
+// (ppsim/core/sweep.hpp).
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 //   * jump() gives 2^128 non-overlapping subsequences for parallel
 //     Monte-Carlo trials with a single user-facing seed;
 //   * fully deterministic and portable across platforms, so every
-//     experiment in EXPERIMENTS.md is reproducible from (seed, trial).
+//     experiment in docs/REPRODUCING.md is reproducible from (seed, trial).
 //
 // Bounded integers use Lemire's unbiased multiply-shift rejection method.
 #pragma once

@@ -1,7 +1,7 @@
 // Integration tests that validate the paper's quantitative claims at
 // CI-friendly scale (n = 10^4 – 10^5 instead of 10^6). These are the same
-// measurements the bench harnesses perform at paper scale; EXPERIMENTS.md
-// records the paper-scale numbers.
+// measurements the bench harnesses perform at paper scale; docs/REPRODUCING.md
+// gives the paper-scale commands.
 #include <gtest/gtest.h>
 
 #include <cmath>
