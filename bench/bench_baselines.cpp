@@ -73,8 +73,8 @@ int run(int argc, char** argv) {
     const Count b = n - a;
     TrialResult r;
     if (ctx.cell.protocol == "usd") {
-      Engine sim(EngineKind::kSequential, usd,
-                 UndecidedStateDynamics::initial_configuration({a, b}), ctx.seed);
+      Engine sim = benchutil::make_usd_engine(
+          ctx, usd, UndecidedStateDynamics::initial_configuration({a, b}));
       r = run_engine_trial(sim, budget);
     } else if (ctx.cell.protocol == "four-state") {
       Engine sim = ctx.make_engine(four, FourStateMajority::initial(a, b));

@@ -19,18 +19,16 @@
 // the report marks that fit as not fitted).
 //
 // Every trial runs under the uniform scheduler, the one all three bounds
-// are stated for. --record-to DIR archives trial 0 of each cell as
-// cell-named .pptraj files.
+// are stated for.
 //
 // Flags: --n, --kmin, --kmax, --engine auto|sequential|batched|collapsed
 //        (auto picks collapsed above n = 10^7 — the counts-space engine
 //        makes n = 10^9-10^11 sweeps tractable; see docs/REPRODUCING.md),
 //        --round-divisor, --tau-epsilon, plus the shared sweep flags
-//        (--trials/--seed/--threads/--json/--record-to/--checkpoint-every).
+//        (--trials/--seed/--threads/--json).
 // Exit code 0 iff the lower bound holds on every measured point.
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <iostream>
 #include <vector>
 
@@ -39,7 +37,6 @@
 #include "ppsim/analysis/initial.hpp"
 #include "ppsim/analysis/scaling.hpp"
 #include "ppsim/core/sweep.hpp"
-#include "ppsim/io/archive_run.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/cli.hpp"
@@ -100,38 +97,9 @@ int run(int argc, char** argv) {
   }
 
   const Interactions budget = sat_mul(100000, n);
-  if (!opts.record_to.empty()) {
-    std::filesystem::create_directories(opts.record_to);
-  }
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
     const UndecidedStateDynamics& usd = protocols[ctx.cell_index];
     const Configuration& initial = initials[ctx.cell_index];
-    if (!opts.record_to.empty() && ctx.trial == 0) {
-      // Archive cell trial 0. record_run builds the engine on the seed the
-      // unrecorded trial would use (the trial's scalar seed for sequential
-      // cells, make_engine's single ctx.rng() draw for the round kinds), so
-      // the archived trial's metrics match the rest bit for bit.
-      io::ArchiveRunSpec rspec;
-      rspec.engine = ctx.cell.engine;
-      rspec.protocol_name = "usd";
-      rspec.seed = ctx.cell.engine == EngineKind::kSequential ? ctx.seed : ctx.rng();
-      rspec.k = static_cast<Count>(ctx.cell.k);
-      rspec.max_interactions = budget;
-      rspec.checkpoint_every = opts.checkpoint_every;
-      rspec.round_divisor = ctx.cell.round_divisor;
-      rspec.tau_epsilon = ctx.cell.tau_epsilon;
-      const std::string path =
-          opts.record_to + "/bounds_gap_k" + std::to_string(ctx.cell.k) + ".pptraj";
-      const RunOutcome out = io::record_run(
-          usd, initial, io::usd_archive_channels(ctx.cell.k), rspec, path);
-      TrialResult r;
-      r.stabilized = out.stabilized;
-      r.interactions = out.interactions;
-      r.clamped = out.clamped;
-      r.parallel_time = parallel_time(out.interactions, n);
-      r.winner = out.consensus;
-      return consensus_metrics(r);
-    }
     Engine sim = benchutil::make_usd_engine(ctx, usd, initial);
     return consensus_metrics(run_engine_trial(sim, budget));
   };

@@ -41,6 +41,7 @@
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/ascii_plot.hpp"
+#include "ppsim/util/check.hpp"
 #include "ppsim/util/cli.hpp"
 
 namespace {
@@ -66,6 +67,8 @@ int run(int argc, char** argv) {
   const double max_parallel = cli.get_double("max-parallel", 10000.0);
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 2025, "");
   cli.validate_no_unknown_flags();
+  PPSIM_CHECK(samples >= 1,
+              "--samples must be at least 1, got " + std::to_string(samples));
 
   const InitialConfig init = figure1_configuration(n, k);
   const Count doubling_level = 2 * init.majority();

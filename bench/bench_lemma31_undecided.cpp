@@ -15,7 +15,6 @@
 //        the excursion measurement round-granular — see docs/REPRODUCING.md).
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <iostream>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "ppsim/analysis/hitting_times.hpp"
 #include "ppsim/analysis/initial.hpp"
 #include "ppsim/core/sweep.hpp"
-#include "ppsim/io/archive_run.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/cli.hpp"
@@ -79,47 +77,10 @@ int run(int argc, char** argv) {
   }
 
   const Interactions budget = sat_mul(100000, n);
-  if (!opts.record_to.empty()) {
-    std::filesystem::create_directories(opts.record_to);
-  }
   auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
-    UndecidedExcursion exc;
-    if (!opts.record_to.empty() && ctx.trial == 0 &&
-        ctx.cell.engine == EngineKind::kCollapsed) {
-      // Archive cell trial 0 while measuring. The engine seed is the same
-      // single ctx.rng() draw make_engine takes, and the recorder only
-      // observes, so the metric is bit-identical to the unrecorded trial.
-      io::ArchiveRunSpec rspec;
-      rspec.engine = ctx.cell.engine;
-      rspec.protocol_name = "usd";
-      rspec.seed = ctx.rng();
-      rspec.k = static_cast<Count>(ctx.cell.k);
-      rspec.max_interactions = budget;
-      rspec.record_stride = std::max<Interactions>(1, n / 10);
-      rspec.checkpoint_every = opts.checkpoint_every;
-      rspec.round_divisor = ctx.cell.round_divisor;
-      rspec.tau_epsilon = ctx.cell.tau_epsilon;
-      Engine sim(ctx.cell.engine, protocols[ctx.cell_index],
-                 initials[ctx.cell_index], rspec.seed,
-                 {.tau_epsilon = rspec.tau_epsilon}, rspec.round_divisor);
-      const io::ArchiveChannels channels = io::usd_archive_channels(ctx.cell.k);
-      io::ArchiveRecorder archive(
-          rspec, n, protocols[ctx.cell_index].num_states(), channels,
-          opts.record_to + "/lemma31_k" + std::to_string(ctx.cell.k) + ".pptraj");
-      sim.set_recorder(&archive.recorder());
-      archive.recorder().sample(sim.configuration(), 0);
-      exc = max_undecided_over_run(sim, budget);
-      archive.finalize(sim.configuration(),
-                       RecordFinish{.stabilized = sim.is_stable(),
-                                    .interactions = sim.interactions(),
-                                    .clamped = sim.clamped_interactions(),
-                                    .consensus = sim.consensus_output()});
-      sim.set_recorder(nullptr);
-    } else {
-      Engine sim = benchutil::make_usd_engine(ctx, protocols[ctx.cell_index],
-                                              initials[ctx.cell_index]);
-      exc = max_undecided_over_run(sim, budget);
-    }
+    Engine sim = benchutil::make_usd_engine(ctx, protocols[ctx.cell_index],
+                                            initials[ctx.cell_index]);
+    const UndecidedExcursion exc = max_undecided_over_run(sim, budget);
     return {
         {"stabilized", exc.stabilized ? 1.0 : 0.0},
         {"max_undecided", static_cast<double>(exc.max_undecided)},

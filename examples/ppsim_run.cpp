@@ -24,9 +24,10 @@
 // identical at any thread count; --json writes the unified sweep report.
 // --cache-dir DIR serves the cell through the content-addressed cell cache
 // (cache/cell_cache.hpp): a rerun with the same flags executes zero trials
-// and writes byte-identical --json. It cannot be combined with --record-to,
-// --resume-from or --series, whose side effects a cache hit would skip.
+// and writes byte-identical --json. It cannot be combined with --series,
+// whose side effect a cache hit would skip.
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -106,24 +107,20 @@ int run(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string protocol = cli.get_string("protocol", "usd");
   const Count n = cli.get_int("n", 100'000);
-  const auto k = static_cast<std::size_t>(cli.get_int("k", 2));
+  const std::int64_t k_flag = cli.get_int("k", 2);
   const std::string bias_flag = cli.get_string("bias", "auto");
   const double max_parallel = cli.get_double("max-parallel", 100000.0);
   const std::string series_path = cli.get_string("series", "");
   const std::string engine_flag = cli.get_string("engine", "auto");
-  const Interactions record_stride = cli.get_int("record-stride", 0);
-  const std::string resume_from = cli.get_string("resume-from", "");
   const std::string cache_dir = cli.get_string("cache-dir", "");
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 1, "");
   cli.validate_no_unknown_flags();
-  PPSIM_CHECK(cache_dir.empty() || (opts.record_to.empty() &&
-                                    resume_from.empty() && series_path.empty()),
-              "--cache-dir cannot be combined with --record-to/--resume-from/"
-              "--series: a cache hit would skip their side effects");
-  PPSIM_CHECK((opts.record_to.empty() && resume_from.empty()) || protocol == "usd",
-              "--record-to/--resume-from are implemented for --protocol usd");
-  PPSIM_CHECK(opts.record_to.empty() || resume_from.empty(),
-              "--record-to and --resume-from are mutually exclusive");
+  PPSIM_CHECK(cache_dir.empty() || series_path.empty(),
+              "--cache-dir cannot be combined with --series: a cache hit "
+              "would skip its side effect");
+  PPSIM_CHECK(k_flag >= 1,
+              "--k must be at least 1, got " + std::to_string(k_flag));
+  const auto k = static_cast<std::size_t>(k_flag);
 
   std::optional<EngineKind> engine_override;
   if (engine_flag != "auto") {
@@ -132,10 +129,16 @@ int run(int argc, char** argv) {
                 "--engine must be auto | sequential | virtual | batched | collapsed");
   }
 
-  const Count bias =
-      bias_flag == "auto"
-          ? static_cast<Count>(bounds::whp_bias(n))
-          : static_cast<Count>(std::stoll(bias_flag));
+  Count bias = 0;
+  if (bias_flag == "auto") {
+    bias = static_cast<Count>(bounds::whp_bias(n));
+  } else {
+    const char* end = bias_flag.data() + bias_flag.size();
+    const auto [ptr, ec] = std::from_chars(bias_flag.data(), end, bias);
+    PPSIM_CHECK(!bias_flag.empty() && ec == std::errc() && ptr == end && bias >= 0,
+                "--bias must be auto or a whole non-negative number, got '" +
+                    bias_flag + "'");
+  }
   const auto budget = static_cast<Interactions>(max_parallel * static_cast<double>(n));
   const std::uint64_t seed = opts.seed;
   const std::size_t trials = opts.trials;
@@ -191,54 +194,9 @@ int run(int argc, char** argv) {
     const UndecidedStateDynamics usd(k);
     const Configuration initial =
         UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-    // --series reproduces sweep trial 0 (same derived seed, same engine);
-    // --record-to runs on that seed too.
+    // --series reproduces sweep trial 0 (same derived seed, same engine).
     const std::uint64_t series_seed =
         SweepRunner::trial_stream(seed, 0)();  // = trial 0's derived seed
-    if (!opts.record_to.empty() || !resume_from.empty()) {
-      // Archive mode: one recorded run streamed to a trajectory archive
-      // (io/archive_run.hpp), resumable from its embedded checkpoints.
-      // --engine auto maps to collapsed, the engine archives exist to make
-      // resumable. Archive runs always use the scalar kernel (--kernel is
-      // ignored here): resume replays the recorded draw sequence, and the
-      // archive format does not record which kernel produced it, so the
-      // deterministic baseline is the only backend that can honour a
-      // recorded checkpoint.
-      const io::ArchiveChannels channels = io::usd_archive_channels(k);
-      if (!opts.record_to.empty()) {
-        io::ArchiveRunSpec rspec;
-        rspec.engine = engine_override.value_or(EngineKind::kCollapsed);
-        rspec.protocol_name = "usd";
-        rspec.seed = series_seed;
-        rspec.k = static_cast<Count>(k);
-        rspec.max_interactions = budget;
-        rspec.record_stride = record_stride;
-        rspec.checkpoint_every = opts.checkpoint_every;
-        const RunOutcome out =
-            io::record_run(usd, initial, channels, rspec, opts.record_to);
-        std::cout << "archive written to " << opts.record_to
-                  << " (stabilized=" << (out.stabilized ? 1 : 0)
-                  << " t=" << format_double(
-                                  static_cast<double>(out.interactions) /
-                                      static_cast<double>(n), 2)
-                  << ")\n";
-      } else {
-        const std::optional<RunOutcome> out =
-            io::resume_run(usd, initial, channels, resume_from);
-        if (!out.has_value()) {
-          std::cout << "archive " << resume_from
-                    << " is already finished; nothing to resume\n";
-        } else {
-          std::cout << "archive " << resume_from << " resumed to completion"
-                    << " (stabilized=" << (out->stabilized ? 1 : 0)
-                    << " t=" << format_double(
-                                    static_cast<double>(out->interactions) /
-                                        static_cast<double>(n), 2)
-                    << ")\n";
-        }
-      }
-      return 0;
-    }
     const EngineKind kind = engine_override.value_or(EngineKind::kSequential);
     if (!series_path.empty()) {
       std::ofstream out(series_path);

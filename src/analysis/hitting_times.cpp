@@ -125,63 +125,5 @@ UndecidedExcursion max_undecided_over_run(Engine& engine,
   return result;
 }
 
-namespace {
-
-/// Interaction clock of the last recorded sample (0 for an empty archive).
-Interactions archive_last_clock(const io::TrajectoryReader& archive) {
-  const std::size_t blocks = archive.num_blocks();
-  return blocks == 0 ? 0 : archive.block(blocks - 1).last_interactions;
-}
-
-}  // namespace
-
-HittingResult archive_time_until_stable(const io::TrajectoryReader& archive) {
-  HittingResult result;
-  if (archive.finished()) {
-    const io::TrajectoryEnd end = *archive.end();
-    result.hit = end.stabilized;
-    result.stabilized = end.stabilized;
-    result.interactions_used = end.interactions;
-    if (end.stabilized) result.interactions_at_hit = end.interactions;
-  } else {
-    result.interactions_used = archive_last_clock(archive);
-  }
-  return result;
-}
-
-HittingResult archive_first_hit(const io::TrajectoryReader& archive,
-                                const std::string& channel, double level) {
-  const auto idx = archive.channel_index(channel);
-  PPSIM_CHECK(idx.has_value(), "unknown channel in archive: " + channel);
-  HittingResult result;
-  result.interactions_used = archive_last_clock(archive);
-  if (archive.finished()) result.stabilized = archive.end()->stabilized;
-  for (std::size_t i = 0; i < archive.num_blocks(); ++i) {
-    if (archive.block(i).max[*idx] < level) continue;  // footer skip
-    const io::TrajectoryReader::BlockData data = archive.decode_block(i);
-    for (std::size_t j = 0; j < data.interactions.size(); ++j) {
-      if (data.values[*idx][j] >= level) {
-        result.hit = true;
-        result.interactions_at_hit = data.interactions[j];
-        return result;
-      }
-    }
-  }
-  return result;
-}
-
-UndecidedExcursion archive_max_undecided(const io::TrajectoryReader& archive) {
-  UndecidedExcursion result;
-  const double max_u = archive.channel_max("undecided");
-  result.max_undecided = max_u == max_u ? static_cast<Count>(max_u) : 0;
-  if (archive.finished()) {
-    result.interactions_used = archive.end()->interactions;
-    result.stabilized = archive.end()->stabilized;
-  } else {
-    result.interactions_used = archive_last_clock(archive);
-  }
-  return result;
-}
-
 }  // namespace ppsim
 

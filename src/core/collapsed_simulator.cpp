@@ -152,28 +152,6 @@ EngineCheckpoint CollapsedSimulator::checkpoint_state() const {
   return cp;
 }
 
-void CollapsedSimulator::restore_checkpoint(const EngineCheckpoint& state) {
-  PPSIM_CHECK(state.counts.size() == config_.num_states(),
-              "checkpoint state-space size must match the engine's");
-  PPSIM_CHECK(state.interactions >= 0 && state.clamped >= 0,
-              "checkpoint clocks must be non-negative");
-  Configuration restored(state.counts);
-  PPSIM_CHECK(restored.population() == config_.population(),
-              "checkpoint population must match the engine's");
-  // Every check has passed: commit, so a rejected checkpoint leaves the
-  // engine as it was.
-  config_ = std::move(restored);
-  rng_.set_state(state.rng_state);
-  interactions_ = state.interactions;
-  clamped_ = state.clamped;
-  last_round_size_ = 0;
-  // One generation bump invalidates the law and (transitively) its alias
-  // table — the regression that motivated the generation chain was exactly
-  // a restore path refreshing one hand-maintained dirty flag but not the
-  // other.
-  touch_counts();
-}
-
 RunOutcome CollapsedSimulator::outcome() const {
   RunOutcome out;
   out.stabilized = is_stable();

@@ -121,8 +121,4 @@ EngineCheckpoint Engine::checkpoint_state() const {
   return std::visit([](const auto& e) { return e.checkpoint_state(); }, impl_);
 }
 
-void Engine::restore_checkpoint(const EngineCheckpoint& state) {
-  std::visit([&](auto& e) { e.restore_checkpoint(state); }, impl_);
-}
-
 }  // namespace ppsim

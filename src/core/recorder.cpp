@@ -64,21 +64,6 @@ void Recorder::record_checkpoint(EngineCheckpoint state) {
   }
 }
 
-void Recorder::resume_at(const EngineCheckpoint& state) {
-  PPSIM_CHECK(!opened_, "resume_at must precede the first sample");
-  PPSIM_CHECK(state.interactions >= 0, "checkpoint clock must be non-negative");
-  last_sample_ = state.last_sample;
-  // At the instant a checkpoint is written, maybe_sample has already fired
-  // for every due lattice point (engines observe samples before
-  // checkpoints), so both lattices are pure functions of the checkpoint's
-  // interaction clock: the next event is the first point strictly past it.
-  next_sample_ = (state.interactions / stride_ + 1) * stride_;
-  if (checkpoint_stride_ > 0) {
-    next_checkpoint_ =
-        (state.interactions / checkpoint_stride_ + 1) * checkpoint_stride_;
-  }
-}
-
 void Recorder::finalize(const Configuration& config, const RecordFinish& fin) {
   if (fin.interactions != last_sample_) {
     sample(config, fin.interactions);

@@ -13,7 +13,14 @@ Simulator::Simulator(const Protocol& protocol, Configuration initial,
   PPSIM_CHECK(config_.num_states() == protocol.num_states(),
               "configuration size must match the protocol's state space");
   if (engine == Engine::kTable) table_.emplace(protocol);
-  reset_stability();
+  const auto& counts = config_.counts();
+  slot_.assign(counts.size(), 0);
+  for (State s = 0; s < counts.size(); ++s) {
+    if (counts[s] == 0) continue;
+    slot_[s] = present_.size();
+    present_.push_back(s);
+  }
+  find_witness();
 }
 
 // `inline`: step() calls this on every state-changing interaction.
@@ -69,18 +76,6 @@ void Simulator::find_witness() {
   stable_ = true;
 }
 
-void Simulator::reset_stability() {
-  const auto& counts = config_.counts();
-  present_.clear();
-  slot_.assign(counts.size(), 0);
-  for (State s = 0; s < counts.size(); ++s) {
-    if (counts[s] == 0) continue;
-    slot_[s] = present_.size();
-    present_.push_back(s);
-  }
-  find_witness();
-}
-
 RunOutcome Simulator::run_until_stable(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   while (interactions_ < max_interactions && !stable_) {
@@ -124,22 +119,6 @@ EngineCheckpoint Simulator::checkpoint_state() const {
   cp.rng_state = rng_.state();
   cp.interactions = interactions_;
   return cp;
-}
-
-void Simulator::restore_checkpoint(const EngineCheckpoint& state) {
-  PPSIM_CHECK(state.counts.size() == config_.num_states(),
-              "checkpoint state-space size must match the engine's");
-  PPSIM_CHECK(state.interactions >= 0, "checkpoint clock must be non-negative");
-  Configuration restored(state.counts);
-  PPSIM_CHECK(restored.population() == config_.population(),
-              "checkpoint population must match the engine's");
-  // Every check has passed: commit, so a rejected checkpoint leaves the
-  // engine as it was.
-  sampler_ = PairSampler(restored);
-  config_ = std::move(restored);
-  rng_.set_state(state.rng_state);
-  interactions_ = state.interactions;
-  reset_stability();
 }
 
 }  // namespace ppsim

@@ -472,10 +472,9 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
   SweepCliOptions opts;
   const std::string trials_flag =
       cli.get_string("trials", std::to_string(default_trials));
-  const auto min_trials =
-      static_cast<std::size_t>(cli.get_int("min-trials", 8));
-  const auto max_trials =
-      static_cast<std::size_t>(cli.get_int("max-trials", 512));
+  // Signed until checked: a negative count must not wrap to a huge size_t.
+  const std::int64_t min_trials = cli.get_int("min-trials", 8);
+  const std::int64_t max_trials = cli.get_int("max-trials", 512);
   if (trials_flag == "auto" || trials_flag.rfind("auto:", 0) == 0) {
     opts.stopping.adaptive = true;
     if (trials_flag.size() > 4) {
@@ -492,11 +491,13 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
       opts.stopping.rel_err = rel_err;
     }
     PPSIM_CHECK(opts.stopping.rel_err > 0.0, "--trials auto rel_err must be > 0");
-    PPSIM_CHECK(min_trials >= 2, "--min-trials must be at least 2");
+    PPSIM_CHECK(min_trials >= 2, "--min-trials must be at least 2, got " +
+                                     std::to_string(min_trials));
     PPSIM_CHECK(max_trials >= min_trials,
-                "--max-trials must be >= --min-trials");
-    opts.stopping.min_trials = min_trials;
-    opts.trials = max_trials;  // the per-cell cap
+                "--max-trials must be >= --min-trials, got " +
+                    std::to_string(max_trials));
+    opts.stopping.min_trials = static_cast<std::size_t>(min_trials);
+    opts.trials = static_cast<std::size_t>(max_trials);  // the per-cell cap
   } else {
     std::size_t consumed = 0;
     long long fixed = 0;
@@ -520,10 +521,6 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
   opts.threads = static_cast<unsigned>(threads);
   opts.json = cli.get_string("json", default_json);
   opts.kernel = kernels::parse_kernel_flag(cli.get_string("kernel", "auto"));
-  opts.record_to = cli.get_string("record-to", "");
-  opts.checkpoint_every = cli.get_int("checkpoint-every", 0);
-  PPSIM_CHECK(opts.checkpoint_every >= 0,
-              "--checkpoint-every must be non-negative");
   return opts;
 }
 

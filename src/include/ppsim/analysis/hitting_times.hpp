@@ -10,11 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/types.hpp"
-#include "ppsim/io/trajectory.hpp"
 #include "ppsim/protocols/usd.hpp"
 
 namespace ppsim {
@@ -64,25 +62,5 @@ HittingResult time_until_delta_reaches(Engine& engine, Count level,
 
 UndecidedExcursion max_undecided_over_run(Engine& engine,
                                           Interactions max_interactions);
-
-// Archive-replay variants: the same statistics read back from a trajectory
-// archive (io/trajectory.hpp) instead of a live engine — no simulation, no
-// randomness consumed. Granularity is the archive's sampling stride (plus
-// the producing engine's round granularity), the exact analogue of the
-// engine-facade variants' per-round observation above.
-
-/// Stabilization outcome of a recorded run (the Theorem 3.5 measurement
-/// replayed). An interrupted archive reports hit = false with
-/// interactions_used at the last recorded sample.
-HittingResult archive_time_until_stable(const io::TrajectoryReader& archive);
-
-/// First recorded sample at which `channel` >= `level`. Blocks whose
-/// max-footer stays below the level are skipped without decoding.
-HittingResult archive_first_hit(const io::TrajectoryReader& archive,
-                                const std::string& channel, double level);
-
-/// max_t u(t) of a recorded run, straight from the "undecided" channel's
-/// block footers (no column decoding at all).
-UndecidedExcursion archive_max_undecided(const io::TrajectoryReader& archive);
 
 }  // namespace ppsim

@@ -135,14 +135,10 @@ class CollapsedSimulator {
   /// loops, once per round. Not owned; nullptr detaches.
   void set_recorder(Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Snapshot / restore of the full mutable state. The pair law and its
-  /// alias table are deterministic functions of the counts, so restoring
-  /// just bumps the counts generation (the single invalidation point); the
-  /// resumed run then makes exactly the draws the original would have made.
-  /// A checkpoint with the wrong shape or population, or a negative clock,
-  /// throws CheckFailure and leaves the engine unchanged.
+  /// The full mutable state (counts, RNG state, interaction and clamp
+  /// clocks) that an archive's checkpoint records carry. The pair law and
+  /// its alias table are deterministic functions of the counts.
   EngineCheckpoint checkpoint_state() const;
-  void restore_checkpoint(const EngineCheckpoint& state);
 
   /// The round kernel this engine samples with (resolved from
   /// Options::kernel at construction).

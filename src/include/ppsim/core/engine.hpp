@@ -73,11 +73,6 @@ class Engine {
   /// payload of the trajectory archive's checkpoint records.
   EngineCheckpoint checkpoint_state() const;
 
-  /// Restores a checkpoint_state() snapshot taken from an engine of the
-  /// same kind, protocol, and population; the run then continues on the
-  /// exact draw sequence of the original.
-  void restore_checkpoint(const EngineCheckpoint& state);
-
  private:
   EngineKind kind_;
   std::variant<Simulator, CollapsedSimulator> impl_;

@@ -32,18 +32,17 @@ struct TimeSeries {
   void write_tsv(std::ostream& os) const;
 };
 
-/// Full mutable state of a simulation engine at one instant — everything a
-/// later process needs to continue the run bit-for-bit: the counts vector
-/// (the PairSampler and the collapsed engine's pair caches are deterministic
-/// functions of it), the 256-bit RNG state, and the interaction clock.
+/// Full mutable state of a simulation engine at one instant: the counts
+/// vector (the PairSampler and the collapsed engine's pair caches are
+/// deterministic functions of it), the 256-bit RNG state, and the
+/// interaction clock. Archives store it in their checkpoint records.
 struct EngineCheckpoint {
   std::vector<Count> counts;
   std::array<std::uint64_t, 4> rng_state{};
   Interactions interactions = 0;
   Interactions clamped = 0;            ///< τ-leaping overdraw so far
   /// Interaction count of the most recent sample (-1 if none yet). Filled in
-  /// by the Recorder so a resumed run can dedup its final forced sample
-  /// exactly like the uninterrupted run would.
+  /// by the Recorder.
   Interactions last_sample = -1;
 };
 

@@ -13,8 +13,7 @@
 // take_series()); additional sinks — e.g. the on-disk trajectory archive of
 // io/trajectory.hpp — fan out from the same projection evaluations. With a
 // checkpoint stride configured, engines driven through set_recorder also
-// deliver periodic EngineCheckpoint snapshots, which is what makes huge
-// collapsed runs resumable.
+// deliver periodic EngineCheckpoint snapshots to the sinks.
 #pragma once
 
 #include <functional>
@@ -67,14 +66,9 @@ class Recorder {
     return checkpoint_stride_ > 0 && interactions >= next_checkpoint_;
   }
 
-  /// Forwards an engine snapshot to every sink (stamping last_sample for
-  /// resume bookkeeping) and advances the checkpoint lattice.
+  /// Forwards an engine snapshot to every sink (stamping last_sample) and
+  /// advances the checkpoint lattice.
   void record_checkpoint(EngineCheckpoint state);
-
-  /// Restart bookkeeping after an engine was restored from `state`: every
-  /// sample and checkpoint up to state.interactions already exists in the
-  /// archive, so both lattices resume at their next point past it.
-  void resume_at(const EngineCheckpoint& state);
 
   /// Ends a recorded run: forces a final sample (skipped when one already
   /// exists at exactly fin.interactions) and calls finish() on every sink.

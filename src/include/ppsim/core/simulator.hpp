@@ -88,16 +88,9 @@ class Simulator {
   /// nullptr detaches. The recorder must outlive the run calls.
   void set_recorder(Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Everything needed to continue this run in another process: counts,
-  /// RNG state, interaction clock (the PairSampler is rebuilt from counts).
+  /// The mutable state (counts, RNG state, interaction clock) that an
+  /// archive's checkpoint records carry.
   EngineCheckpoint checkpoint_state() const;
-
-  /// Restores a state captured by checkpoint_state() on an engine built
-  /// with the same protocol and state-space shape. After restoring, the
-  /// run continues on exactly the sequence of draws the original would
-  /// have made. A checkpoint with the wrong shape or population, or a
-  /// negative clock, throws CheckFailure and leaves the engine unchanged.
-  void restore_checkpoint(const EngineCheckpoint& state);
 
  private:
   void observe() {
@@ -117,8 +110,6 @@ class Simulator {
   }
   /// Rescans the present states for a witness; sets stable_ if none.
   void find_witness();
-  /// Rebuilds the present list from the counts, then finds a witness.
-  void reset_stability();
 
   const Protocol& protocol_;
   std::optional<TransitionTable> table_;  // engaged in kTable mode

@@ -296,9 +296,7 @@ class SweepRunner {
 /// --seed, --threads (0 = hardware), --json (unified report path; empty
 /// disables), --kernel (auto|scalar|avx2 round-sampling backend; auto picks
 /// the widest kernel this build+CPU supports, and an explicitly requested
-/// unavailable backend fails fast with a clear error), --record-to
-/// (trajectory-archive destination; empty disables) and --checkpoint-every
-/// (checkpoint stride for recorded runs, 0 = none). Every run is on the
+/// unavailable backend fails fast with a clear error). Every run is on the
 /// uniform scheduler over a fixed population.
 struct SweepCliOptions {
   std::size_t trials = 1;  ///< fixed count, or the cap when stopping.adaptive
@@ -307,12 +305,6 @@ struct SweepCliOptions {
   std::string json;
   /// Resolved --kernel choice ("auto" already resolved against this host).
   kernels::KernelKind kernel = kernels::KernelKind::kScalar;
-  /// Trajectory-archive destination ("" = no recording). Binaries that
-  /// record one run treat it as a file path; benches that archive a
-  /// representative trial per cell treat it as a directory.
-  std::string record_to;
-  /// Checkpoint stride (interactions) for recorded runs; 0 = no checkpoints.
-  Interactions checkpoint_every = 0;
   TrialStopping stopping;
 
   /// Applies the shared flags to a spec (trials/base_seed/threads/stopping),

@@ -1,13 +1,9 @@
-// One-call drivers tying the pieces of the recording pipeline together:
-// Engine + Recorder + TrajectorySink. `record_run` simulates while streaming
-// an archive to disk; `resume_run` re-opens a (possibly torn) archive,
-// restores the last checkpoint into a fresh engine, and regenerates the rest
-// of the run — byte-for-byte identical to what an uninterrupted run would
-// have written, because checkpoints cut the stream at block boundaries and
-// every draw after a checkpoint is a deterministic function of its state.
+// Ties the recording pipeline together for a caller that drives its own
+// engine: a Recorder whose channels stream through a TrajectorySink into a
+// TrajectoryWriter. perfbench's sweep workload archives trial 0 of each cell
+// through it.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,25 +31,19 @@ struct ArchiveRunSpec {
   std::uint64_t seed = 0;
   Count k = 0;                       ///< opinions (0 = not applicable)
   Interactions max_interactions = 0;
-  Interactions record_stride = 0;    ///< 0 = max(1, population / 10)
+  Interactions record_stride = 0;    ///< sampling stride, > 0
   Interactions checkpoint_every = 0; ///< 0 = no checkpoints
   Interactions round_divisor = 16;   ///< batched-engine knob
   double tau_epsilon = 0.05;         ///< collapsed-engine knob
 };
 
-/// Header for a run of `spec` (strides must already be resolved).
+/// Header for a run of `spec`.
 TrajectoryHeader make_header(const ArchiveRunSpec& spec, Count population,
                              std::size_t num_states,
                              const std::vector<std::string>& channels);
 
-/// Rebuilds the spec a header was written from — how resume knows the
-/// engine kind, seed, strides and budget without any side channel.
-ArchiveRunSpec spec_from_header(const TrajectoryHeader& header);
-
-/// Bundles writer + sink + configured recorder for callers that drive the
-/// engine themselves (benches measuring custom observables while archiving):
-/// construct, engine.set_recorder(&recorder()), run, finalize().
-/// `spec.record_stride` must be resolved (> 0).
+/// Bundles writer + sink + configured recorder: construct, then run the
+/// engine through run_engine_trial with &recorder(), which finalizes it.
 class ArchiveRecorder {
  public:
   ArchiveRecorder(const ArchiveRunSpec& spec, Count population,
@@ -61,30 +51,11 @@ class ArchiveRecorder {
                   const std::string& path);
 
   Recorder& recorder() noexcept { return recorder_; }
-  void finalize(const Configuration& config, const RecordFinish& fin) {
-    recorder_.finalize(config, fin);
-  }
 
  private:
   TrajectoryWriter writer_;
   TrajectorySink sink_;
   Recorder recorder_;
 };
-
-/// Runs `protocol` from `initial` under `spec`, archiving to `path`
-/// (created/overwritten). Returns the run outcome.
-RunOutcome record_run(const Protocol& protocol, const Configuration& initial,
-                      const ArchiveChannels& channels, const ArchiveRunSpec& spec,
-                      const std::string& path);
-
-/// Continues an interrupted archive at `path`: truncates its torn tail,
-/// restores the last checkpoint (or restarts, if none survived) and runs to
-/// completion. `protocol`, `initial` and `channels` must match the original
-/// call — the header pins population, state count and channel names, and
-/// mismatches throw. Returns nullopt when the archive is already finished.
-std::optional<RunOutcome> resume_run(const Protocol& protocol,
-                                     const Configuration& initial,
-                                     const ArchiveChannels& channels,
-                                     const std::string& path);
 
 }  // namespace ppsim::io

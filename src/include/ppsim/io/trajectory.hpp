@@ -1,6 +1,7 @@
 // The on-disk trajectory archive: a chunked columnar format for recorded
-// simulation runs, with embedded engine checkpoints that make interrupted
-// runs resumable.
+// simulation runs, with embedded engine checkpoints. Its only consumer is
+// perfbench, which measures writing and reading it back as one layer of a
+// sweep.
 //
 // File layout (all multi-byte integers are varints or little-endian fixed
 // words — see io/wire.hpp):
@@ -25,20 +26,17 @@
 //              recorder's last-sample clock, the 256-bit RNG state, and the
 //              counts vector. The writer flushes any pending partial block
 //              *before* a checkpoint, so checkpoints always sit on block
-//              boundaries — that makes the byte stream after a resumed
-//              checkpoint identical to the uninterrupted run's.
+//              boundaries.
 //   end        terminal summary (stabilized?, final clocks, consensus).
 //              An archive without one is an interrupted run.
 //
 // Torn tails: every record is independently checksummed, so a reader hitting
 // a half-written record (the process died mid-write) keeps everything before
-// it and reports the tail instead of failing. TrajectoryWriter::resume
-// truncates exactly there and continues.
+// it and reports the tail instead of failing.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,8 +70,7 @@ struct TrajectoryHeader {
   std::vector<std::string> channels;
 
   /// Canonical hash over everything that determines the run (engine,
-  /// protocol, seed, shape, strides, knobs, channels). Writers stamp it;
-  /// queries use it to group archives of identical specs.
+  /// protocol, seed, shape, strides, knobs, channels). Writers stamp it.
   std::uint64_t compute_spec_hash() const;
 };
 
@@ -85,8 +82,7 @@ struct TrajectoryEnd {
   std::optional<Opinion> consensus;
 };
 
-/// Per-block metadata, readable without decoding the block's columns —
-/// the footer that lets queries skip chunks.
+/// Per-block metadata, readable without decoding the block's columns.
 struct BlockSummary {
   std::uint64_t num_samples = 0;
   Interactions first_interactions = 0;
@@ -126,34 +122,7 @@ class TrajectoryWriter {
   /// further writes are allowed.
   void finish(const TrajectoryEnd& end);
 
-  struct Resumed {
-    /// Writer positioned right after the last complete checkpoint (or the
-    /// header, if the archive has none). Null when the archive is finished.
-    std::unique_ptr<TrajectoryWriter> writer;
-    TrajectoryHeader header;
-    /// Engine state to restore; nullopt = restart from the initial
-    /// configuration (no checkpoint survived).
-    std::optional<EngineCheckpoint> checkpoint;
-    /// True iff the archive already carries an end record — the run is
-    /// complete and there is nothing to resume.
-    bool finished = false;
-  };
-
-  /// Re-opens a (possibly torn) archive for continuation: parses it
-  /// tolerantly, truncates everything after the last complete checkpoint
-  /// record — data past it is regenerated bit-for-bit by the resumed run —
-  /// and returns an append-mode writer plus the state to restore. Throws
-  /// CheckFailure, leaving the file untouched, when the header's
-  /// build_version is not kBuildVersion: another build's engines draw a
-  /// different sequence, so continuing would splice two runs together.
-  static Resumed resume(const std::string& path);
-  static Resumed resume(const std::string& path, Options options);
-
  private:
-  struct AppendTag {};
-  TrajectoryWriter(AppendTag, const std::string& path, TrajectoryHeader header,
-                   Options options);
-
   void write_record(std::uint8_t type, const Bytes& payload);
   void flush_block();
 
@@ -208,10 +177,6 @@ class TrajectoryReader {
   const std::vector<EngineCheckpoint>& checkpoints() const noexcept {
     return checkpoints_;
   }
-  std::optional<EngineCheckpoint> last_checkpoint() const;
-  /// Byte offset just past the last complete checkpoint record (just past
-  /// the header record when there is none) — where resume truncates.
-  std::size_t resume_offset() const noexcept { return resume_offset_; }
 
   std::optional<TrajectoryEnd> end() const noexcept { return end_; }
   bool finished() const noexcept { return end_.has_value(); }
@@ -222,22 +187,6 @@ class TrajectoryReader {
   std::size_t torn_offset() const noexcept { return torn_offset_; }
 
   std::size_t total_samples() const noexcept;
-  std::optional<std::size_t> channel_index(const std::string& name) const;
-
-  /// Materializes (a projection of) the archive as the in-memory
-  /// TimeSeries. `channels` empty = all channels, in header order;
-  /// `every` ≥ 1 keeps every N-th sample (downsampling).
-  TimeSeries to_series(const std::vector<std::string>& channels = {},
-                       std::size_t every = 1) const;
-
-  /// Smallest sampled parallel time at which `channel` ≥ `level`, skipping
-  /// every block whose max footer stays below the level (NaN if never hit).
-  double first_time_at_least(const std::string& channel, double level) const;
-
-  /// Run-wide channel extrema straight from the block footers (NaN when the
-  /// archive has no samples).
-  double channel_max(const std::string& channel) const;
-  double channel_min(const std::string& channel) const;
 
  private:
   struct IndexedBlock {
@@ -255,7 +204,6 @@ class TrajectoryReader {
   std::optional<TrajectoryEnd> end_;
   bool torn_ = false;
   std::size_t torn_offset_ = 0;
-  std::size_t resume_offset_ = 0;
 };
 
 }  // namespace ppsim::io

@@ -4,8 +4,7 @@
 // varints (unsigned), zigzag-mapped varints (signed), little-endian fixed
 // 64-bit words, IEEE-754 doubles via their bit pattern, and
 // length-prefixed strings. The encoding is platform-independent and fully
-// deterministic — a requirement, because the resume path byte-compares
-// archives produced on different runs.
+// deterministic, so the same run always writes the same archive bytes.
 //
 // ByteReader is the decoding counterpart designed for untrusted input: it
 // never reads past the buffer, never throws on malformed bytes, and folds

@@ -98,8 +98,7 @@ class Xoshiro256pp {
   bool bernoulli(double p) noexcept { return canonical() < p; }
 
   /// The raw 256-bit generator state, for engine checkpoints (the trajectory
-  /// archive stores it so an interrupted run resumes on the exact same
-  /// random sequence).
+  /// archive stores it in its checkpoint records).
   const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
 
   /// Restores a state captured by state(). The all-zero state is xoshiro's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 
 #include "ppsim/util/check.hpp"
@@ -336,18 +335,9 @@ TrajectoryWriter::TrajectoryWriter(const std::string& path,
   pending_values_.resize(header_.channels.size());
 }
 
-TrajectoryWriter::TrajectoryWriter(AppendTag, const std::string& path,
-                                   TrajectoryHeader header, Options options)
-    : path_(path), header_(std::move(header)), options_(options) {
-  PPSIM_CHECK(options_.block_samples > 0, "block size must be positive");
-  out_.open(path, std::ios::binary | std::ios::app);
-  PPSIM_CHECK(out_.good(), "cannot open trajectory for appending: " + path);
-  pending_values_.resize(header_.channels.size());
-}
-
 TrajectoryWriter::~TrajectoryWriter() {
   // Deliberately no flush of the pending partial block: an unfinished writer
-  // mirrors a killed process, and resume regenerates the tail bit-for-bit.
+  // mirrors a killed process, so its archive ends at the last whole record.
   if (out_.is_open()) out_.close();
 }
 
@@ -389,9 +379,8 @@ void TrajectoryWriter::checkpoint(const EngineCheckpoint& state) {
   PPSIM_CHECK(!finished_, "trajectory is finished: no further checkpoints");
   PPSIM_CHECK(state.counts.size() == header_.num_states,
               "checkpoint state-space size must match the header's");
-  // A checkpoint is a clean cut: everything sampled so far must be on disk,
-  // so the byte stream after this point is independent of when (or whether)
-  // the process dies — the key to byte-identical resume.
+  // A checkpoint is a clean cut: everything sampled so far is on disk
+  // before the checkpoint record, so checkpoints sit on block boundaries.
   flush_block();
   write_record(kCheckpointRecord, encode_checkpoint(state));
 }
@@ -403,31 +392,6 @@ void TrajectoryWriter::finish(const TrajectoryEnd& end) {
   finished_ = true;
   out_.close();
   PPSIM_CHECK(out_.good(), "trajectory close failed: " + path_);
-}
-
-TrajectoryWriter::Resumed TrajectoryWriter::resume(const std::string& path) {
-  return resume(path, Options{});
-}
-
-TrajectoryWriter::Resumed TrajectoryWriter::resume(const std::string& path,
-                                                   Options options) {
-  Resumed resumed;
-  TrajectoryReader reader(path);
-  resumed.header = reader.header();
-  PPSIM_CHECK(resumed.header.build_version == kBuildVersion,
-              "cannot resume " + path + ": it was written by " +
-                  resumed.header.build_version + ", this build is " +
-                  std::string(kBuildVersion));
-  if (reader.finished()) {
-    resumed.finished = true;
-    return resumed;
-  }
-  resumed.checkpoint = reader.last_checkpoint();
-  const std::size_t keep = reader.resume_offset();
-  std::filesystem::resize_file(path, keep);
-  resumed.writer.reset(
-      new TrajectoryWriter(AppendTag{}, path, resumed.header, options));
-  return resumed;
 }
 
 // ------------------------------------------------------------------ sink --
@@ -481,7 +445,6 @@ void TrajectoryReader::parse() {
   header_ = decode_header(bytes_.data() + header_frame->payload_offset,
                           header_frame->payload_size);
   pos = header_frame->end_offset;
-  resume_offset_ = pos;
 
   while (pos < bytes_.size()) {
     const auto frame = parse_frame(bytes_, pos);
@@ -515,7 +478,6 @@ void TrajectoryReader::parse() {
           return;
         }
         checkpoints_.push_back(std::move(*cp));
-        resume_offset_ = frame->end_offset;
         break;
       }
       case kEndRecord: {
@@ -587,96 +549,10 @@ TrajectoryReader::BlockData TrajectoryReader::decode_block(std::size_t i) const 
   return data;
 }
 
-std::optional<EngineCheckpoint> TrajectoryReader::last_checkpoint() const {
-  if (checkpoints_.empty()) return std::nullopt;
-  return checkpoints_.back();
-}
-
 std::size_t TrajectoryReader::total_samples() const noexcept {
   std::size_t total = 0;
   for (const auto& blk : blocks_) total += blk.summary.num_samples;
   return total;
-}
-
-std::optional<std::size_t> TrajectoryReader::channel_index(
-    const std::string& name) const {
-  for (std::size_t c = 0; c < header_.channels.size(); ++c) {
-    if (header_.channels[c] == name) return c;
-  }
-  return std::nullopt;
-}
-
-TimeSeries TrajectoryReader::to_series(const std::vector<std::string>& channels,
-                                       std::size_t every) const {
-  PPSIM_CHECK(every >= 1, "downsampling factor must be >= 1");
-  std::vector<std::size_t> selected;
-  TimeSeries series;
-  if (channels.empty()) {
-    series.channel_names = header_.channels;
-    for (std::size_t c = 0; c < header_.channels.size(); ++c) selected.push_back(c);
-  } else {
-    for (const auto& name : channels) {
-      const auto idx = channel_index(name);
-      PPSIM_CHECK(idx.has_value(), "unknown channel in archive: " + name);
-      selected.push_back(*idx);
-      series.channel_names.push_back(name);
-    }
-  }
-  series.channels.resize(selected.size());
-  const auto n = static_cast<double>(header_.population);
-  std::size_t global = 0;
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    const BlockData data = decode_block(i);
-    for (std::size_t j = 0; j < data.interactions.size(); ++j, ++global) {
-      if (global % every != 0) continue;
-      series.parallel_time.push_back(static_cast<double>(data.interactions[j]) / n);
-      for (std::size_t s = 0; s < selected.size(); ++s) {
-        series.channels[s].push_back(data.values[selected[s]][j]);
-      }
-    }
-  }
-  return series;
-}
-
-double TrajectoryReader::first_time_at_least(const std::string& channel,
-                                             double level) const {
-  const auto idx = channel_index(channel);
-  PPSIM_CHECK(idx.has_value(), "unknown channel in archive: " + channel);
-  const auto n = static_cast<double>(header_.population);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    // The footer's max bounds every sample in the block: a block that never
-    // reaches the level is skipped without decoding a single column.
-    if (blocks_[i].summary.max[*idx] < level) continue;
-    const BlockData data = decode_block(i);
-    for (std::size_t j = 0; j < data.interactions.size(); ++j) {
-      if (data.values[*idx][j] >= level) {
-        return static_cast<double>(data.interactions[j]) / n;
-      }
-    }
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
-double TrajectoryReader::channel_max(const std::string& channel) const {
-  const auto idx = channel_index(channel);
-  PPSIM_CHECK(idx.has_value(), "unknown channel in archive: " + channel);
-  double best = std::numeric_limits<double>::quiet_NaN();
-  for (const auto& blk : blocks_) {
-    const double m = blk.summary.max[*idx];
-    if (std::isnan(best) || m > best) best = m;
-  }
-  return best;
-}
-
-double TrajectoryReader::channel_min(const std::string& channel) const {
-  const auto idx = channel_index(channel);
-  PPSIM_CHECK(idx.has_value(), "unknown channel in archive: " + channel);
-  double best = std::numeric_limits<double>::quiet_NaN();
-  for (const auto& blk : blocks_) {
-    const double m = blk.summary.min[*idx];
-    if (std::isnan(best) || m < best) best = m;
-  }
-  return best;
 }
 
 }  // namespace ppsim::io

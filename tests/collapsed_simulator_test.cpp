@@ -343,41 +343,5 @@ TEST(CollapsedSimulatorTest, StabilizationTimesShareDistributionWithSequential) 
   }
 }
 
-// Regression for pair-law cache invalidation on restore. The law and its
-// alias table are now invalidated through one shared generation counter
-// (counts generation → law generation → alias generation); the historical
-// risk was two hand-maintained dirty flags where a restore path could reset
-// one but not the other, leaving a resumed run sampling from the *previous*
-// configuration's law. Restoring into a simulator whose caches were built
-// from a very different configuration must reproduce the original run's
-// continuation draw for draw — on both the bulk (multinomial) and the
-// single-draw (alias-table) round paths.
-TEST(CollapsedSimulatorTest, RestoreIntoStaleCachesReproducesContinuation) {
-  const UndecidedStateDynamics usd(kK);
-  for (const Interactions fixed_round : {Interactions{0}, Interactions{1}}) {
-    CollapsedSimulator::Options opts;
-    opts.fixed_round = fixed_round;
-    CollapsedSimulator original(usd, Configuration(kUsdCounts), 4242, opts);
-    for (int r = 0; r < 12; ++r) original.step_round(5'000);
-    const EngineCheckpoint cp = original.checkpoint_state();
-    for (int r = 0; r < 12; ++r) original.step_round(5'000);
-
-    // The victim has run from a different seed and configuration, so its
-    // law and alias table are hot — and stale relative to the checkpoint.
-    CollapsedSimulator resumed(usd, Configuration({300, 150, 100, 50}), 7,
-                               opts);
-    for (int r = 0; r < 12; ++r) resumed.step_round(5'000);
-    resumed.restore_checkpoint(cp);
-    for (int r = 0; r < 12; ++r) resumed.step_round(5'000);
-
-    EXPECT_EQ(resumed.configuration().counts(),
-              original.configuration().counts())
-        << "fixed_round=" << fixed_round;
-    EXPECT_EQ(resumed.interactions(), original.interactions());
-    EXPECT_EQ(resumed.clamped_interactions(),
-              original.clamped_interactions());
-  }
-}
-
 }  // namespace
 }  // namespace ppsim

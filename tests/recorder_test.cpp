@@ -1,10 +1,12 @@
 // Recorder edge cases: stride validation, stride larger than the whole run,
 // forced final samples, channel registration rules, TSV round-trip of the
-// recorded series, and run_engine_trial's attach/finalize/detach sequence.
+// recorded series, and run_engine_trial's attach/finalize/detach sequence
+// and engine checkpoints.
 #include "ppsim/core/recorder.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
 #include "ppsim/core/engine.hpp"
@@ -184,7 +186,7 @@ TEST(RecorderTest, CheckpointLatticeAndLastSampleStamping) {
   rec.record_checkpoint(cp);
   ASSERT_EQ(sink.checkpoints.size(), 1u);
   // The recorder stamps its own sampling position into the checkpoint, so
-  // a resumed run knows whether the end-of-run sample is still pending.
+  // the checkpoint says whether the end-of-run sample is still pending.
   EXPECT_EQ(sink.checkpoints[0].last_sample, 12);
   // Lattice advanced by whole strides past 30: next due at 50, not 55.
   EXPECT_FALSE(rec.checkpoint_due(49));
@@ -215,34 +217,6 @@ TEST(RecorderTest, FinalizeCapturesEndStateWhenNotSampled) {
   rec.maybe_sample(config, 0);
   rec.finalize(config, RecordFinish{.stabilized = false, .interactions = 777});
   EXPECT_EQ(sink.samples, (std::vector<Interactions>{0, 777}));
-}
-
-TEST(RecorderTest, ResumeRestartsBothLattices) {
-  Recorder rec(10);
-  rec.add_channel("x", count_of(0));
-  rec.set_checkpoint_stride(25);
-  EngineCheckpoint cp;
-  cp.interactions = 37;
-  cp.last_sample = 30;
-  rec.resume_at(cp);
-  EXPECT_EQ(rec.last_sample(), 30);
-  const Configuration config({10});
-  rec.maybe_sample(config, 38);  // next lattice point is 40
-  EXPECT_EQ(rec.series().num_samples(), 0u);
-  rec.maybe_sample(config, 40);
-  EXPECT_EQ(rec.series().num_samples(), 1u);
-  EXPECT_FALSE(rec.checkpoint_due(49));
-  EXPECT_TRUE(rec.checkpoint_due(50));
-}
-
-TEST(RecorderTest, ResumeRequiresPristineRecorder) {
-  Recorder rec(10);
-  rec.add_channel("x", count_of(0));
-  const Configuration config({10});
-  rec.sample(config, 0);
-  EngineCheckpoint cp;
-  cp.interactions = 20;
-  EXPECT_THROW(rec.resume_at(cp), CheckFailure);
 }
 
 TEST(RunEngineTrialTest, AttachesFinalizesAndDetachesTheRecorder) {
@@ -279,6 +253,49 @@ TEST(RunEngineTrialTest, AttachesFinalizesAndDetachesTheRecorder) {
     const std::size_t samples = sink.samples.size();
     engine.run_until_stable(c.budget + 2'000);
     EXPECT_EQ(sink.samples.size(), samples) << to_string(c.kind);
+  }
+}
+
+TEST(RunEngineTrialTest, CheckpointsSnapshotTheEngineWithoutPerturbingIt) {
+  // With a checkpoint stride every engine kind hands the recorder snapshots
+  // of its own state. Taking them must not change a single draw: the trial
+  // ends exactly where an unrecorded twin on the same seed ends.
+  const UndecidedStateDynamics usd(3);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration({900, 600, 500});
+  for (const EngineKind kind :
+       {EngineKind::kSequential, EngineKind::kBatched, EngineKind::kCollapsed}) {
+    SCOPED_TRACE(to_string(kind));
+    Engine twin(kind, usd, initial, 42);
+    const TrialResult plain = run_engine_trial(twin, 5'000'000);
+    Engine engine(kind, usd, initial, 42);
+    Recorder rec(1'000);
+    rec.add_channel("undecided", count_of(UndecidedStateDynamics::kUndecided));
+    rec.set_checkpoint_stride(20'000);
+    CapturingSink sink;
+    rec.add_sink(sink);
+    const TrialResult r = run_engine_trial(engine, 5'000'000, &rec);
+
+    ASSERT_TRUE(r.stabilized);
+    EXPECT_EQ(r.interactions, plain.interactions);
+    EXPECT_EQ(r.clamped, plain.clamped);
+    EXPECT_EQ(r.winner, plain.winner);
+    EXPECT_EQ(engine.configuration(), twin.configuration());
+    // One checkpoint per crossed lattice point, each a whole snapshot.
+    ASSERT_EQ(sink.checkpoints.size(),
+              static_cast<std::size_t>(r.interactions / 20'000));
+    Interactions lattice = 0;
+    for (const EngineCheckpoint& cp : sink.checkpoints) {
+      lattice += 20'000;
+      EXPECT_GE(cp.interactions, lattice);
+      EXPECT_LT(cp.interactions, lattice + 20'000);
+      EXPECT_LE(cp.clamped, r.clamped);
+      ASSERT_EQ(cp.counts.size(), usd.num_states());
+      Count total = 0;
+      for (const Count c : cp.counts) total += c;
+      EXPECT_EQ(total, initial.population());
+      EXPECT_NE(cp.rng_state, (std::array<std::uint64_t, 4>{}));
+    }
   }
 }
 

@@ -365,6 +365,30 @@ TEST(SweepCliTest, ThreadsFlagRejectsNegativeCounts) {
   EXPECT_EQ(threads_of("3"), 3u);
 }
 
+TEST(SweepCliTest, TrialBoundsRejectNegativeCounts) {
+  // --min-trials/--max-trials are checked as signed values: a negative one
+  // must be named in the error, not wrap to a huge size_t.
+  const auto adaptive = [](const char* flag, const char* value) {
+    const char* argv[] = {"prog", "--trials", "auto", flag, value};
+    Cli cli(5, argv);
+    return read_sweep_flags(cli, 1, 42, "");
+  };
+  const auto message = [&](const char* flag, const char* value) {
+    try {
+      adaptive(flag, value);
+    } catch (const CheckFailure& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(message("--max-trials", "-1").find("--max-trials"), std::string::npos);
+  EXPECT_NE(message("--min-trials", "-3").find("--min-trials must be at least 2"),
+            std::string::npos);
+  const SweepCliOptions ok = adaptive("--max-trials", "16");
+  EXPECT_EQ(ok.trials, 16u);
+  EXPECT_EQ(ok.stopping.min_trials, 8u);
+}
+
 TEST(SweepCellTest, ParamLookupAndLabel) {
   SweepCell cell;
   cell.n = 100;

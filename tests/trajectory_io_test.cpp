@@ -1,15 +1,15 @@
 // Trajectory archive format: wire-codec roundtrips, writer/reader
-// roundtrips, block-footer queries, and crash consistency — a reader over a
+// roundtrips, block footers, and crash consistency — a reader over a
 // file chopped at *every* byte offset must recover every complete record,
 // report the torn tail, and never crash.
 #include "ppsim/io/trajectory.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -168,21 +168,23 @@ TEST(TrajectoryTest, WriterReaderRoundtrip) {
 
   // Full decode: integral column survives delta coding, fractional column
   // survives via raw doubles.
-  const TimeSeries series = reader.to_series();
-  ASSERT_EQ(series.num_samples(), 10u);
-  for (int j = 0; j < 10; ++j) {
-    EXPECT_DOUBLE_EQ(series.parallel_time[static_cast<std::size_t>(j)],
-                     static_cast<double>(j * 100) / 1000.0);
-    EXPECT_DOUBLE_EQ(series.channels[0][static_cast<std::size_t>(j)], 1000.0 - j);
-    EXPECT_DOUBLE_EQ(series.channels[1][static_cast<std::size_t>(j)],
-                     static_cast<double>(j) / 3.0);
+  std::vector<Interactions> clock;
+  std::vector<std::vector<double>> values(2);
+  for (std::size_t b = 0; b < reader.num_blocks(); ++b) {
+    const TrajectoryReader::BlockData data = reader.decode_block(b);
+    clock.insert(clock.end(), data.interactions.begin(), data.interactions.end());
+    for (std::size_t c = 0; c < 2; ++c) {
+      values[c].insert(values[c].end(), data.values[c].begin(),
+                       data.values[c].end());
+    }
   }
-
-  // Projection + downsampling.
-  const TimeSeries every3 = reader.to_series({"majority"}, 3);
-  ASSERT_EQ(every3.channel_names, std::vector<std::string>{"majority"});
-  EXPECT_EQ(every3.num_samples(), 4u);  // samples 0, 3, 6, 9
-  EXPECT_THROW(reader.to_series({"nope"}), CheckFailure);
+  ASSERT_EQ(clock.size(), 10u);
+  for (int j = 0; j < 10; ++j) {
+    const auto i = static_cast<std::size_t>(j);
+    EXPECT_EQ(clock[i], j * 100);
+    EXPECT_DOUBLE_EQ(values[0][i], 1000.0 - j);
+    EXPECT_DOUBLE_EQ(values[1][i], static_cast<double>(j) / 3.0);
+  }
 }
 
 TEST(TrajectoryTest, FooterQueriesSkipBlocks) {
@@ -198,13 +200,26 @@ TEST(TrajectoryTest, FooterQueriesSkipBlocks) {
   }
   TrajectoryReader reader(path);
   ASSERT_EQ(reader.num_blocks(), 8u);
-  // undecided rises 0..63: the first sample with value >= 40 is j = 40, at
-  // parallel time 40*100/1000.
-  EXPECT_DOUBLE_EQ(reader.first_time_at_least("undecided", 40.0), 4.0);
-  EXPECT_TRUE(std::isnan(reader.first_time_at_least("undecided", 1000.0)));
-  EXPECT_DOUBLE_EQ(reader.channel_max("undecided"), 63.0);
-  EXPECT_DOUBLE_EQ(reader.channel_min("majority"), 1.0);
-  EXPECT_THROW(reader.channel_max("nope"), CheckFailure);
+  // undecided rises 0..63 and majority falls 64..1, eight samples a block:
+  // each footer bounds exactly its own samples.
+  for (std::size_t b = 0; b < 8; ++b) {
+    const double lo = 8.0 * static_cast<double>(b);
+    EXPECT_DOUBLE_EQ(reader.block(b).min[0], lo);
+    EXPECT_DOUBLE_EQ(reader.block(b).max[0], lo + 7.0);
+    EXPECT_DOUBLE_EQ(reader.block(b).min[1], 57.0 - lo);
+    EXPECT_DOUBLE_EQ(reader.block(b).max[1], 64.0 - lo);
+  }
+  // The first sample with undecided >= 40 is j = 40: blocks 0..4 are ruled
+  // out by their max footer alone, and block 5 starts at interaction 4000.
+  EXPECT_LT(reader.block(4).max[0], 40.0);
+  EXPECT_GE(reader.block(5).max[0], 40.0);
+  const TrajectoryReader::BlockData hit = reader.decode_block(5);
+  EXPECT_EQ(hit.interactions.front(), 4000);
+  EXPECT_DOUBLE_EQ(hit.values[0].front(), 40.0);
+  // Run-wide extrema come from the last block's footer.
+  EXPECT_DOUBLE_EQ(reader.block(7).max[0], 63.0);
+  EXPECT_DOUBLE_EQ(reader.block(7).min[1], 1.0);
+  EXPECT_THROW(reader.block(8), std::out_of_range);
 }
 
 TEST(TrajectoryTest, RejectsNonArchiveFiles) {
@@ -332,62 +347,6 @@ TEST(TrajectoryTest, SpecHashTracksTheSpec) {
   TrajectoryHeader c = test_header();
   c.tau_epsilon = 0.049999999;
   EXPECT_NE(a.compute_spec_hash(), c.compute_spec_hash());
-}
-
-TEST(TrajectoryTest, ResumeReopensAtLastCheckpoint) {
-  const std::string path = tmp_path("resume.pptraj");
-  TrajectoryWriter::Options options;
-  options.block_samples = 2;
-  {
-    TrajectoryWriter writer(path, test_header(), options);
-    for (int j = 0; j < 4; ++j) writer.sample(j * 100, {1.0 * j, 0.0});
-    EngineCheckpoint cp;
-    cp.counts = {1, 2, 3, 4, 990};
-    cp.rng_state = {9, 9, 9, 9};
-    cp.interactions = 350;
-    writer.checkpoint(cp);
-    writer.sample(400, {4.0, 0.0});
-    // Writer destroyed without finish(): the pending sample at 400 is
-    // dropped, exactly as a killed process would drop it.
-  }
-  TrajectoryWriter::Resumed resumed = TrajectoryWriter::resume(path, options);
-  ASSERT_FALSE(resumed.finished);
-  ASSERT_TRUE(resumed.writer != nullptr);
-  ASSERT_TRUE(resumed.checkpoint.has_value());
-  EXPECT_EQ(resumed.checkpoint->interactions, 350);
-  resumed.writer->sample(400, {4.0, 0.0});
-  resumed.writer->sample(500, {5.0, 0.0});
-  resumed.writer->finish(TrajectoryEnd{.stabilized = true, .interactions = 500});
-
-  TrajectoryReader reader(path);
-  EXPECT_FALSE(reader.torn_tail());
-  ASSERT_TRUE(reader.finished());
-  EXPECT_EQ(reader.total_samples(), 6u);
-  ASSERT_EQ(reader.checkpoints().size(), 1u);
-
-  // A finished archive has nothing to resume.
-  TrajectoryWriter::Resumed again = TrajectoryWriter::resume(path, options);
-  EXPECT_TRUE(again.finished);
-  EXPECT_TRUE(again.writer == nullptr);
-}
-
-TEST(TrajectoryTest, ResumeWithoutCheckpointRestarts) {
-  const std::string path = tmp_path("resume_scratch.pptraj");
-  {
-    TrajectoryWriter writer(path, test_header());
-    writer.sample(0, {1.0, 2.0});
-    // No checkpoint, no finish: only the header record is on disk (the
-    // pending block dies with the writer).
-  }
-  TrajectoryWriter::Resumed resumed = TrajectoryWriter::resume(path);
-  ASSERT_FALSE(resumed.finished);
-  ASSERT_TRUE(resumed.writer != nullptr);
-  EXPECT_FALSE(resumed.checkpoint.has_value());
-  resumed.writer->sample(0, {1.0, 2.0});
-  resumed.writer->finish(TrajectoryEnd{});
-  TrajectoryReader reader(path);
-  EXPECT_TRUE(reader.finished());
-  EXPECT_EQ(reader.total_samples(), 1u);
 }
 
 }  // namespace

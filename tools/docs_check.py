@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs command checker: every ppsim_run/ppsim_query/bench_* invocation
+"""Docs command checker: every ppsim_run/bench_* invocation
 quoted in README.md and docs/ must actually run.
 
 For each command found in fenced code blocks or inline code spans:
@@ -43,21 +43,14 @@ SMOKE_OVERRIDES = {
     "samples": "60",
     "max-parallel": "2000",
 }
-# Binaries whose model limits need smaller smoke sizes than the default.
-PER_BINARY_OVERRIDES = {
-    # At the smoke-scale n the documented checkpoint stride would never
-    # fire; shrink it so recording recipes exercise the checkpoint path.
-    "ppsim_run": {"checkpoint-every": "100000"},
-}
 PER_COMMAND_TIMEOUT = 180  # seconds
 
 BENCH_TABLE_HEADING = "## Paper claims → benches"
 BENCH_ROW_RE = re.compile(r"^\| `(bench_[a-z0-9_]+)` \|", flags=re.MULTILINE)
 
-# Commands sharing one scratch directory run in document order, so a recipe
-# that records an archive and then resumes/queries it works as quoted.
-COMMAND_RE = re.compile(
-    r"(?:\./build/)?(bench_[a-z0-9_]+|ppsim_run|ppsim_query)\b")
+# Commands sharing one scratch directory run in document order, so a cold
+# then warm --cache-dir recipe replays its own cold run as quoted.
+COMMAND_RE = re.compile(r"(?:\./build/)?(bench_[a-z0-9_]+|ppsim_run)\b")
 FLAG_REGISTRATION_RE = re.compile(
     r'get_(?:int|double|string|bool)\(\s*"([a-z0-9-]+)"')
 
@@ -135,7 +128,7 @@ def registered_flags(binary: str, root: pathlib.Path):
     flags = set(FLAG_REGISTRATION_RE.findall(text))
     if "read_sweep_flags" in text:
         flags |= {"trials", "min-trials", "max-trials", "seed", "threads",
-                  "json", "record-to", "checkpoint-every", "kernel"}
+                  "json", "kernel"}
     return flags
 
 
@@ -194,8 +187,7 @@ def main() -> int:
             # duplicate the real quoted invocations.
             continue
         smoke = [str(binary_path)] + tokens[1:]
-        overrides = SMOKE_OVERRIDES | PER_BINARY_OVERRIDES.get(binary, {})
-        for flag, value in overrides.items():
+        for flag, value in SMOKE_OVERRIDES.items():
             if flag in flags:
                 smoke += [f"--{flag}", value]
         if "json" in flags:
