@@ -60,7 +60,7 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 7, "BENCH_bounds_gap.json");
   cli.validate_no_unknown_flags();
-  PPSIM_CHECK(kmin >= 2 && kmax >= kmin, "need 2 <= kmin <= kmax");
+  benchutil::check_k_range(kmin, kmax);
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"batched", "collapsed"});
 

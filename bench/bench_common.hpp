@@ -66,6 +66,15 @@ inline Engine make_usd_engine(const SweepTrial& ctx, const Protocol& protocol,
   return ctx.make_engine(protocol, std::move(initial));
 }
 
+/// Checks a --kmin/--kmax sweep range at parse time: 2 ≤ kmin ≤ kmax. The
+/// k loops double from kmin, and k = 1 has no minority opinion.
+inline void check_k_range(std::int64_t kmin, std::int64_t kmax) {
+  PPSIM_CHECK(kmin >= 2, "--kmin must be at least 2, got " + std::to_string(kmin));
+  PPSIM_CHECK(kmax >= kmin, "--kmax must be at least --kmin, got --kmin " +
+                                std::to_string(kmin) + " --kmax " +
+                                std::to_string(kmax));
+}
+
 /// Prints the bench banner with the resolved parameter set.
 inline void banner(const std::string& name, const std::string& purpose) {
   std::cout << "==============================================================\n"

@@ -61,14 +61,19 @@ struct Trajectory {
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   const Count n = cli.get_int("n", 1'000'000);
-  const auto k = static_cast<std::size_t>(
-      cli.get_int("k", static_cast<std::int64_t>(bounds::paper_k(n))));
+  const std::int64_t k_flag =
+      cli.get_int("k", static_cast<std::int64_t>(bounds::paper_k(n)));
   const std::int64_t samples = cli.get_int("samples", 400);
   const double max_parallel = cli.get_double("max-parallel", 10000.0);
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 2025, "");
   cli.validate_no_unknown_flags();
+  // k = 1 has no minority to highlight.
+  PPSIM_CHECK(k_flag >= 2, "--k must be at least 2, got " + std::to_string(k_flag));
+  const auto k = static_cast<std::size_t>(k_flag);
   PPSIM_CHECK(samples >= 1,
               "--samples must be at least 1, got " + std::to_string(samples));
+  PPSIM_CHECK(max_parallel >= 0.0, "--max-parallel must be non-negative, got " +
+                                       format_double(max_parallel, 2));
 
   const InitialConfig init = figure1_configuration(n, k);
   const Count doubling_level = 2 * init.majority();

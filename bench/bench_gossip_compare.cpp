@@ -43,6 +43,7 @@ int run(int argc, char** argv) {
   const std::int64_t kmax = cli.get_int("kmax", 32);
   const SweepCliOptions opts = read_sweep_flags(cli, 3, 6, "BENCH_gossip_compare.json");
   cli.validate_no_unknown_flags();
+  benchutil::check_k_range(kmin, kmax);
 
   benchutil::banner("gossip_compare",
                     "USD under the population scheduler vs the synchronous Gossip model");

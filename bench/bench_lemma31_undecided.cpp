@@ -41,6 +41,7 @@ int run(int argc, char** argv) {
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 31, "BENCH_lemma31_undecided.json");
   cli.validate_no_unknown_flags();
+  benchutil::check_k_range(kmin, kmax);
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 

@@ -58,6 +58,7 @@ int run(int argc, char** argv) {
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
   const SweepCliOptions opts = read_sweep_flags(cli, 5, 33, "BENCH_lemma33_34.json");
   cli.validate_no_unknown_flags();
+  benchutil::check_k_range(kmin, kmax);
   const benchutil::ResolvedEngine engine =
       benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 

@@ -121,6 +121,8 @@ int run(int argc, char** argv) {
   PPSIM_CHECK(k_flag >= 1,
               "--k must be at least 1, got " + std::to_string(k_flag));
   const auto k = static_cast<std::size_t>(k_flag);
+  PPSIM_CHECK(max_parallel >= 0.0, "--max-parallel must be non-negative, got " +
+                                       format_double(max_parallel, 2));
 
   std::optional<EngineKind> engine_override;
   if (engine_flag != "auto") {
@@ -208,7 +210,7 @@ int run(int argc, char** argv) {
       for (std::size_t c = 0; c < channels.names.size(); ++c) {
         rec.add_channel(channels.names[c], channels.projections[c]);
       }
-      Engine engine(kind, usd, initial, series_seed, {.kernel = opts.kernel});
+      Engine engine(kind, usd, initial, series_seed);
       engine.run_until(
           [&](const Configuration& c, Interactions i) {
             rec.maybe_sample(c, i);
@@ -224,8 +226,7 @@ int run(int argc, char** argv) {
       std::cout << "series written to " << series_path << "\n";
     }
     run_one_cell(base_cell(kind), [&](const SweepTrial& ctx) {
-      const kernels::KernelKind kernel = ctx.cell.kernel.value_or(opts.kernel);
-      Engine engine(ctx.cell.engine, usd, initial, ctx.seed, {.kernel = kernel});
+      Engine engine(ctx.cell.engine, usd, initial, ctx.seed);
       return consensus_metrics(run_engine_trial(engine, budget));
     });
     return 0;

@@ -230,8 +230,8 @@ SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {
   PPSIM_CHECK(!spec_.name.empty(), "sweep spec must be named");
   PPSIM_CHECK(spec_.trials > 0, "sweep needs at least one trial per cell");
   // Stamp the spec default into every cell that didn't name its own kernel,
-  // so trial lambdas and the report see the resolved kind uniformly (and
-  // fail fast here if a requested kernel is unavailable on this host).
+  // so trial lambdas and the report see one kind uniformly (and fail fast
+  // here on a kind resolve() rejects).
   for (SweepCell& cell : spec_.cells) {
     if (!cell.kernel.has_value()) cell.kernel = spec_.kernel;
     (void)kernels::resolve(*cell.kernel);
@@ -463,7 +463,6 @@ void SweepCliOptions::configure(SweepSpec& spec) const {
   spec.base_seed = seed;
   spec.threads = threads;
   spec.stopping = stopping;
-  spec.kernel = kernel;
 }
 
 SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
@@ -520,7 +519,6 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
               "hardware threads), got " + std::to_string(threads));
   opts.threads = static_cast<unsigned>(threads);
   opts.json = cli.get_string("json", default_json);
-  opts.kernel = kernels::parse_kernel_flag(cli.get_string("kernel", "auto"));
   return opts;
 }
 

@@ -77,9 +77,8 @@ class CollapsedSimulator {
     /// every round is exactly min(r, budget) interactions. fixed_round = 1
     /// forces single-interaction rounds, i.e. the exact sequential chain.
     Interactions fixed_round = 0;
-    /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is the
-    /// determinism anchor every golden pin is recorded against; kAvx2
-    /// throws at construction when the build or CPU lacks it.
+    /// Round kernel (kernels/round_kernel.hpp). kScalar is the only one;
+    /// any other kind throws at construction.
     kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   };
 
@@ -140,8 +139,7 @@ class CollapsedSimulator {
   /// its alias table are deterministic functions of the counts.
   EngineCheckpoint checkpoint_state() const;
 
-  /// The round kernel this engine samples with (resolved from
-  /// Options::kernel at construction).
+  /// The round kernel this engine samples with.
   const kernels::RoundKernel& kernel() const noexcept { return *kernel_; }
 
   /// Staging API: step_round split at the kernel call, so a caller can time

@@ -62,8 +62,9 @@ struct SweepCell {
   Interactions round_divisor = 16;  ///< batched engine granularity
   double tau_epsilon = 0.05;        ///< collapsed engine drift tolerance
   /// Round kernel for the batched/collapsed engines; nullopt inherits
-  /// SweepSpec::kernel (SweepRunner stamps the resolved kind in at
-  /// construction, so downstream readers always see a value).
+  /// SweepSpec::kernel (SweepRunner stamps it in at construction, so
+  /// downstream readers always see a value). Only kScalar runs
+  /// (kernels/round_kernel.hpp).
   std::optional<kernels::KernelKind> kernel;
   /// Bench-specific scalar knobs, carried into the report verbatim.
   std::vector<std::pair<std::string, double>> params;
@@ -98,9 +99,8 @@ struct SweepSpec {
   std::uint64_t base_seed = 42;
   unsigned threads = 1;           ///< worker count; 0 = hardware concurrency
   TrialStopping stopping;         ///< fixed by default
-  /// Default round kernel for cells that don't name their own. kScalar is
-  /// the determinism anchor: its draw sequence predates the kernels layer,
-  /// so every byte-identical-JSON pin assumes it.
+  /// Default round kernel for cells that don't name their own; reports
+  /// carry it as "kernel": "scalar" (kernels/round_kernel.hpp).
   kernels::KernelKind kernel = kernels::KernelKind::kScalar;
 };
 
@@ -293,18 +293,14 @@ class SweepRunner {
 /// The shared sweep-facing CLI surface, so every bench spells the common
 /// flags identically: --trials (a count, or auto[:rel_err] for adaptive
 /// stopping), --min-trials / --max-trials (adaptive wave floor and cap),
-/// --seed, --threads (0 = hardware), --json (unified report path; empty
-/// disables), --kernel (auto|scalar|avx2 round-sampling backend; auto picks
-/// the widest kernel this build+CPU supports, and an explicitly requested
-/// unavailable backend fails fast with a clear error). Every run is on the
-/// uniform scheduler over a fixed population.
+/// --seed, --threads (0 = hardware) and --json (unified report path; empty
+/// disables). Every run is on the uniform scheduler over a fixed
+/// population.
 struct SweepCliOptions {
   std::size_t trials = 1;  ///< fixed count, or the cap when stopping.adaptive
   std::uint64_t seed = 42;
   unsigned threads = 1;
   std::string json;
-  /// Resolved --kernel choice ("auto" already resolved against this host).
-  kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   TrialStopping stopping;
 
   /// Applies the shared flags to a spec (trials/base_seed/threads/stopping),

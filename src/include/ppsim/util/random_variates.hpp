@@ -4,10 +4,9 @@
 // Exactness matters: the Gossip engine's correctness proof (tests/
 // gossip_test.cpp) relies on each round being distributed *exactly* as the
 // model prescribes, so approximations (normal/Poisson) are not used here.
-// binomial() is the library's own inversion/BTRS sampler — the same
-// algorithm the AVX2 round kernel runs in its lanes — so its draw sequence
-// is a function of the RNG state alone, not of the C++ standard library
-// that built the binary. The multinomial is a chain of conditional
+// binomial() is the library's own inversion/BTRS sampler, so its draw
+// sequence is a function of the RNG state alone, not of the C++ standard
+// library that built the binary. The multinomial is a chain of conditional
 // binomials.
 #pragma once
 
@@ -41,7 +40,7 @@ std::vector<std::int64_t> multinomial(Xoshiro256pp& rng, std::int64_t trials,
                                       const std::vector<double>& weights);
 
 /// multinomial() into a caller-owned buffer (resized to weights.size()),
-/// so per-round callers — the scalar round kernel — don't allocate on the
+/// so per-round callers — the round kernel — don't allocate on the
 /// hot path. Identical draw sequence to multinomial(): the vector-returning
 /// overload is a wrapper around this.
 void multinomial_into(Xoshiro256pp& rng, std::int64_t trials,

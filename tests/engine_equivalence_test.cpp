@@ -252,7 +252,7 @@ TEST(ScalarKernelGoldenTest, FullRunsToStabilization) {
 
 TEST(ScalarKernelGoldenTest, ExplicitScalarKernelEqualsDefault) {
   // Options::kernel = kScalar is the default; requesting it explicitly must
-  // route through the same registry object and the same draws.
+  // route through the same kernel object and the same draws.
   const UndecidedStateDynamics usd(3);
   CollapsedSimulator::Options copts;
   copts.kernel = kernels::KernelKind::kScalar;

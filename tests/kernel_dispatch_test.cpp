@@ -1,9 +1,7 @@
-// Kernel registry and dispatch semantics: parsing, capability-driven
-// selection, the failure modes for explicitly requesting an unavailable
-// backend, PairLaw's generation-counter invalidation and its buckets
-// (checked against a brute-force ordered-pair enumeration), and the
-// collapsed engine's staging API — stage, advance and commit must equal
-// step_round draw for draw.
+// The one round kernel (the retired AVX2 kind is rejected), PairLaw's
+// generation-counter invalidation and its buckets (checked against a
+// brute-force ordered-pair enumeration), and the collapsed engine's staging
+// API — stage, advance and commit must equal step_round draw for draw.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,71 +25,15 @@
 namespace ppsim::kernels {
 namespace {
 
-TEST(KernelRegistryTest, NamesRoundTrip) {
-  EXPECT_EQ(to_string(KernelKind::kScalar), "scalar");
-  EXPECT_EQ(to_string(KernelKind::kAvx2), "avx2");
-  EXPECT_EQ(parse_kernel("scalar"), KernelKind::kScalar);
-  EXPECT_EQ(parse_kernel("avx2"), KernelKind::kAvx2);
-  EXPECT_EQ(parse_kernel("auto"), std::nullopt);
-  EXPECT_EQ(parse_kernel("sse9"), std::nullopt);
-}
-
 TEST(KernelRegistryTest, ScalarIsAlwaysAvailable) {
-  const RoundKernel& scalar = scalar_kernel();
-  EXPECT_EQ(scalar.kind(), KernelKind::kScalar);
-  EXPECT_EQ(&resolve(KernelKind::kScalar), &scalar);
-
-  const auto kinds = available_kernels();
-  ASSERT_FALSE(kinds.empty());
-  EXPECT_EQ(kinds.front(), KernelKind::kScalar);
-}
-
-TEST(KernelRegistryTest, CompiledFlagMatchesRegistryPointer) {
-  // The stub translation unit must keep the registry consistent: the avx2
-  // kernel object exists iff the SIMD implementation was compiled in.
-  EXPECT_EQ(avx2_compiled(), avx2_kernel_or_null() != nullptr);
-  if (!avx2_compiled()) {
-    EXPECT_FALSE(avx2_supported());
-  }
-}
-
-TEST(KernelRegistryTest, AutoPicksTheWidestSupportedKernel) {
-  if (avx2_supported()) {
-    EXPECT_EQ(auto_kind(), KernelKind::kAvx2);
-    const RoundKernel& k = resolve(KernelKind::kAvx2);
-    EXPECT_EQ(k.kind(), KernelKind::kAvx2);
-    const auto kinds = available_kernels();
-    EXPECT_NE(std::find(kinds.begin(), kinds.end(), KernelKind::kAvx2),
-              kinds.end());
-  } else {
-    EXPECT_EQ(auto_kind(), KernelKind::kScalar);
-    EXPECT_THROW(resolve(KernelKind::kAvx2), CheckFailure);
-  }
-  // "auto" must always resolve without throwing, whatever the host.
-  EXPECT_EQ(parse_kernel_flag("auto"), auto_kind());
-  EXPECT_EQ(parse_kernel_flag("scalar"), KernelKind::kScalar);
-}
-
-TEST(KernelRegistryTest, ExplicitUnsupportedKernelFailsWithClearError) {
-  if (avx2_supported()) GTEST_SKIP() << "host supports avx2";
-  try {
-    parse_kernel_flag("avx2");
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& e) {
-    // The message must tell the user both what failed and what to do.
-    const std::string what = e.what();
-    EXPECT_NE(what.find("avx2"), std::string::npos) << what;
-    EXPECT_NE(what.find("--kernel scalar"), std::string::npos) << what;
-  }
-}
-
-TEST(KernelRegistryTest, UnknownFlagValueThrows) {
-  EXPECT_THROW(parse_kernel_flag("sse9"), CheckFailure);
-  EXPECT_THROW(parse_kernel_flag(""), CheckFailure);
-}
-
-TEST(KernelRegistryTest, EnginesRejectUnavailableKernel) {
-  if (avx2_supported()) GTEST_SKIP() << "host supports avx2";
+  // Scalar is the only kernel: the names kept for perfbench report no AVX2,
+  // and both ways of asking for the retired kAvx2 fail. Reports, cache keys
+  // and .pptraj headers keep spelling it "scalar".
+  EXPECT_EQ(to_string(KernelKind::kScalar), "scalar");
+  EXPECT_EQ(auto_kind(), KernelKind::kScalar);
+  EXPECT_FALSE(avx2_supported());
+  EXPECT_EQ(&resolve(KernelKind::kScalar), &scalar_kernel());
+  EXPECT_THROW(resolve(KernelKind::kAvx2), CheckFailure);
   const UndecidedStateDynamics usd(3);
   CollapsedSimulator::Options collapsed_opts;
   collapsed_opts.kernel = KernelKind::kAvx2;

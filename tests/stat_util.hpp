@@ -1,9 +1,6 @@
-// Shared distribution-test helpers for the statistical pins: chi-square
-// goodness-of-fit p-values (wrapping util/stats chi_square_statistic /
-// chi_square_sf with the conventional buckets−1 degrees of freedom) and the
-// two-sample Kolmogorov–Smirnov distance. Used by collapsed_simulator_test
-// and kernel_distribution_test. Also run_cell, the one-cell
-// sweep the protocol tests run their Monte-Carlo trials through.
+// Shared test helpers: the two-sample Kolmogorov–Smirnov distance (used by
+// collapsed_simulator_test) and run_cell, the one-cell sweep the protocol
+// tests run their Monte-Carlo trials through.
 #pragma once
 
 #include <algorithm>
@@ -17,22 +14,6 @@
 #include "ppsim/util/stats.hpp"
 
 namespace ppsim::testutil {
-
-/// Goodness-of-fit p-value of `observed` against `expected` with the
-/// conventional observed.size() − 1 degrees of freedom. Reject small values
-/// (a correct sampler fails p > 1e-6 with probability < 1e-6).
-inline double chi_square_pvalue(const std::vector<std::int64_t>& observed,
-                                const std::vector<double>& expected) {
-  const double stat = chi_square_statistic(observed, expected);
-  return chi_square_sf(stat, static_cast<int>(observed.size()) - 1);
-}
-
-/// Expected histogram of `total` events uniform over `buckets` buckets.
-inline std::vector<double> uniform_expectation(std::size_t buckets,
-                                               std::int64_t total) {
-  return std::vector<double>(
-      buckets, static_cast<double>(total) / static_cast<double>(buckets));
-}
 
 /// Two-sample Kolmogorov–Smirnov distance sup_x |F_a(x) − F_b(x)|.
 inline double ks_distance(std::vector<double> a, std::vector<double> b) {
@@ -53,15 +34,6 @@ inline double ks_distance(std::vector<double> a, std::vector<double> b) {
                              static_cast<double>(ib) / nb));
   }
   return d;
-}
-
-/// Two-sample KS critical distance c(α)·sqrt((na+nb)/(na·nb)); c(0.001) ≈
-/// 1.949 — the constant used by the kernel-distribution pins.
-inline double ks_two_sample_critical(std::size_t na, std::size_t nb,
-                                     double c_alpha = 1.949) {
-  const double a = static_cast<double>(na);
-  const double b = static_cast<double>(nb);
-  return c_alpha * std::sqrt((a + b) / (a * b));
 }
 
 /// Runs `trials` trials of `fn` as a one-cell sweep on all hardware threads.

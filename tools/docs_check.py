@@ -128,7 +128,7 @@ def registered_flags(binary: str, root: pathlib.Path):
     flags = set(FLAG_REGISTRATION_RE.findall(text))
     if "read_sweep_flags" in text:
         flags |= {"trials", "min-trials", "max-trials", "seed", "threads",
-                  "json", "kernel"}
+                  "json"}
     return flags
 
 
