@@ -72,12 +72,10 @@ int run(int argc, char** argv) {
   const auto k = static_cast<std::size_t>(k_flag);
   PPSIM_CHECK(samples >= 1,
               "--samples must be at least 1, got " + std::to_string(samples));
-  PPSIM_CHECK(max_parallel >= 0.0, "--max-parallel must be non-negative, got " +
-                                       format_double(max_parallel, 2));
+  const Interactions budget = max_parallel_budget(max_parallel, n);
 
   const InitialConfig init = figure1_configuration(n, k);
   const Count doubling_level = 2 * init.majority();
-  const auto budget = static_cast<Interactions>(max_parallel * static_cast<double>(n));
   // One sample per 0.05 parallel time units: fine enough to place the first
   // extinction, and the views subsample it down to --samples rows.
   const Interactions stride = std::max<Interactions>(1, n / 20);

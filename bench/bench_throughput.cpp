@@ -44,8 +44,7 @@ int run(int argc, char** argv) {
   PPSIM_CHECK(k_flag >= 1, "--k must be at least 1, got " + std::to_string(k_flag));
   const auto k = static_cast<std::size_t>(k_flag);
   const double max_parallel = cli.get_double("max-parallel", 1000.0);
-  PPSIM_CHECK(max_parallel >= 0.0, "--max-parallel must be non-negative, got " +
-                                       format_double(max_parallel, 2));
+  const Interactions budget = max_parallel_budget(max_parallel, n);
   const Interactions round_divisor = cli.get_int("round-divisor", 16);
   PPSIM_CHECK(round_divisor > 0, "--round-divisor must be positive");
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
@@ -65,7 +64,6 @@ int run(int argc, char** argv) {
   benchutil::param("threads", static_cast<std::int64_t>(opts.threads));
 
   const InitialConfig init = figure1_configuration(n, k);
-  const auto budget = static_cast<Interactions>(max_parallel * static_cast<double>(n));
   const UndecidedStateDynamics usd(k);
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration(init.opinion_counts);

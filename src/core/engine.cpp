@@ -16,13 +16,8 @@ EngineVariant make_impl(EngineKind kind, const Protocol& protocol,
                         Interactions round_divisor) {
   switch (kind) {
     case EngineKind::kSequential:
-      return EngineVariant(
-          std::in_place_type<Simulator>, protocol, std::move(initial), seed,
-          Simulator::Engine::kTable);
-    case EngineKind::kSequentialVirtual:
-      return EngineVariant(
-          std::in_place_type<Simulator>, protocol, std::move(initial), seed,
-          Simulator::Engine::kVirtual);
+      return EngineVariant(std::in_place_type<Simulator>, protocol,
+                           std::move(initial), seed);
     case EngineKind::kBatched:
       PPSIM_CHECK(round_divisor > 0, "round divisor must be positive");
       options.fixed_round =
@@ -47,7 +42,6 @@ EngineVariant make_impl(EngineKind kind, const Protocol& protocol,
 std::string to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kSequential: return "sequential";
-    case EngineKind::kSequentialVirtual: return "virtual";
     case EngineKind::kBatched: return "batched";
     case EngineKind::kCollapsed: return "collapsed";
   }
@@ -56,7 +50,6 @@ std::string to_string(EngineKind kind) {
 
 std::optional<EngineKind> parse_engine(const std::string& name) {
   if (name == "sequential") return EngineKind::kSequential;
-  if (name == "virtual") return EngineKind::kSequentialVirtual;
   if (name == "batched") return EngineKind::kBatched;
   if (name == "collapsed") return EngineKind::kCollapsed;
   return std::nullopt;
@@ -84,7 +77,7 @@ Interactions Engine::clamped_interactions() const {
         if constexpr (requires { e.clamped_interactions(); }) {
           return e.clamped_interactions();
         } else {
-          return 0;  // exact sequential engines never clamp
+          return 0;  // the exact sequential engine never clamps
         }
       },
       impl_);

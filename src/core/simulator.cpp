@@ -5,14 +5,14 @@
 namespace ppsim {
 
 Simulator::Simulator(const Protocol& protocol, Configuration initial,
-                     std::uint64_t seed, Engine engine)
+                     std::uint64_t seed)
     : protocol_(protocol),
+      table_(protocol),
       config_(std::move(initial)),
       sampler_(config_),
       rng_(seed) {
   PPSIM_CHECK(config_.num_states() == protocol.num_states(),
               "configuration size must match the protocol's state space");
-  if (engine == Engine::kTable) table_.emplace(protocol);
   const auto& counts = config_.counts();
   slot_.assign(counts.size(), 0);
   for (State s = 0; s < counts.size(); ++s) {
@@ -42,7 +42,7 @@ inline void Simulator::move_agent(State from, State to) {
 
 bool Simulator::step() {
   const auto [a, b] = sampler_.sample(rng_);
-  const Transition t = table_ ? table_->apply(a, b) : protocol_.apply(a, b);
+  const Transition t = table_.apply(a, b);
   ++interactions_;
   if (t.initiator == a && t.responder == b) return false;
   if (t.initiator != a) move_agent(a, t.initiator);
@@ -60,17 +60,11 @@ bool Simulator::step() {
 void Simulator::find_witness() {
   for (const State a : present_) {
     for (const State b : present_) {
-      if (!applicable(a, b)) continue;
-      const bool null = table_ ? table_->is_null(a, b) : [&] {
-        const Transition t = protocol_.apply(a, b);
-        return t.initiator == a && t.responder == b;
-      }();
-      if (!null) {
-        witness_a_ = a;
-        witness_b_ = b;
-        stable_ = false;
-        return;
-      }
+      if (!applicable(a, b) || table_.is_null(a, b)) continue;
+      witness_a_ = a;
+      witness_b_ = b;
+      stable_ = false;
+      return;
     }
   }
   stable_ = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <fstream>
 #include <limits>
@@ -32,8 +33,8 @@ std::string SweepCell::label() const {
 Engine SweepTrial::make_engine(const Protocol& protocol,
                                Configuration initial) const {
   // Each engine built by this trial draws its own scalar seed from the
-  // trial's private stream, so a trial comparing several engines (e.g.
-  // bench_gossip_compare) seeds them from disjoint draws deterministically.
+  // trial's private stream, so a trial that builds several engines seeds
+  // them from disjoint draws deterministically.
   const kernels::KernelKind kernel =
       cell.kernel.value_or(kernels::KernelKind::kScalar);
   return Engine(cell.engine, protocol, std::move(initial), rng(),
@@ -520,6 +521,21 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
   opts.threads = static_cast<unsigned>(threads);
   opts.json = cli.get_string("json", default_json);
   return opts;
+}
+
+Interactions max_parallel_budget(double max_parallel, Count n) {
+  PPSIM_CHECK(std::isfinite(max_parallel) && max_parallel >= 0.0,
+              "--max-parallel must be a finite non-negative number, got " +
+                  JsonObject::render_double(max_parallel));
+  const double budget = max_parallel * static_cast<double>(n);
+  // 2^63: the first double past the Interactions range, so the cast below
+  // is defined exactly when the check passes.
+  constexpr double kLimit = 9223372036854775808.0;
+  PPSIM_CHECK(budget > -kLimit && budget < kLimit,
+              "--max-parallel " + JsonObject::render_double(max_parallel) +
+                  " times n = " + std::to_string(n) +
+                  " overflows the 64-bit interaction budget");
+  return static_cast<Interactions>(budget);
 }
 
 }  // namespace ppsim

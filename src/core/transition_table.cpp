@@ -8,7 +8,7 @@ TransitionTable::TransitionTable(const Protocol& protocol)
     : num_states_(protocol.num_states()) {
   PPSIM_CHECK(num_states_ > 0, "protocol must have at least one state");
   PPSIM_CHECK(num_states_ <= 1u << 14,
-              "state space too large for a dense table; use the virtual-dispatch engine");
+              "state space too large for a dense table (at most 2^14 states)");
   table_.resize(num_states_ * num_states_);
   null_.resize(num_states_ * num_states_);
   for (State a = 0; a < num_states_; ++a) {

@@ -7,7 +7,7 @@
 // realised bias' is the requested bias rounded up by at most k-1 agents to
 // make the arithmetic exact. All builders return counts indexed by opinion
 // (opinion 0 = majority), ready for
-// UndecidedStateDynamics::initial_configuration / UsdGossipRule::initial.
+// UndecidedStateDynamics::initial_configuration.
 #pragma once
 
 #include <cstdint>

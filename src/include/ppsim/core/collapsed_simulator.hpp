@@ -2,7 +2,7 @@
 //
 // The sequential Simulator already works on counts but still pays one RNG
 // draw per *interaction*. This engine simulates the pair-count Markov chain
-// directly and is built for populations far beyond the sequential engines'
+// directly and is built for populations far beyond the sequential engine's
 // reach (n = 10^9–10^11):
 //
 //   * State is only the S = |Σ| counts (a Configuration). No per-agent data

@@ -27,7 +27,7 @@ class Protocol {
   virtual Transition apply(State initiator, State responder) const = 0;
 
   /// Output map γ. nullopt means the state has no committed output (e.g. the
-  /// undecided state ⊥ in USD, or value 0 in quantized averaging).
+  /// undecided state ⊥ in USD).
   virtual std::optional<Opinion> output(State s) const = 0;
 
   /// Protocol name for logs, tables and test diagnostics.

@@ -1,10 +1,7 @@
 // Exact sequential-interaction engine for arbitrary population protocols.
 //
-// Two dispatch modes share one implementation:
-//   * table-driven (default) — f is compiled into a dense TransitionTable;
-//     best for small-to-moderate state spaces (USD, 4-state majority, ...);
-//   * virtual — f is invoked through the Protocol vtable; needed for state
-//     spaces too large to tabulate (e.g. quantized averaging with m ≈ n).
+// The transition function f is compiled once into a dense TransitionTable,
+// so the per-interaction hot path is a table lookup with no virtual dispatch.
 //
 // The engine owns the configuration, the pair sampler and the RNG, so a
 // Simulator is a self-contained, restartable experiment. Stopping times are
@@ -17,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -38,7 +34,7 @@ struct RunOutcome {
   Interactions interactions = 0;             ///< attempted interactions so far
   /// Interactions the engine attempted but could not realise (τ-leaping
   /// overdraw clamped to live counts). Always 0 for the exact sequential
-  /// engines; for the round kinds (batched, collapsed), `interactions -
+  /// engine; for the round kinds (batched, collapsed), `interactions -
   /// clamped` is the effective count — report both so throughput numbers
   /// are honest.
   Interactions clamped = 0;
@@ -47,11 +43,8 @@ struct RunOutcome {
 
 class Simulator {
  public:
-  enum class Engine { kTable, kVirtual };
-
   /// The protocol must outlive the simulator.
-  Simulator(const Protocol& protocol, Configuration initial, std::uint64_t seed,
-            Engine engine = Engine::kTable);
+  Simulator(const Protocol& protocol, Configuration initial, std::uint64_t seed);
 
   const Configuration& configuration() const noexcept { return config_; }
   Interactions interactions() const noexcept { return interactions_; }
@@ -112,7 +105,7 @@ class Simulator {
   void find_witness();
 
   const Protocol& protocol_;
-  std::optional<TransitionTable> table_;  // engaged in kTable mode
+  TransitionTable table_;
   Configuration config_;
   PairSampler sampler_;
   Xoshiro256pp rng_;

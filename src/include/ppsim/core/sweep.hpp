@@ -106,8 +106,8 @@ struct SweepSpec {
 
 /// Everything one trial may depend on. `rng` is the trial's private jump
 /// stream; `seed` is a scalar drawn from it for engines that expand their
-/// own seed (a sequential Simulator, GossipEngine, ...). Using both is fine — the stream
-/// is private to this (cell, trial) pair.
+/// own seed (a sequential Simulator). Using both is fine — the stream is
+/// private to this (cell, trial) pair.
 struct SweepTrial {
   const SweepCell& cell;
   std::size_t cell_index;
@@ -313,6 +313,12 @@ struct SweepCliOptions {
 SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
                                  std::uint64_t default_seed,
                                  const std::string& default_json);
+
+/// The interaction budget of a --max-parallel flag: max_parallel · n,
+/// truncated toward zero. Throws CheckFailure naming --max-parallel when the
+/// value is NaN, infinite or negative, or when the product does not fit in
+/// Interactions.
+Interactions max_parallel_budget(double max_parallel, Count n);
 
 /// Standard metric block for consensus trials, so every bench reports the
 /// same names: stabilized (0/1), parallel_time, interactions (attempted),

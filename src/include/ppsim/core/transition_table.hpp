@@ -1,6 +1,6 @@
 // Dense S×S transition table compiled from a Protocol.
 //
-// The generic simulation engine is table-driven: compiling f once removes
+// Every simulation engine is table-driven: compiling f once removes
 // virtual dispatch from the per-interaction hot path and lets us precompute
 // which ordered pairs are "null" (leave both states unchanged). Null-pair
 // knowledge is what makes exact stabilization detection cheap: a
@@ -19,8 +19,7 @@ namespace ppsim {
 class TransitionTable {
  public:
   /// Compiles the protocol's transition function. Cost O(S²) in time and
-  /// memory; callers with huge state spaces should use the virtual-dispatch
-  /// engine instead (see Simulator::Engine).
+  /// memory, so S is capped at 2^14.
   explicit TransitionTable(const Protocol& protocol);
 
   std::size_t num_states() const noexcept { return num_states_; }

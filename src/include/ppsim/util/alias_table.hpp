@@ -2,8 +2,8 @@
 // after O(S) preprocessing.
 //
 // Used where the distribution does not change between draws (workload
-// generators, initial-opinion assignment, gossip partner-class sampling in
-// tests). The sequential engines' PairSampler uses a prefix-sum tree
+// generators, initial-opinion assignment, the round engine's pair law).
+// The sequential engine's PairSampler uses a prefix-sum tree
 // instead (core/scheduler.hpp) because its distribution mutates on every
 // step.
 #pragma once

@@ -1,9 +1,8 @@
-// Exact samplers for the discrete distributions the synchronous engines and
+// Exact samplers for the discrete distributions the round engine and the
 // workload generators need: binomial and multinomial.
 //
-// Exactness matters: the Gossip engine's correctness proof (tests/
-// gossip_test.cpp) relies on each round being distributed *exactly* as the
-// model prescribes, so approximations (normal/Poisson) are not used here.
+// Exactness matters: a round must be distributed *exactly* as the model
+// prescribes, so approximations (normal/Poisson) are not used here.
 // binomial() is the library's own inversion/BTRS sampler, so its draw
 // sequence is a function of the RNG state alone, not of the C++ standard
 // library that built the binary. The multinomial is a chain of conditional

@@ -17,11 +17,11 @@
 
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/simulator.hpp"
-#include "ppsim/protocols/leader_election.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
 #include "stat_util.hpp"
+#include "toy_protocols.hpp"
 
 namespace ppsim {
 namespace {
@@ -224,12 +224,12 @@ TEST(CollapsedSimulatorTest, TauControllerAdaptsToThePopulationScale) {
 TEST(CollapsedSimulatorTest, HandlesNonNullSelfPairs) {
   // Leader election's (L, L) -> (L, F) transition exercises the a == b bulk
   // branch and drives a state down to a single agent.
-  const LeaderElection protocol;
-  CollapsedSimulator sim(protocol, LeaderElection::initial(1000), 5);
+  const toy::LeaderElection protocol;
+  CollapsedSimulator sim(protocol, toy::LeaderElection::initial(1000), 5);
   const RunOutcome out = sim.run_until_stable(50'000'000);
   ASSERT_TRUE(out.stabilized);
   EXPECT_EQ(sim.configuration().population(), 1000);
-  EXPECT_EQ(sim.configuration().count(LeaderElection::kLeader), 1);
+  EXPECT_EQ(sim.configuration().count(toy::LeaderElection::kLeader), 1);
 }
 
 TEST(CollapsedSimulatorTest, StabilizesToUsdConsensus) {

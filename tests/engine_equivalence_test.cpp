@@ -1,11 +1,11 @@
-// Cross-validation of the three USD execution paths — table-driven
-// Simulator, virtual-dispatch Simulator, and the counts-space
-// CollapsedSimulator restricted to single-interaction rounds — which by
-// construction realise the *same* Markov chain. Rather than comparing trajectories (the engines consume randomness
-// differently), we compare distributions: means and variances of the key
-// observables at several horizons must agree within Monte-Carlo error, and
-// exact one-step transition probabilities must match the drift formulas on
-// every engine.
+// Cross-validation of the two USD execution paths — the sequential
+// Simulator and the counts-space CollapsedSimulator restricted to
+// single-interaction rounds — which by construction realise the *same*
+// Markov chain. Rather than comparing trajectories (the engines consume
+// randomness differently), we compare distributions: means and variances of
+// the key observables at several horizons must agree within Monte-Carlo
+// error, and exact one-step transition probabilities must match the drift
+// formulas on every engine.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -55,17 +55,6 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
       [](const Configuration& c) { return static_cast<double>(c.count(0)); },
       [](const Configuration& c) { return static_cast<double>(c.count(1)); });
 
-  const Moments virt = collect(
-      kTrials, horizon, 3000,
-      [&](std::uint64_t seed, Interactions h) {
-        Simulator s(usd, Configuration({0, 25, 20, 15}), seed,
-                    Simulator::Engine::kVirtual);
-        for (Interactions i = 0; i < h; ++i) s.step();
-        return s.configuration();
-      },
-      [](const Configuration& c) { return static_cast<double>(c.count(0)); },
-      [](const Configuration& c) { return static_cast<double>(c.count(1)); });
-
   // Single-interaction rounds (fixed_round = 1): each round is one draw from
   // the exact ordered-pair law, so the collapsed engine must realise the
   // sequential chain distribution step for step.
@@ -80,16 +69,12 @@ TEST_P(HorizonTest, AllEnginesAgreeOnMomentsOfU) {
       [](const Configuration& c) { return static_cast<double>(c.count(0)); },
       [](const Configuration& c) { return static_cast<double>(c.count(1)); });
 
-  const Moments* engines[] = {&table, &virt, &collapsed};
-  const char* names[] = {"table", "virtual", "collapsed"};
-  for (int i = 1; i < 3; ++i) {
-    const double tol_u = 4.5 * (engines[0]->u.sem() + engines[i]->u.sem());
-    EXPECT_NEAR(engines[0]->u.mean(), engines[i]->u.mean(), tol_u)
-        << "u mismatch: table vs " << names[i] << " at horizon " << horizon;
-    const double tol_x = 4.5 * (engines[0]->x0.sem() + engines[i]->x0.sem());
-    EXPECT_NEAR(engines[0]->x0.mean(), engines[i]->x0.mean(), tol_x)
-        << "x0 mismatch: table vs " << names[i] << " at horizon " << horizon;
-  }
+  const double tol_u = 4.5 * (table.u.sem() + collapsed.u.sem());
+  EXPECT_NEAR(table.u.mean(), collapsed.u.mean(), tol_u)
+      << "u mismatch: table vs collapsed at horizon " << horizon;
+  const double tol_x = 4.5 * (table.x0.sem() + collapsed.x0.sem());
+  EXPECT_NEAR(table.x0.mean(), collapsed.x0.mean(), tol_x)
+      << "x0 mismatch: table vs collapsed at horizon " << horizon;
 }
 
 INSTANTIATE_TEST_SUITE_P(Horizons, HorizonTest,
@@ -124,26 +109,6 @@ TEST(EngineEquivalenceTest, OneStepLawMatchesDriftOnEveryEngine) {
   EXPECT_NEAR(static_cast<double>(collapsed_clash) / kTrials, p_clash, 0.006);
 }
 
-TEST(EngineDeterminismTest, TableAndVirtualDispatchShareTrajectories) {
-  // kTable and kVirtual are two dispatch modes of the *same* engine: they
-  // draw the same pair from the same RNG stream and f is deterministic, so
-  // with equal seeds the trajectories must be identical step for step, not
-  // just distributionally.
-  const UndecidedStateDynamics usd(kK);
-  Simulator table(usd, Configuration({0, 25, 20, 15}), 1234,
-                  Simulator::Engine::kTable);
-  Simulator virt(usd, Configuration({0, 25, 20, 15}), 1234,
-                 Simulator::Engine::kVirtual);
-  for (int i = 0; i < 5000; ++i) {
-    const bool changed_table = table.step();
-    const bool changed_virt = virt.step();
-    ASSERT_EQ(changed_table, changed_virt) << "diverged at interaction " << i;
-    ASSERT_EQ(table.configuration(), virt.configuration())
-        << "diverged at interaction " << i;
-  }
-  EXPECT_EQ(table.interactions(), virt.interactions());
-}
-
 TEST(EngineDeterminismTest, SameSeedReproducesRunOutcome) {
   const UndecidedStateDynamics usd(kK);
   Simulator a(usd, Configuration({0, 25, 20, 15}), 777);
@@ -158,22 +123,14 @@ TEST(EngineDeterminismTest, SameSeedReproducesRunOutcome) {
 
 TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
   // Full-run comparison: mean stabilization interactions across engines on
-  // a biased two-party instance. Both sequential dispatch modes stop on the
-  // exact stabilizing interaction; the collapsed engine runs in exactness
-  // mode (fixed_round = 1), so its stopping times follow the sequential law
-  // too.
+  // a biased two-party instance. The sequential engine stops on the exact
+  // stabilizing interaction; the collapsed engine runs in exactness mode
+  // (fixed_round = 1), so its stopping times follow the sequential law too.
   const UndecidedStateDynamics usd(2);
   constexpr int kTrials = 150;
-  RunningStats virtual_time;
   RunningStats table_time;
   RunningStats collapsed_time;
   for (int t = 0; t < kTrials; ++t) {
-    Simulator v(usd, Configuration({0, 70, 30}), 600 + static_cast<std::uint64_t>(t),
-                Simulator::Engine::kVirtual);
-    const RunOutcome vout = v.run_until_stable(10'000'000);
-    ASSERT_TRUE(vout.stabilized);
-    virtual_time.add(static_cast<double>(vout.interactions));
-
     Simulator s(usd, Configuration({0, 70, 30}), 800 + static_cast<std::uint64_t>(t));
     const RunOutcome out = s.run_until_stable(10'000'000);
     ASSERT_TRUE(out.stabilized);
@@ -185,10 +142,8 @@ TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
     ASSERT_TRUE(cout_.stabilized);
     collapsed_time.add(static_cast<double>(cout_.interactions));
   }
-  EXPECT_NEAR(virtual_time.mean(), table_time.mean(),
-              4.5 * (virtual_time.sem() + table_time.sem()));
-  EXPECT_NEAR(virtual_time.mean(), collapsed_time.mean(),
-              4.5 * (virtual_time.sem() + collapsed_time.sem()));
+  EXPECT_NEAR(table_time.mean(), collapsed_time.mean(),
+              4.5 * (table_time.sem() + collapsed_time.sem()));
 }
 
 // --------------------------------------- scalar-kernel determinism anchor --

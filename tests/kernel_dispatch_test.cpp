@@ -16,11 +16,10 @@
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
-#include "ppsim/protocols/epidemic.hpp"
-#include "ppsim/protocols/four_state_majority.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/rng.hpp"
+#include "toy_protocols.hpp"
 
 namespace ppsim::kernels {
 namespace {
@@ -87,18 +86,6 @@ TEST(PairLawTest, WeightsMatchTheOrderedPairCounts) {
   EXPECT_DOUBLE_EQ(law.total_weight(), 10.0 * 9.0);
 }
 
-/// (a, b) → (a, a): the initiator converts the responder. f(b, a) = (b, b)
-/// is not the mirror of f(a, b), so both orders stay separate buckets.
-class Voter final : public Protocol {
- public:
-  std::size_t num_states() const override { return 3; }
-  Transition apply(State initiator, State) const override {
-    return {initiator, initiator};
-  }
-  std::optional<Opinion> output(State s) const override { return s; }
-  std::string name() const override { return "voter"; }
-};
-
 bool mirror_images(const TransitionTable& table, State a, State b) {
   const Transition ab = table.apply(a, b);
   const Transition ba = table.apply(b, a);
@@ -158,9 +145,9 @@ TEST(PairLawTest, BucketsMatchTheOrderedPairEnumeration) {
   const UndecidedStateDynamics usd2(2);
   const UndecidedStateDynamics usd3(3);
   const UndecidedStateDynamics usd27(27);
-  const Epidemic epidemic;
-  const FourStateMajority four_state;
-  const Voter voter;
+  const toy::Epidemic epidemic;
+  const toy::FourStateMajority four_state;
+  const toy::Voter voter;
   Xoshiro256pp rng(20251017);
   for (const Protocol* protocol : std::vector<const Protocol*>{
            &usd2, &usd3, &usd27, &epidemic, &four_state, &voter}) {
@@ -200,7 +187,7 @@ TEST(PairLawTest, Usd27HasOneBucketPerUnorderedActivePair) {
 }
 
 TEST(PairLawTest, NonMirroredProtocolKeepsBothOrderedPairs) {
-  const Voter voter;
+  const toy::Voter voter;
   const TransitionTable table(voter);
   PairLaw law;
   law.rebuild(table, Configuration({4, 5, 6}));

@@ -1,5 +1,5 @@
 // Generic engine: conservation, determinism, exact stability-driven
-// termination in both dispatch modes, predicates, and the recorder.
+// termination, predicates, and the recorder.
 #include "ppsim/core/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -7,16 +7,18 @@
 #include <sstream>
 
 #include "ppsim/core/recorder.hpp"
-#include "ppsim/protocols/averaging_majority.hpp"
-#include "ppsim/protocols/cancel_duplicate.hpp"
-#include "ppsim/protocols/epidemic.hpp"
-#include "ppsim/protocols/four_state_majority.hpp"
-#include "ppsim/protocols/leader_election.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
+#include "toy_protocols.hpp"
 
 namespace ppsim {
 namespace {
+
+using toy::Averaging;
+using toy::Epidemic;
+using toy::FourStateMajority;
+using toy::LeaderElection;
+using toy::Voter;
 
 TEST(SimulatorTest, RejectsMismatchedConfiguration) {
   const UndecidedStateDynamics usd(2);
@@ -114,10 +116,6 @@ TEST(SimulatorTest, RunUntilPredicateFires) {
   EXPECT_LT(out.interactions, 10'000'000);
 }
 
-// Same-seed kTable/kVirtual trajectory identity is covered (with step-return
-// and interaction-counter assertions) by EngineDeterminismTest in
-// engine_equivalence_test.cpp.
-
 TEST(SimulatorTest, ConsensusOutputRules) {
   const UndecidedStateDynamics usd(2);
   // Mixed opinions: no consensus.
@@ -131,9 +129,6 @@ TEST(SimulatorTest, ConsensusOutputRules) {
   ASSERT_TRUE(mono.consensus_output().has_value());
   EXPECT_EQ(*mono.consensus_output(), 1u);
 }
-
-constexpr Simulator::Engine kModes[] = {Simulator::Engine::kTable,
-                                        Simulator::Engine::kVirtual};
 
 /// Reference stability: every ordered pair of two distinct present agents'
 /// states is null under f (the O(S²) scan the witness replaces).
@@ -154,59 +149,55 @@ TEST(SimulatorTest, StopsOnTheExactStabilizingInteraction) {
   // interaction shorter is not yet stable: the stopping time is not rounded.
   const UndecidedStateDynamics usd(3);
   const Configuration initial({0, 40, 30, 30});
-  for (const Simulator::Engine mode : kModes) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + " seed " +
-                   std::to_string(seed));
-      Simulator sim(usd, initial, seed, mode);
-      const RunOutcome out = sim.run_until_stable(10'000'000);
-      ASSERT_TRUE(out.stabilized);
-      ASSERT_GT(out.interactions, 0);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Simulator sim(usd, initial, seed);
+    const RunOutcome out = sim.run_until_stable(10'000'000);
+    ASSERT_TRUE(out.stabilized);
+    ASSERT_GT(out.interactions, 0);
 
-      Simulator early(usd, initial, seed, mode);
-      const RunOutcome before = early.run_until_stable(out.interactions - 1);
-      EXPECT_FALSE(before.stabilized);
-      EXPECT_EQ(before.interactions, out.interactions - 1);
-      EXPECT_FALSE(brute_force_stable(usd, early.configuration()));
-      EXPECT_TRUE(early.step());  // the stopping interaction changed a state
-      EXPECT_TRUE(early.is_stable());
-      EXPECT_EQ(early.configuration(), sim.configuration());
-    }
+    Simulator early(usd, initial, seed);
+    const RunOutcome before = early.run_until_stable(out.interactions - 1);
+    EXPECT_FALSE(before.stabilized);
+    EXPECT_EQ(before.interactions, out.interactions - 1);
+    EXPECT_FALSE(brute_force_stable(usd, early.configuration()));
+    EXPECT_TRUE(early.step());  // the stopping interaction changed a state
+    EXPECT_TRUE(early.is_stable());
+    EXPECT_EQ(early.configuration(), sim.configuration());
   }
 }
 
 TEST(SimulatorTest, StabilityWitnessMatchesBruteForceScan) {
   // is_stable() from construction and after every interaction, against the
-  // full pair scan, on protocols whose null pairs differ in shape.
+  // full pair scan, on protocols whose null pairs differ in shape: a
+  // non-null diagonal (leader election), ordered pairs that are not mirror
+  // images (voter, averaging) and more than 32 states (averaging, 129).
   const UndecidedStateDynamics usd(3);
   const FourStateMajority four;
-  const CancellationDuplication cancel(4);
   const LeaderElection leader;
-  const AveragingMajority averaging(64);
+  const Voter voter;
+  const Averaging averaging(64);
   const std::pair<const Protocol*, Configuration> cases[] = {
       {&usd, Configuration({2, 5, 4, 3})},
       {&four, FourStateMajority::initial(9, 7)},
-      {&cancel, cancel.initial(9, 6)},
       {&leader, LeaderElection::initial(12)},
+      {&voter, Configuration({5, 4, 6})},
       {&averaging, averaging.initial(8, 6)},
   };
-  for (const Simulator::Engine mode : kModes) {
-    for (const auto& [protocol, initial] : cases) {
-      SCOPED_TRACE(protocol->name() + " mode " +
-                   std::to_string(static_cast<int>(mode)));
-      Simulator sim(*protocol, initial, 5, mode);
-      const auto run_to_stability = [&] {
-        ASSERT_EQ(sim.is_stable(), brute_force_stable(*protocol, sim.configuration()));
-        while (sim.interactions() < 200'000 && !sim.is_stable()) {
-          sim.step();
-          ASSERT_EQ(sim.is_stable(),
-                    brute_force_stable(*protocol, sim.configuration()))
-              << "after interaction " << sim.interactions();
-        }
-        ASSERT_TRUE(sim.is_stable());
-      };
-      ASSERT_NO_FATAL_FAILURE(run_to_stability());
-    }
+  for (const auto& [protocol, initial] : cases) {
+    SCOPED_TRACE(protocol->name());
+    Simulator sim(*protocol, initial, 5);
+    const auto run_to_stability = [&] {
+      ASSERT_EQ(sim.is_stable(), brute_force_stable(*protocol, sim.configuration()));
+      while (sim.interactions() < 200'000 && !sim.is_stable()) {
+        sim.step();
+        ASSERT_EQ(sim.is_stable(),
+                  brute_force_stable(*protocol, sim.configuration()))
+            << "after interaction " << sim.interactions();
+      }
+      ASSERT_TRUE(sim.is_stable());
+    };
+    ASSERT_NO_FATAL_FAILURE(run_to_stability());
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -156,8 +157,7 @@ TEST(SweepRunnerTest, CellDrivesAnyEngineKindWithClampedAccounting) {
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration({600, 400});
   for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kSequentialVirtual,
-        EngineKind::kBatched}) {
+       {EngineKind::kSequential, EngineKind::kBatched}) {
     SweepSpec spec;
     spec.name = "engine";
     spec.trials = 2;
@@ -387,6 +387,33 @@ TEST(SweepCliTest, TrialBoundsRejectNegativeCounts) {
   const SweepCliOptions ok = adaptive("--max-trials", "16");
   EXPECT_EQ(ok.trials, 16u);
   EXPECT_EQ(ok.stopping.min_trials, 8u);
+}
+
+TEST(SweepCliTest, MaxParallelBudgetRejectsNonFiniteAndOverflow) {
+  // The budget is max_parallel · n, truncated; a value whose product leaves
+  // the Interactions range must be named in the error, not cast (undefined
+  // behaviour) into a garbage budget.
+  EXPECT_EQ(max_parallel_budget(100000.0, 1000), 100'000'000);
+  EXPECT_EQ(max_parallel_budget(2.5, 3), 7);
+  EXPECT_EQ(max_parallel_budget(0.0, 1000), 0);
+  const auto message = [](double max_parallel, Count n) {
+    try {
+      max_parallel_budget(max_parallel, n);
+    } catch (const CheckFailure& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -inf, inf, std::nan(""), 1e300}) {
+    EXPECT_NE(message(bad, 1000).find("--max-parallel"), std::string::npos)
+        << "max_parallel " << bad;
+  }
+  // 2^63 interactions is one past the largest budget; just below it fits.
+  EXPECT_NE(message(9223372036854775808.0, 1).find("--max-parallel"),
+            std::string::npos);
+  EXPECT_EQ(max_parallel_budget(9223372036854774784.0, 1),
+            std::numeric_limits<Interactions>::max() - 1023);
 }
 
 TEST(SweepCellTest, ParamLookupAndLabel) {

@@ -1,17 +1,79 @@
-// Exact-majority baselines: the 4-state protocol's invariant and exactness,
-// and quantized averaging's conservation law and sign correctness.
+// The test-local fixtures of toy_protocols.hpp: their transition rules,
+// their conserved quantities and their end states under the exact engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ppsim/core/simulator.hpp"
-#include "ppsim/protocols/averaging_majority.hpp"
-#include "ppsim/protocols/four_state_majority.hpp"
 #include "ppsim/util/check.hpp"
 #include "stat_util.hpp"
+#include "toy_protocols.hpp"
 
 namespace ppsim {
 namespace {
 
-// ----------------------------------------------------------- four-state ----
+using toy::Averaging;
+using toy::Epidemic;
+using toy::FourStateMajority;
+using toy::LeaderElection;
+
+// -------------------------------------------------------- leader election ----
+
+TEST(LeaderElectionTest, OnlyLeaderPairsReact) {
+  const LeaderElection le;
+  using L = LeaderElection;
+  EXPECT_EQ(le.apply(L::kLeader, L::kLeader), (Transition{L::kLeader, L::kFollower}));
+  EXPECT_EQ(le.apply(L::kLeader, L::kFollower), (Transition{L::kLeader, L::kFollower}));
+  EXPECT_EQ(le.apply(L::kFollower, L::kFollower),
+            (Transition{L::kFollower, L::kFollower}));
+}
+
+TEST(LeaderElectionTest, ElectsExactlyOneFromAnyStart) {
+  const LeaderElection le;
+  for (Count initial_leaders : {2, 10, 100}) {
+    Simulator sim(le, Configuration({100 - initial_leaders, initial_leaders}),
+                  static_cast<std::uint64_t>(initial_leaders));
+    const RunOutcome out = sim.run_until_stable(10'000'000);
+    ASSERT_TRUE(out.stabilized);
+    EXPECT_EQ(sim.configuration().count(LeaderElection::kLeader), 1);
+  }
+}
+
+TEST(LeaderElectionTest, LeaderCountMonotone) {
+  const LeaderElection le;
+  Simulator sim(le, LeaderElection::initial(500), 9);
+  Count prev = 500;
+  for (int i = 0; i < 100000 && !sim.is_stable(); ++i) {
+    sim.step();
+    const Count now = sim.configuration().count(LeaderElection::kLeader);
+    ASSERT_LE(now, prev);
+    ASSERT_GE(now, 1);
+    prev = now;
+  }
+}
+
+// --------------------------------------------------------------- epidemic ----
+
+TEST(EpidemicTest, NoSourcesIsStable) {
+  const Epidemic e;
+  Simulator sim(e, Epidemic::initial(100, 0), 1);
+  EXPECT_TRUE(sim.is_stable());
+}
+
+TEST(EpidemicTest, InfectionIsMonotone) {
+  const Epidemic e;
+  Simulator sim(e, Epidemic::initial(300, 1), 5);
+  Count prev = 1;
+  while (!sim.is_stable()) {
+    sim.step();
+    const Count now = sim.configuration().count(Epidemic::kInfected);
+    ASSERT_GE(now, prev);
+    prev = now;
+  }
+  EXPECT_EQ(prev, 300);
+}
+
+// ------------------------------------------------------------- four-state ----
 
 TEST(FourStateMajorityTest, TransitionRules) {
   const FourStateMajority p;
@@ -93,20 +155,20 @@ TEST(FourStateMajorityTest, TieEndsWithoutConsensus) {
   EXPECT_FALSE(out.consensus.has_value());
 }
 
-// ------------------------------------------------------------ averaging ----
+// -------------------------------------------------------------- averaging ----
 
 TEST(AveragingMajorityTest, StateValueRoundTrip) {
-  const AveragingMajority p(10);
+  const Averaging p(10);
   EXPECT_EQ(p.num_states(), 21u);
   for (Count v = -10; v <= 10; ++v) {
     EXPECT_EQ(p.state_value(p.value_state(v)), v);
   }
   EXPECT_THROW(p.value_state(11), CheckFailure);
-  EXPECT_THROW(AveragingMajority(0), CheckFailure);
+  EXPECT_THROW(Averaging(0), CheckFailure);
 }
 
 TEST(AveragingMajorityTest, TransitionAveragesWithCeilFloor) {
-  const AveragingMajority p(10);
+  const Averaging p(10);
   // (5, 2) -> (4, 3)
   EXPECT_EQ(p.apply(p.value_state(5), p.value_state(2)),
             (Transition{p.value_state(4), p.value_state(3)}));
@@ -122,15 +184,15 @@ TEST(AveragingMajorityTest, TransitionAveragesWithCeilFloor) {
 }
 
 TEST(AveragingMajorityTest, OutputSign) {
-  const AveragingMajority p(5);
-  EXPECT_EQ(*p.output(p.value_state(3)), AveragingMajority::kOpinionA);
-  EXPECT_EQ(*p.output(p.value_state(-1)), AveragingMajority::kOpinionB);
+  const Averaging p(5);
+  EXPECT_EQ(*p.output(p.value_state(3)), Averaging::kOpinionA);
+  EXPECT_EQ(*p.output(p.value_state(-1)), Averaging::kOpinionB);
   EXPECT_FALSE(p.output(p.value_state(0)).has_value());
 }
 
 TEST(AveragingMajorityTest, ValueSumIsInvariant) {
-  const AveragingMajority p(16);
-  Simulator sim(p, p.initial(30, 20), 11, Simulator::Engine::kVirtual);
+  const Averaging p(16);
+  Simulator sim(p, p.initial(30, 20), 11);
   const Count initial_sum = p.value_sum(sim.configuration());
   EXPECT_EQ(initial_sum, 16 * (30 - 20));
   for (int i = 0; i < 20000; ++i) {
@@ -142,9 +204,9 @@ TEST(AveragingMajorityTest, ValueSumIsInvariant) {
 TEST(AveragingMajorityTest, ExactMajorityWithLargeResolution) {
   // m >= n makes the protocol exact: with a = 26 vs b = 24 (d = 2, n = 50),
   // the terminal mean is m·d/n = 64·2/50 > 1, so every agent ends positive.
-  const AveragingMajority p(64);
+  const Averaging p(64);
   const SweepCellResult cell = testutil::run_cell(10, 2222, [&p](std::uint64_t seed) {
-    Simulator sim(p, p.initial(26, 24), seed, Simulator::Engine::kVirtual);
+    Simulator sim(p, p.initial(26, 24), seed);
     const RunOutcome out = sim.run_until_stable(20'000'000);
     TrialResult r;
     r.stabilized = out.stabilized;
@@ -153,13 +215,13 @@ TEST(AveragingMajorityTest, ExactMajorityWithLargeResolution) {
   });
   EXPECT_EQ(cell.rate("stabilized"), 1.0);
   for (const double winner : cell.values("winner")) {
-    EXPECT_EQ(winner, AveragingMajority::kOpinionA);
+    EXPECT_EQ(winner, Averaging::kOpinionA);
   }
 }
 
 TEST(AveragingMajorityTest, TerminalValuesSpanAtMostTwoAdjacentLevels) {
-  const AveragingMajority p(32);
-  Simulator sim(p, p.initial(20, 12), 77, Simulator::Engine::kVirtual);
+  const Averaging p(32);
+  Simulator sim(p, p.initial(20, 12), 77);
   const RunOutcome out = sim.run_until_stable(20'000'000);
   ASSERT_TRUE(out.stabilized);
   Count lo = 1000;
@@ -170,30 +232,6 @@ TEST(AveragingMajorityTest, TerminalValuesSpanAtMostTwoAdjacentLevels) {
     hi = std::max(hi, p.state_value(s));
   }
   EXPECT_LE(hi - lo, 1);
-}
-
-TEST(AveragingMajorityTest, FasterThanFourStateOnSmallBias) {
-  // The whole point of the averaging baseline: amplified bias beats the
-  // 4-state protocol when the raw bias is small. Compare mean stabilization
-  // interactions on n = 100, d = 2.
-  const AveragingMajority avg(128);
-  const FourStateMajority four;
-  RunningStats avg_time;
-  RunningStats four_time;
-  for (int t = 0; t < 10; ++t) {
-    Simulator s1(avg, avg.initial(51, 49), 100 + static_cast<std::uint64_t>(t),
-                 Simulator::Engine::kVirtual);
-    const RunOutcome o1 = s1.run_until_stable(100'000'000);
-    ASSERT_TRUE(o1.stabilized);
-    avg_time.add(static_cast<double>(o1.interactions));
-
-    Simulator s2(four, FourStateMajority::initial(51, 49),
-                 200 + static_cast<std::uint64_t>(t));
-    const RunOutcome o2 = s2.run_until_stable(100'000'000);
-    ASSERT_TRUE(o2.stabilized);
-    four_time.add(static_cast<double>(o2.interactions));
-  }
-  EXPECT_LT(avg_time.mean(), four_time.mean());
 }
 
 }  // namespace
