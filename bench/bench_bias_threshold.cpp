@@ -26,7 +26,9 @@ using namespace ppsim;
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const Count n = cli.get_int("n", 10'000);
+  // From n = 7 on, two_party_configuration accepts the largest cell (bias
+  // 2√(n ln n), majority ≤ n).
+  const Count n = cli.get_int("n", 10'000, {.lo = 7});
   const SweepCliOptions opts =
       read_sweep_flags(cli, 400, 1, "BENCH_bias_threshold.json");
   cli.validate_no_unknown_flags();

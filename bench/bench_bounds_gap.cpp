@@ -24,8 +24,8 @@
 // Flags: --n, --kmin, --kmax, --engine auto|sequential|batched|collapsed
 //        (auto picks collapsed above n = 10^7 — the counts-space engine
 //        makes n = 10^9-10^11 sweeps tractable; see docs/REPRODUCING.md),
-//        --round-divisor, --tau-epsilon, plus the shared sweep flags
-//        (--trials/--seed/--threads/--json).
+//        --round-divisor (batched only), --tau-epsilon (collapsed only),
+//        plus the shared sweep flags (--trials/--seed/--threads/--json).
 // Exit code 0 iff the lower bound holds on every measured point.
 #include <cmath>
 #include <cstdint>
@@ -48,21 +48,15 @@ using namespace ppsim;
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const Count n = cli.get_int("n", 250'000);
+  const Count n = cli.get_int("n", 250'000, {.lo = 2});
   // Start at k = 2 so the Clementi two-color cell exists; stay well inside
   // k = o(√n/ln n) at the top (the LB degenerates beyond ~40 for n = 250k).
-  const std::int64_t kmin = cli.get_int("kmin", 2);
-  const std::int64_t kmax = cli.get_int("kmax", 32);
-  const std::string engine_flag = cli.get_string("engine", "auto");
-  const Interactions round_divisor = cli.get_int("round-divisor", 16);
-  PPSIM_CHECK(round_divisor > 0, "--round-divisor must be positive");
-  const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
+  const auto [kmin, kmax] = benchutil::read_k_range(cli, 2, 32);
+  const SweepCell engine_cell = benchutil::read_usd_engine(
+      cli, n, cli.get_int("round-divisor", 16, benchutil::kRoundDivisor));
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 7, "BENCH_bounds_gap.json");
   cli.validate_no_unknown_flags();
-  benchutil::check_k_range(kmin, kmax);
-  const benchutil::ResolvedEngine engine =
-      benchutil::resolve_usd_engine(engine_flag, n, {"batched", "collapsed"});
 
   benchutil::banner("bounds_gap",
                     "measured stabilization vs LB (k/25)ln(sqrt(n)/(k ln n)), "
@@ -70,7 +64,7 @@ int run(int argc, char** argv) {
   benchutil::param("n", n);
   benchutil::param("trials per k", static_cast<std::int64_t>(opts.trials));
   benchutil::param("seed", static_cast<std::int64_t>(opts.seed));
-  benchutil::param("engine", engine.name);
+  benchutil::param("engine", to_string(engine_cell.engine));
   benchutil::param("threads", static_cast<std::int64_t>(opts.threads));
 
   SweepSpec spec;
@@ -81,18 +75,19 @@ int run(int argc, char** argv) {
   std::vector<Configuration> initials;
   for (std::int64_t k = kmin; k <= kmax; k = k < 3 ? k + 1 : (k * 3) / 2) {
     const auto ku = static_cast<std::size_t>(k);
+    benchutil::check_figure1_fits(n, ku, "--kmin/--kmax");
+    // Checked here, not after the sweep in fit_scaling.
+    PPSIM_CHECK(bounds::theorem35_parallel_lower_bound(n, ku) > 0.0,
+                "--kmin/--kmax reach k = " + std::to_string(k) + ", where Theorem 3.5's "
+                "bound degenerates at --n " + std::to_string(n) + " (needs k < √n/ln n)");
     inits.push_back(figure1_configuration(n, ku));
     protocols.emplace_back(ku);
     initials.push_back(
         UndecidedStateDynamics::initial_configuration(inits.back().opinion_counts));
-    SweepCell cell;
+    SweepCell cell = engine_cell;
     cell.n = n;
     cell.k = ku;
     cell.bias = static_cast<double>(inits.back().bias);
-    cell.engine = engine.kind;
-    cell.protocol = engine.protocol_label;
-    cell.round_divisor = round_divisor;
-    cell.tau_epsilon = tau_epsilon;
     spec.cells.push_back(cell);
   }
 

@@ -6,12 +6,15 @@
 // (ppsim/core/sweep.hpp).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <initializer_list>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "ppsim/analysis/bounds.hpp"
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/cli.hpp"
@@ -25,34 +28,36 @@ namespace ppsim::benchutil {
 /// engine there.
 inline constexpr Count kAutoCollapsedThreshold = 10'000'000;
 
-/// Resolution of the shared --engine flag for the USD benches. `name` is the
-/// resolved flag value, `protocol_label` the sweep-cell protocol string
-/// ("usd-specialized" for the exact sequential Simulator: the label predates
-/// the engine and stays so that published reports keep their bytes).
-struct ResolvedEngine {
-  EngineKind kind;
-  std::string name;
-  std::string protocol_label;
-};
+/// Domains of the round engines' tuning flags, --round-divisor (batched)
+/// and --tau-epsilon (collapsed).
+inline constexpr IntDomain kRoundDivisor{.lo = 1};
+inline constexpr RealDomain kTauEpsilon{.lo = 0.0, .hi = 1.0, .lo_open = true};
 
-/// Resolves `engine` ("auto" picks collapsed above kAutoCollapsedThreshold,
-/// sequential otherwise) and validates it against "sequential" plus
-/// `extra_allowed`. Throws CheckFailure on anything else.
-inline ResolvedEngine resolve_usd_engine(
-    std::string engine, Count n,
-    std::initializer_list<const char*> extra_allowed) {
-  if (engine == "auto") {
-    engine = n > kAutoCollapsedThreshold ? "collapsed" : "sequential";
+/// Reads --engine and --tau-epsilon into a cell template: engine, protocol
+/// label and tuning. The engines are auto, sequential and collapsed, plus
+/// batched when the bench passes the `round_divisor` it read. "auto" picks
+/// collapsed above kAutoCollapsedThreshold, sequential otherwise. A tuning
+/// flag given explicitly that the resolved engine ignores is an error.
+inline SweepCell read_usd_engine(Cli& cli, Count n,
+                                 std::optional<Interactions> round_divisor = {}) {
+  std::vector<std::string> choices = {"auto", "sequential", "collapsed"};
+  if (round_divisor) choices.push_back("batched");
+  std::string name = cli.get_string("engine", "auto", choices);
+  if (name == "auto") name = n > kAutoCollapsedThreshold ? "collapsed" : "sequential";
+  SweepCell cell;
+  cell.engine = *parse_engine(name);
+  // The exact sequential Simulator's label predates the engine and stays so
+  // that published reports keep their bytes.
+  cell.protocol = name == "sequential" ? "usd-specialized" : "usd-" + name;
+  cell.round_divisor = round_divisor.value_or(cell.round_divisor);
+  cell.tau_epsilon = cli.get_double("tau-epsilon", 0.05, kTauEpsilon);
+  for (const auto& [flag, reader] : {std::pair{"round-divisor", EngineKind::kBatched},
+                                     std::pair{"tau-epsilon", EngineKind::kCollapsed}}) {
+    PPSIM_CHECK(!cli.has(flag) || cell.engine == reader,
+                std::string("--") + flag + " applies only to --engine " +
+                    to_string(reader) + ", not to --engine " + name);
   }
-  bool ok = engine == "sequential";
-  std::string options = "auto, sequential";
-  for (const char* allowed : extra_allowed) {
-    ok = ok || engine == allowed;
-    options += std::string(", ") + allowed;
-  }
-  PPSIM_CHECK(ok, "--engine must be one of: " + options);
-  return {*parse_engine(engine), engine,
-          engine == "sequential" ? "usd-specialized" : "usd-" + engine};
+  return cell;
 }
 
 /// The engine a USD bench trial runs. Sequential cells seed the Simulator
@@ -66,13 +71,20 @@ inline Engine make_usd_engine(const SweepTrial& ctx, const Protocol& protocol,
   return ctx.make_engine(protocol, std::move(initial));
 }
 
-/// Checks a --kmin/--kmax sweep range at parse time: 2 ≤ kmin ≤ kmax. The
-/// k loops double from kmin, and k = 1 has no minority opinion.
-inline void check_k_range(std::int64_t kmin, std::int64_t kmax) {
-  PPSIM_CHECK(kmin >= 2, "--kmin must be at least 2, got " + std::to_string(kmin));
-  PPSIM_CHECK(kmax >= kmin, "--kmax must be at least --kmin, got --kmin " +
-                                std::to_string(kmin) + " --kmax " +
+/// Reads --kmin and --kmax: 2 ≤ kmin ≤ kmax. The k loops grow from kmin,
+/// and k = 1 has no minority opinion.
+inline std::pair<std::int64_t, std::int64_t> read_k_range(Cli& cli, std::int64_t kmin,
+                                                          std::int64_t kmax) {
+  kmin = cli.get_int("kmin", kmin, {.lo = 2});
+  kmax = cli.get_int("kmax", kmax, {.lo = 2});
+  PPSIM_CHECK(kmin <= kmax, "--kmin " + std::to_string(kmin) + " exceeds --kmax " +
                                 std::to_string(kmax));
+  return {kmin, kmax};
+}
+
+/// check_bias_fits (core/sweep) for figure1_configuration's bias ⌈√(n ln n)⌉.
+inline void check_figure1_fits(Count n, std::size_t k, const std::string& flags) {
+  check_bias_fits(n, k, std::ceil(bounds::whp_bias(n)), flags);
 }
 
 /// Prints the bench banner with the resolved parameter set.

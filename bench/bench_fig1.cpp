@@ -60,18 +60,17 @@ struct Trajectory {
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const Count n = cli.get_int("n", 1'000'000);
-  const std::int64_t k_flag =
-      cli.get_int("k", static_cast<std::int64_t>(bounds::paper_k(n)));
-  const std::int64_t samples = cli.get_int("samples", 400);
-  const double max_parallel = cli.get_double("max-parallel", 10000.0);
+  const Count n = cli.get_int("n", 1'000'000, {.lo = 2});
+  // k = 1 has no minority to highlight. The default k = paper_k(n) is
+  // defined from n = 16 and reaches 2 at n = 532; below that --k is needed.
+  const auto k = static_cast<std::size_t>(cli.get_int(
+      "k", n >= 16 ? static_cast<std::int64_t>(bounds::paper_k(n)) : 0, {.lo = 2}));
+  PPSIM_CHECK(k >= 2, "--n " + std::to_string(n) + " needs an explicit --k: paper_k(n) < 2");
+  const std::int64_t samples = cli.get_int("samples", 400, {.lo = 1});
+  const double max_parallel = cli.get_double("max-parallel", 10000.0, {.lo = 0.0});
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 2025, "");
   cli.validate_no_unknown_flags();
-  // k = 1 has no minority to highlight.
-  PPSIM_CHECK(k_flag >= 2, "--k must be at least 2, got " + std::to_string(k_flag));
-  const auto k = static_cast<std::size_t>(k_flag);
-  PPSIM_CHECK(samples >= 1,
-              "--samples must be at least 1, got " + std::to_string(samples));
+  benchutil::check_figure1_fits(n, k, "--k");
   const Interactions budget = max_parallel_budget(max_parallel, n);
 
   const InitialConfig init = figure1_configuration(n, k);

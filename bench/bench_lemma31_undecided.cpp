@@ -9,7 +9,7 @@
 // per-trial "max_undecided" metric (no shared mutable state needed).
 //
 // Flags: --n, --trials, --seed, --kmin, --kmax, --threads, --json,
-//        --tau-epsilon (collapsed drift tolerance, default 0.05),
+//        --tau-epsilon (collapsed only: drift tolerance, default 0.05),
 //        --engine auto|sequential|collapsed (auto picks the counts-space
 //        collapsed engine above n = 10^7; its per-round u(t) sampling makes
 //        the excursion measurement round-granular — see docs/REPRODUCING.md).
@@ -33,23 +33,18 @@ using namespace ppsim;
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const Count n = cli.get_int("n", 100'000);
-  const std::int64_t kmin = cli.get_int("kmin", 4);
-  const std::int64_t kmax = cli.get_int("kmax", 64);
-  const std::string engine_flag = cli.get_string("engine", "auto");
-  const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
+  const Count n = cli.get_int("n", 100'000, {.lo = 2});
+  const auto [kmin, kmax] = benchutil::read_k_range(cli, 4, 64);
+  const SweepCell engine_cell = benchutil::read_usd_engine(cli, n);
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 31, "BENCH_lemma31_undecided.json");
   cli.validate_no_unknown_flags();
-  benchutil::check_k_range(kmin, kmax);
-  const benchutil::ResolvedEngine engine =
-      benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 
   benchutil::banner("lemma31_undecided",
                     "Lemma 3.1: max_t u(t) vs the explicit ceiling and the settle point");
   benchutil::param("n", n);
   benchutil::param("trials per k", static_cast<std::int64_t>(opts.trials));
-  benchutil::param("engine", engine.name);
+  benchutil::param("engine", to_string(engine_cell.engine));
   benchutil::param("sqrt(n ln n)", std::sqrt(static_cast<double>(n) *
                                              std::log(static_cast<double>(n))));
 
@@ -63,17 +58,15 @@ int run(int argc, char** argv) {
   std::vector<Configuration> initials;
   for (std::int64_t k = kmin; k <= kmax; k *= 2) {
     const auto ku = static_cast<std::size_t>(k);
+    benchutil::check_figure1_fits(n, ku, "--kmin/--kmax");
     inits.push_back(figure1_configuration(n, ku));
     protocols.emplace_back(ku);
     initials.push_back(
         UndecidedStateDynamics::initial_configuration(inits.back().opinion_counts));
-    SweepCell cell;
+    SweepCell cell = engine_cell;
     cell.n = n;
     cell.k = ku;
     cell.bias = static_cast<double>(inits.back().bias);
-    cell.engine = engine.kind;
-    cell.protocol = engine.protocol_label;
-    cell.tau_epsilon = tau_epsilon;
     spec.cells.push_back(cell);
   }
 

@@ -26,7 +26,7 @@ using namespace ppsim;
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const std::int64_t walks = cli.get_int("walks", 4000);
+  const std::int64_t walks = cli.get_int("walks", 4000, {.lo = 1});
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 32, "BENCH_lemma32_walks.json");
   cli.validate_no_unknown_flags();
 

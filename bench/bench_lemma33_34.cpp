@@ -17,11 +17,12 @@
 //
 // Flags: --n, --trials, --seed, --kmin, --kmax, --threads, --json,
 //        --bias-mult (α/2 as a multiple of √(n ln n), Lemma 3.4 cells only),
-//        --tau-epsilon (collapsed drift tolerance, default 0.05),
+//        --tau-epsilon (collapsed only: drift tolerance, default 0.05),
 //        --engine auto|sequential|collapsed (auto picks the counts-space
 //        collapsed engine above n = 10^7; hitting times are then
 //        round-granular — see docs/REPRODUCING.md).
 // Exit code 0 iff neither lemma's bound was beaten by any trial.
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -50,17 +51,12 @@ HittingResult hitting_time(Sim& sim, bool growth, Count level, Interactions budg
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const Count n = cli.get_int("n", 100'000);
-  const std::int64_t kmin = cli.get_int("kmin", 8);
-  const std::int64_t kmax = cli.get_int("kmax", 64);
-  const double bias_mult = cli.get_double("bias-mult", 2.0);
-  const std::string engine_flag = cli.get_string("engine", "auto");
-  const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
+  const Count n = cli.get_int("n", 100'000, {.lo = 2});
+  const auto [kmin, kmax] = benchutil::read_k_range(cli, 8, 64);
+  const double bias_mult = cli.get_double("bias-mult", 2.0, {.lo = 0.0});
+  const SweepCell engine_cell = benchutil::read_usd_engine(cli, n);
   const SweepCliOptions opts = read_sweep_flags(cli, 5, 33, "BENCH_lemma33_34.json");
   cli.validate_no_unknown_flags();
-  benchutil::check_k_range(kmin, kmax);
-  const benchutil::ResolvedEngine engine =
-      benchutil::resolve_usd_engine(engine_flag, n, {"collapsed"});
 
   benchutil::banner("lemma33_34",
                     "Lemma 3.3: interactions for x_1 to reach 2n/k (bound: kn/25); "
@@ -68,7 +64,7 @@ int run(int argc, char** argv) {
                     "(bound: kn/24)");
   benchutil::param("n", n);
   benchutil::param("trials per k", static_cast<std::int64_t>(opts.trials));
-  benchutil::param("engine", engine.name);
+  benchutil::param("engine", to_string(engine_cell.engine));
   benchutil::param("alpha/2 multiplier of sqrt(n ln n)", bias_mult);
 
   SweepSpec spec;
@@ -84,18 +80,19 @@ int run(int argc, char** argv) {
   for (const bool growth : {true, false}) {
     for (std::int64_t k = kmin; k <= kmax; k *= 2) {
       const auto ku = static_cast<std::size_t>(k);
-      const auto alpha_half = static_cast<Count>(bias_mult * bounds::whp_bias(n));
-      const InitialConfig init = growth ? figure1_configuration(n, ku)
-                                        : adversarial_configuration(n, ku, alpha_half);
+      // Figure 1's bias is ⌈√(n ln n)⌉; α/2 is bias_mult · √(n ln n).
+      const double bias = growth ? std::ceil(bounds::whp_bias(n))
+                                 : std::floor(bias_mult * bounds::whp_bias(n));
+      check_bias_fits(n, ku, bias, "--kmin/--kmax/--bias-mult");
+      const InitialConfig init =
+          growth ? figure1_configuration(n, ku)
+                 : adversarial_configuration(n, ku, static_cast<Count>(bias));
       protocols.emplace_back(ku);
       initials.push_back(UndecidedStateDynamics::initial_configuration(init.opinion_counts));
-      SweepCell cell;
+      SweepCell cell = engine_cell;
       cell.n = n;
       cell.k = ku;
       cell.bias = static_cast<double>(init.bias);
-      cell.engine = engine.kind;
-      cell.protocol = engine.protocol_label;
-      cell.tau_epsilon = tau_epsilon;
       cell.name = std::string(growth ? "lemma3.3" : "lemma3.4") + ",k=" + std::to_string(k);
       if (growth) {
         cell.params = {{"target", bounds::lemma33_target_level(n, ku)},

@@ -39,18 +39,18 @@ using namespace ppsim;
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const Count n = cli.get_int("n", 10'000'000);
-  const std::int64_t k_flag = cli.get_int("k", 3);
-  PPSIM_CHECK(k_flag >= 1, "--k must be at least 1, got " + std::to_string(k_flag));
-  const auto k = static_cast<std::size_t>(k_flag);
-  const double max_parallel = cli.get_double("max-parallel", 1000.0);
+  const Count n = cli.get_int("n", 10'000'000, {.lo = 2});
+  const auto k = static_cast<std::size_t>(cli.get_int("k", 3, {.lo = 1}));
+  const double max_parallel = cli.get_double("max-parallel", 1000.0, {.lo = 0.0});
   const Interactions budget = max_parallel_budget(max_parallel, n);
-  const Interactions round_divisor = cli.get_int("round-divisor", 16);
-  PPSIM_CHECK(round_divisor > 0, "--round-divisor must be positive");
-  const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
+  // Every engine runs, so both tuning flags apply.
+  const Interactions round_divisor =
+      cli.get_int("round-divisor", 16, benchutil::kRoundDivisor);
+  const double tau_epsilon = cli.get_double("tau-epsilon", 0.05, benchutil::kTauEpsilon);
   const SweepCliOptions opts =
       read_sweep_flags(cli, 1, 42, "BENCH_throughput.json");
   cli.validate_no_unknown_flags();
+  benchutil::check_figure1_fits(n, k, "--k");
 
   benchutil::banner("throughput",
                     "wall-clock comparison of the USD engines on one workload: "

@@ -23,11 +23,9 @@
 // and writes byte-identical --json. It cannot be combined with --series,
 // whose side effect a cache hit would skip.
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "ppsim/analysis/bounds.hpp"
@@ -93,43 +91,25 @@ void print_cell(const SweepCellResult& cr) {
 
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
-  const std::string protocol = cli.get_string("protocol", "usd");
-  const Count n = cli.get_int("n", 100'000);
-  const std::int64_t k_flag = cli.get_int("k", 2);
+  const std::string protocol = cli.get_string("protocol", "usd", {"usd"});
+  const Count n = cli.get_int("n", 100'000, {.lo = 2});
+  const auto k = static_cast<std::size_t>(cli.get_int("k", 2, {.lo = 1}));
   const std::string bias_flag = cli.get_string("bias", "auto");
-  const double max_parallel = cli.get_double("max-parallel", 100000.0);
+  const double max_parallel = cli.get_double("max-parallel", 100000.0, {.lo = 0.0});
   const std::string series_path = cli.get_string("series", "");
-  const std::string engine_flag = cli.get_string("engine", "auto");
+  const std::string engine_flag = cli.get_string(
+      "engine", "auto", {"auto", "sequential", "batched", "collapsed"});
   const std::string cache_dir = cli.get_string("cache-dir", "");
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 1, "");
   cli.validate_no_unknown_flags();
-  PPSIM_CHECK(protocol == "usd",
-              "--protocol must be usd, got '" + protocol + "'");
   PPSIM_CHECK(cache_dir.empty() || series_path.empty(),
               "--cache-dir cannot be combined with --series: a cache hit "
               "would skip its side effect");
-  PPSIM_CHECK(k_flag >= 1,
-              "--k must be at least 1, got " + std::to_string(k_flag));
-  const auto k = static_cast<std::size_t>(k_flag);
   const Interactions budget = max_parallel_budget(max_parallel, n);
-
-  std::optional<EngineKind> engine_override;
-  if (engine_flag != "auto") {
-    engine_override = parse_engine(engine_flag);
-    PPSIM_CHECK(engine_override.has_value(),
-                "--engine must be auto | sequential | batched | collapsed");
-  }
-
-  Count bias = 0;
-  if (bias_flag == "auto") {
-    bias = static_cast<Count>(bounds::whp_bias(n));
-  } else {
-    const char* end = bias_flag.data() + bias_flag.size();
-    const auto [ptr, ec] = std::from_chars(bias_flag.data(), end, bias);
-    PPSIM_CHECK(!bias_flag.empty() && ec == std::errc() && ptr == end && bias >= 0,
-                "--bias must be auto or a whole non-negative number, got '" +
-                    bias_flag + "'");
-  }
+  const Count bias = bias_flag == "auto"
+                         ? static_cast<Count>(bounds::whp_bias(n))
+                         : Cli::parse<Count>("bias", bias_flag, {.lo = 0});
+  check_bias_fits(n, k, static_cast<double>(bias), "--bias/--k");
   const std::uint64_t seed = opts.seed;
   const std::size_t trials = opts.trials;
 
@@ -141,7 +121,8 @@ int run(int argc, char** argv) {
   const UndecidedStateDynamics usd(k);
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-  const EngineKind kind = engine_override.value_or(EngineKind::kSequential);
+  const EngineKind kind =
+      engine_flag == "auto" ? EngineKind::kSequential : *parse_engine(engine_flag);
   if (!series_path.empty()) {
     std::ofstream out(series_path);
     PPSIM_CHECK(out.good(), "cannot open series file " + series_path);

@@ -22,12 +22,11 @@ InitialConfig adversarial_configuration(Count n, std::size_t k, Count requested_
     return InitialConfig{{n}, 0};
   }
 
-  // Minority level m = floor((n - bias) / k); the majority absorbs the
+  // Minority level m = floor((n - bias) / k) >= 1; the majority absorbs the
   // remainder, so the realised bias is n - k·m in [bias, bias + k).
-  PPSIM_CHECK(requested_bias <= n - static_cast<Count>(k) + 1,
-              "bias too large for the population");
+  PPSIM_CHECK(requested_bias <= n - static_cast<Count>(k),
+              "bias leaves no room for the minorities");
   const Count m = (n - requested_bias) / static_cast<Count>(k);
-  PPSIM_CHECK(m >= 1, "bias leaves no room for the minorities");
   const Count majority = n - static_cast<Count>(k - 1) * m;
 
   InitialConfig config;

@@ -472,53 +472,32 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
   SweepCliOptions opts;
   const std::string trials_flag =
       cli.get_string("trials", std::to_string(default_trials));
-  // Signed until checked: a negative count must not wrap to a huge size_t.
-  const std::int64_t min_trials = cli.get_int("min-trials", 8);
-  const std::int64_t max_trials = cli.get_int("max-trials", 512);
-  if (trials_flag == "auto" || trials_flag.rfind("auto:", 0) == 0) {
-    opts.stopping.adaptive = true;
+  const std::int64_t min_trials = cli.get_int("min-trials", 8, {.lo = 2});
+  const std::int64_t max_trials = cli.get_int("max-trials", 512, {.lo = 2});
+  opts.stopping.adaptive =
+      trials_flag == "auto" || trials_flag.rfind("auto:", 0) == 0;
+  if (opts.stopping.adaptive) {
     if (trials_flag.size() > 4) {
-      const std::string rel = trials_flag.substr(5);
-      std::size_t consumed = 0;
-      double rel_err = 0.0;
-      try {
-        rel_err = std::stod(rel, &consumed);
-      } catch (const std::exception&) {
-        consumed = 0;
-      }
-      PPSIM_CHECK(!rel.empty() && consumed == rel.size(),
-                  "--trials auto:REL needs a numeric REL, got '" + rel + "'");
-      opts.stopping.rel_err = rel_err;
+      opts.stopping.rel_err = Cli::parse<double>("trials", trials_flag.substr(5),
+                                                 {.lo = 0.0, .lo_open = true});
     }
-    PPSIM_CHECK(opts.stopping.rel_err > 0.0, "--trials auto rel_err must be > 0");
-    PPSIM_CHECK(min_trials >= 2, "--min-trials must be at least 2, got " +
-                                     std::to_string(min_trials));
-    PPSIM_CHECK(max_trials >= min_trials,
-                "--max-trials must be >= --min-trials, got " +
-                    std::to_string(max_trials));
+    PPSIM_CHECK(min_trials <= max_trials,
+                "--min-trials " + std::to_string(min_trials) +
+                    " exceeds --max-trials " + std::to_string(max_trials));
     opts.stopping.min_trials = static_cast<std::size_t>(min_trials);
     opts.trials = static_cast<std::size_t>(max_trials);  // the per-cell cap
   } else {
-    std::size_t consumed = 0;
-    long long fixed = 0;
-    try {
-      fixed = std::stoll(trials_flag, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    PPSIM_CHECK(!trials_flag.empty() && consumed == trials_flag.size() &&
-                    fixed > 0,
-                "--trials must be a positive count or auto[:rel_err], got '" +
-                    trials_flag + "'");
-    opts.trials = static_cast<std::size_t>(fixed);
+    PPSIM_CHECK(!cli.has("min-trials") && !cli.has("max-trials"),
+                "--min-trials and --max-trials apply only under --trials "
+                "auto[:rel_err], got --trials " + trials_flag);
+    opts.trials = static_cast<std::size_t>(
+        Cli::parse<std::int64_t>("trials", trials_flag, {.lo = 1}));
   }
   opts.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(default_seed)));
-  const std::int64_t threads = cli.get_int("threads", 0);
-  PPSIM_CHECK(threads >= 0 && threads <= std::numeric_limits<unsigned>::max(),
-              "--threads must be a non-negative thread count (0 = all "
-              "hardware threads), got " + std::to_string(threads));
-  opts.threads = static_cast<unsigned>(threads);
+  // 0 = all hardware threads.
+  opts.threads = static_cast<unsigned>(cli.get_int(
+      "threads", 0, {.lo = 0, .hi = std::numeric_limits<unsigned>::max()}));
   opts.json = cli.get_string("json", default_json);
   return opts;
 }
@@ -536,6 +515,13 @@ Interactions max_parallel_budget(double max_parallel, Count n) {
                   " times n = " + std::to_string(n) +
                   " overflows the 64-bit interaction budget");
   return static_cast<Interactions>(budget);
+}
+
+void check_bias_fits(Count n, std::size_t k, double bias, const std::string& flags) {
+  PPSIM_CHECK(k == 1 || bias + static_cast<double>(k) <= static_cast<double>(n),
+              flags + ": k = " + std::to_string(k) + " and bias " +
+                  JsonObject::render_double(bias) +
+                  " need --n of at least bias + k, got --n " + std::to_string(n));
 }
 
 }  // namespace ppsim

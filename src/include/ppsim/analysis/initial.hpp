@@ -28,7 +28,8 @@ struct InitialConfig {
 };
 
 /// The adversarial configuration of Section 3: equal minorities, majority
-/// ahead by ~`bias`. Requires n >= k and bias in [0, n - k + 1).
+/// ahead by ~`bias`. Requires n >= k and 0 <= bias <= n - k, so every
+/// minority keeps an agent (k = 1 ignores the bias).
 /// The realised bias is bias rounded up by < k (documented above); all
 /// minorities are exactly equal.
 InitialConfig adversarial_configuration(Count n, std::size_t k, Count requested_bias);

@@ -310,6 +310,8 @@ struct SweepCliOptions {
   void configure(SweepSpec& spec) const;
 };
 
+/// Reads the shared flags; --min-trials/--max-trials without --trials auto
+/// is an error.
 SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
                                  std::uint64_t default_seed,
                                  const std::string& default_json);
@@ -319,6 +321,11 @@ SweepCliOptions read_sweep_flags(Cli& cli, std::size_t default_trials,
 /// value is NaN, infinite or negative, or when the product does not fit in
 /// Interactions.
 Interactions max_parallel_budget(double max_parallel, Count n);
+
+/// Parse-time check that an adversarial start (analysis/initial.hpp) fits:
+/// k = 1 or bias <= n - k. Checked in double, before a caller narrows bias
+/// to a Count; throws naming `flags` (where bias and k come from) and --n.
+void check_bias_fits(Count n, std::size_t k, double bias, const std::string& flags);
 
 /// Standard metric block for consensus trials, so every bench reports the
 /// same names: stabilized (0/1), parallel_time, interactions (attempted),

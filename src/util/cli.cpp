@@ -1,14 +1,33 @@
 #include "ppsim/util/cli.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <sstream>
+#include <type_traits>
 
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
 
+namespace {
+
+/// Renders a domain as "[2, inf)" or "(0, 1]"; a default end reads as an
+/// open infinity.
+template <typename T>
+std::string describe(const Domain<T>& d) {
+  constexpr Domain<T> whole;
+  std::ostringstream os;
+  if (d.lo == whole.lo) os << "(-inf"; else os << (d.lo_open ? '(' : '[') << d.lo;
+  os << ", ";
+  if (d.hi == whole.hi) os << "inf)"; else os << d.hi << ']';
+  return os.str();
+}
+
+}  // namespace
+
 Cli::Cli(int argc, const char* const* argv) {
   PPSIM_CHECK(argc >= 1, "argc must include the program name");
-  program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     PPSIM_CHECK(arg.rfind("--", 0) == 0, "flags must start with --: " + arg);
@@ -24,39 +43,48 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+template <typename T>
+T Cli::parse(const std::string& name, const std::string& text, const Domain<T>& domain) {
+  constexpr bool integral = std::is_integral_v<T>;
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  PPSIM_CHECK(end != nullptr && *end == '\0', "flag --" + name + " expects an integer");
+  errno = 0;
+  T v{};
+  if constexpr (integral) v = std::strtoll(text.c_str(), &end, 10);
+  else v = std::strtod(text.c_str(), &end);
+  PPSIM_CHECK(!text.empty() && *end == '\0' && errno != ERANGE && domain.contains(v),
+              "--" + name + (integral ? " must be an integer in " : " must be a number in ") +
+                  describe(domain) + ", got '" + text + "'");
   return v;
 }
 
-double Cli::get_double(const std::string& name, double default_value) {
+template std::int64_t Cli::parse(const std::string&, const std::string&, const IntDomain&);
+template double Cli::parse(const std::string&, const std::string&, const RealDomain&);
+
+std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value,
+                          const IntDomain& domain) {
+  known_[name] = true;
+  const auto it = values_.find(name);
+  return it == values_.end() ? default_value : parse(name, it->second, domain);
+}
+
+double Cli::get_double(const std::string& name, double default_value,
+                       const RealDomain& domain) {
+  known_[name] = true;
+  const auto it = values_.find(name);
+  return it == values_.end() ? default_value : parse(name, it->second, domain);
+}
+
+std::string Cli::get_string(const std::string& name, const std::string& default_value,
+                            const std::vector<std::string>& choices) {
   known_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  PPSIM_CHECK(end != nullptr && *end == '\0', "flag --" + name + " expects a number");
-  return v;
-}
-
-std::string Cli::get_string(const std::string& name, const std::string& default_value) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
-}
-
-bool Cli::get_bool(const std::string& name, bool default_value) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  PPSIM_CHECK(it->second == "true" || it->second == "false",
-              "flag --" + name + " expects true/false");
-  return it->second == "true";
+  std::string listed;
+  for (const std::string& choice : choices) listed += (listed.empty() ? "" : ", ") + choice;
+  PPSIM_CHECK(choices.empty() ||
+                  std::find(choices.begin(), choices.end(), it->second) != choices.end(),
+              "--" + name + " must be one of " + listed + ", got '" + it->second + "'");
+  return it->second;
 }
 
 bool Cli::has(const std::string& name) const { return values_.count(name) > 0; }

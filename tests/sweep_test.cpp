@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
+#include "ppsim/analysis/initial.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/cli.hpp"
@@ -382,11 +384,52 @@ TEST(SweepCliTest, TrialBoundsRejectNegativeCounts) {
     return std::string();
   };
   EXPECT_NE(message("--max-trials", "-1").find("--max-trials"), std::string::npos);
-  EXPECT_NE(message("--min-trials", "-3").find("--min-trials must be at least 2"),
+  EXPECT_NE(message("--min-trials", "-3").find("--min-trials must be an integer in [2"),
             std::string::npos);
   const SweepCliOptions ok = adaptive("--max-trials", "16");
   EXPECT_EQ(ok.trials, 16u);
   EXPECT_EQ(ok.stopping.min_trials, 8u);
+}
+
+// The message of the CheckFailure read_sweep_flags throws for `args`, or "".
+std::string sweep_flags_error(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  Cli cli(static_cast<int>(args.size()), args.data());
+  try {
+    read_sweep_flags(cli, 1, 42, "");
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A trial bound without --trials auto used to be dropped silently.
+TEST(SweepCliTest, TrialBoundsNeedAdaptiveTrials) {
+  const std::string error = sweep_flags_error({"--trials", "2", "--max-trials", "16"});
+  EXPECT_NE(error.find("--max-trials"), std::string::npos);
+  EXPECT_NE(error.find("--trials auto"), std::string::npos);
+  EXPECT_NE(sweep_flags_error({"--min-trials", "4"}).find("--min-trials"),
+            std::string::npos);
+  EXPECT_NE(sweep_flags_error({"--trials", "auto", "--min-trials", "9", "--max-trials", "8"})
+                .find("--min-trials 9 exceeds --max-trials 8"),
+            std::string::npos);
+  EXPECT_EQ(sweep_flags_error({"--trials", "auto", "--min-trials", "4"}), "");
+}
+
+// `--trials auto:inf` used to stop every cell at the min-trials floor.
+TEST(SweepCliTest, AdaptiveRelErrMustBeFinitePositive) {
+  for (const char* bad : {"auto:inf", "auto:nan", "auto:0", "auto:-0.1", "auto:",
+                          "auto:0.1x"}) {
+    EXPECT_NE(sweep_flags_error({"--trials", bad}).find("--trials must be a number"),
+              std::string::npos)
+        << bad;
+  }
+  for (const char* bad : {"0", "-2", "abc", ""}) {
+    EXPECT_NE(sweep_flags_error({"--trials", bad}).find("--trials must be an integer"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_EQ(sweep_flags_error({"--trials", "auto:0.02"}), "");
 }
 
 TEST(SweepCliTest, MaxParallelBudgetRejectsNonFiniteAndOverflow) {
@@ -414,6 +457,98 @@ TEST(SweepCliTest, MaxParallelBudgetRejectsNonFiniteAndOverflow) {
             std::string::npos);
   EXPECT_EQ(max_parallel_budget(9223372036854774784.0, 1),
             std::numeric_limits<Interactions>::max() - 1023);
+}
+
+// The message of the CheckFailure benchutil::read_usd_engine throws for
+// `args` at population n (batched admitted, as in bench_bounds_gap), or "".
+std::string engine_flags_error(std::vector<const char*> args, Count n = 1000) {
+  args.insert(args.begin(), "prog");
+  Cli cli(static_cast<int>(args.size()), args.data());
+  try {
+    benchutil::read_usd_engine(cli, n, cli.get_int("round-divisor", 16));
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A tuning flag the resolved engine ignores used to be accepted silently.
+TEST(BenchFlagsTest, RejectsTuningFlagsTheEngineIgnores) {
+  EXPECT_NE(engine_flags_error({"--tau-epsilon", "0.1"})
+                .find("--tau-epsilon applies only to --engine collapsed, not to "
+                      "--engine sequential"),
+            std::string::npos);
+  EXPECT_NE(engine_flags_error({"--engine", "collapsed", "--round-divisor", "8"})
+                .find("--round-divisor applies only to --engine batched"),
+            std::string::npos);
+  EXPECT_NE(engine_flags_error({"--engine", "batched", "--tau-epsilon", "0.1"})
+                .find("--tau-epsilon"),
+            std::string::npos);
+  EXPECT_EQ(engine_flags_error({"--engine", "batched", "--round-divisor", "8"}), "");
+  EXPECT_EQ(engine_flags_error({"--tau-epsilon", "0.1"}, 100'000'000), "");
+}
+
+TEST(BenchFlagsTest, ResolvesAutoIntoTheCellTemplate) {
+  const char* argv[] = {"prog", "--engine", "batched", "--round-divisor", "8"};
+  Cli cli(5, argv);
+  const SweepCell cell = benchutil::read_usd_engine(
+      cli, 1000, cli.get_int("round-divisor", 16, benchutil::kRoundDivisor));
+  EXPECT_EQ(cell.engine, EngineKind::kBatched);
+  EXPECT_EQ(cell.protocol, "usd-batched");
+  EXPECT_EQ(cell.round_divisor, 8);
+  EXPECT_DOUBLE_EQ(cell.tau_epsilon, 0.05);
+
+  const char* none[] = {"prog"};
+  Cli small(1, none);
+  EXPECT_EQ(benchutil::read_usd_engine(small, 1000).protocol, "usd-specialized");
+  Cli large(1, none);
+  EXPECT_EQ(benchutil::read_usd_engine(large, 100'000'000).engine,
+            EngineKind::kCollapsed);
+  const char* batched[] = {"prog", "--engine", "batched"};
+  Cli refused(3, batched);
+  EXPECT_THROW(benchutil::read_usd_engine(refused, 1000), CheckFailure);
+}
+
+TEST(BenchFlagsTest, KRangeIsOrdered) {
+  const auto range_error = [](const char* kmin, const char* kmax) {
+    const char* argv[] = {"prog", "--kmin", kmin, "--kmax", kmax};
+    Cli cli(5, argv);
+    try {
+      benchutil::read_k_range(cli, 2, 32);
+    } catch (const CheckFailure& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(range_error("4", "4"), "");
+  EXPECT_NE(range_error("8", "4").find("--kmin 8 exceeds --kmax 4"), std::string::npos);
+  EXPECT_NE(range_error("1", "4").find("--kmin must be an integer in [2, inf)"),
+            std::string::npos);
+}
+
+// Small populations used to die inside analysis/initial.cpp without naming
+// a flag.
+TEST(SweepCliTest, BiasMustLeaveAnAgentPerOpinion) {
+  EXPECT_NO_THROW(check_bias_fits(10, 3, 7.0, "--k"));
+  try {
+    check_bias_fits(10, 3, 8.0, "--k");
+    ADD_FAILURE() << "bias 8 + k 3 > n 10 accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "--k: k = 3 and bias 8 need --n of at least bias + k, got --n 10"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW(adversarial_configuration(10, 3, 7));
+  EXPECT_THROW(adversarial_configuration(10, 3, 8), CheckFailure);
+  EXPECT_THROW(check_bias_fits(10, 3, 1e30, "--bias-mult"), CheckFailure);
+  // A single opinion ignores the bias.
+  EXPECT_NO_THROW(check_bias_fits(2, 1, 2.0, "--k"));
+  EXPECT_NO_THROW(adversarial_configuration(2, 1, 2));
+  // Figure 1's bias at n = 100 is ⌈√(100 ln 100)⌉ = 22.
+  EXPECT_NO_THROW(benchutil::check_figure1_fits(100, 78, "--kmin/--kmax"));
+  EXPECT_THROW(benchutil::check_figure1_fits(100, 79, "--kmin/--kmax"), CheckFailure);
+  EXPECT_NO_THROW(figure1_configuration(100, 78));
+  EXPECT_THROW(figure1_configuration(100, 79), CheckFailure);
 }
 
 TEST(SweepCellTest, ParamLookupAndLabel) {

@@ -43,6 +43,9 @@ SMOKE_OVERRIDES = {
     "samples": "60",
     "max-parallel": "2000",
 }
+# A command with --trials auto[:rel] keeps its adaptive stopping: the wave
+# floor and cap shrink instead (the two bounds apply only under auto).
+ADAPTIVE_SMOKE_OVERRIDES = {"min-trials": "2", "max-trials": "2"}
 PER_COMMAND_TIMEOUT = 180  # seconds
 
 BENCH_TABLE_HEADING = "## Paper claims → benches"
@@ -52,7 +55,15 @@ BENCH_ROW_RE = re.compile(r"^\| `(bench_[a-z0-9_]+)` \|", flags=re.MULTILINE)
 # then warm --cache-dir recipe replays its own cold run as quoted.
 COMMAND_RE = re.compile(r"(?:\./build/)?(bench_[a-z0-9_]+|ppsim_run)\b")
 FLAG_REGISTRATION_RE = re.compile(
-    r'get_(?:int|double|string|bool)\(\s*"([a-z0-9-]+)"')
+    r'get_(?:int|double|string)\(\s*"([a-z0-9-]+)"')
+# Flags registered by a shared reader rather than a get_* call in the
+# binary's own source (core/sweep, bench/bench_common.hpp).
+READER_FLAGS = {
+    "read_sweep_flags": {"trials", "min-trials", "max-trials", "seed",
+                         "threads", "json"},
+    "read_k_range": {"kmin", "kmax"},
+    "read_usd_engine": {"engine", "tau-epsilon"},
+}
 
 
 def doc_files(root: pathlib.Path):
@@ -126,9 +137,9 @@ def registered_flags(binary: str, root: pathlib.Path):
         return None
     text = source.read_text()
     flags = set(FLAG_REGISTRATION_RE.findall(text))
-    if "read_sweep_flags" in text:
-        flags |= {"trials", "min-trials", "max-trials", "seed", "threads",
-                  "json"}
+    for reader, reader_flags in READER_FLAGS.items():
+        if reader in text:
+            flags |= reader_flags
     return flags
 
 
@@ -187,7 +198,11 @@ def main() -> int:
             # duplicate the real quoted invocations.
             continue
         smoke = [str(binary_path)] + tokens[1:]
-        for flag, value in SMOKE_OVERRIDES.items():
+        overrides = dict(SMOKE_OVERRIDES)
+        if re.search(r"--trials[= ]auto", " ".join(tokens)):
+            del overrides["trials"]
+            overrides.update(ADAPTIVE_SMOKE_OVERRIDES)
+        for flag, value in overrides.items():
             if flag in flags:
                 smoke += [f"--{flag}", value]
         if "json" in flags:
