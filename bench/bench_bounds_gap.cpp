@@ -21,10 +21,10 @@
 // Every trial runs under the uniform scheduler, the one all three bounds
 // are stated for.
 //
-// Flags: --n, --kmin, --kmax, --engine auto|sequential|batched|collapsed
+// Flags: --n, --kmin, --kmax, --engine auto|sequential|collapsed
 //        (auto picks collapsed above n = 10^7 — the counts-space engine
 //        makes n = 10^9-10^11 sweeps tractable; see docs/REPRODUCING.md),
-//        --round-divisor (batched only), --tau-epsilon (collapsed only),
+//        --tau-epsilon (collapsed only),
 //        plus the shared sweep flags (--trials/--seed/--threads/--json).
 // Exit code 0 iff the lower bound holds on every measured point.
 #include <cmath>
@@ -52,8 +52,7 @@ int run(int argc, char** argv) {
   // Start at k = 2 so the Clementi two-color cell exists; stay well inside
   // k = o(√n/ln n) at the top (the LB degenerates beyond ~40 for n = 250k).
   const auto [kmin, kmax] = benchutil::read_k_range(cli, 2, 32);
-  const SweepCell engine_cell = benchutil::read_usd_engine(
-      cli, n, cli.get_int("round-divisor", 16, benchutil::kRoundDivisor));
+  const SweepCell engine_cell = benchutil::read_usd_engine(cli, n);
   const SweepCliOptions opts =
       read_sweep_flags(cli, 5, 7, "BENCH_bounds_gap.json");
   cli.validate_no_unknown_flags();

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,46 +22,33 @@
 
 namespace ppsim::benchutil {
 
-/// Above this population the per-agent-cost engines take minutes per trial;
-/// "--engine auto" switches the USD benches to the counts-space collapsed
-/// engine there.
-inline constexpr Count kAutoCollapsedThreshold = 10'000'000;
-
-/// Domains of the round engines' tuning flags, --round-divisor (batched)
-/// and --tau-epsilon (collapsed).
-inline constexpr IntDomain kRoundDivisor{.lo = 1};
+/// Domain of the collapsed engine's tuning flag, --tau-epsilon.
 inline constexpr RealDomain kTauEpsilon{.lo = 0.0, .hi = 1.0, .lo_open = true};
 
-/// Reads --engine and --tau-epsilon into a cell template: engine, protocol
-/// label and tuning. The engines are auto, sequential and collapsed, plus
-/// batched when the bench passes the `round_divisor` it read. "auto" picks
-/// collapsed above kAutoCollapsedThreshold, sequential otherwise. A tuning
-/// flag given explicitly that the resolved engine ignores is an error.
-inline SweepCell read_usd_engine(Cli& cli, Count n,
-                                 std::optional<Interactions> round_divisor = {}) {
-  std::vector<std::string> choices = {"auto", "sequential", "collapsed"};
-  if (round_divisor) choices.push_back("batched");
-  std::string name = cli.get_string("engine", "auto", choices);
-  if (name == "auto") name = n > kAutoCollapsedThreshold ? "collapsed" : "sequential";
+/// Reads --engine (auto, sequential or collapsed; resolve_engine picks auto
+/// by n) and --tau-epsilon into a cell template: engine, protocol label and
+/// tuning. --tau-epsilon given explicitly to the sequential engine, which
+/// ignores it, is an error.
+inline SweepCell read_usd_engine(Cli& cli, Count n) {
+  const std::string name =
+      cli.get_string("engine", "auto", {"auto", "sequential", "collapsed"});
   SweepCell cell;
-  cell.engine = *parse_engine(name);
+  cell.engine = resolve_engine(name, n);
   // The exact sequential Simulator's label predates the engine and stays so
   // that published reports keep their bytes.
-  cell.protocol = name == "sequential" ? "usd-specialized" : "usd-" + name;
-  cell.round_divisor = round_divisor.value_or(cell.round_divisor);
+  cell.protocol = cell.engine == EngineKind::kSequential
+                      ? "usd-specialized"
+                      : "usd-" + to_string(cell.engine);
   cell.tau_epsilon = cli.get_double("tau-epsilon", 0.05, kTauEpsilon);
-  for (const auto& [flag, reader] : {std::pair{"round-divisor", EngineKind::kBatched},
-                                     std::pair{"tau-epsilon", EngineKind::kCollapsed}}) {
-    PPSIM_CHECK(!cli.has(flag) || cell.engine == reader,
-                std::string("--") + flag + " applies only to --engine " +
-                    to_string(reader) + ", not to --engine " + name);
-  }
+  PPSIM_CHECK(!cli.has("tau-epsilon") || cell.engine == EngineKind::kCollapsed,
+              "--tau-epsilon applies only to --engine collapsed, not to --engine " +
+                  to_string(cell.engine));
   return cell;
 }
 
 /// The engine a USD bench trial runs. Sequential cells seed the Simulator
 /// with the trial's scalar `seed`, the stream their reports have always
-/// used; the round kinds take make_engine's own draw.
+/// used; the collapsed kind takes make_engine's own draw.
 inline Engine make_usd_engine(const SweepTrial& ctx, const Protocol& protocol,
                               Configuration initial) {
   if (ctx.cell.engine == EngineKind::kSequential) {

@@ -1,25 +1,23 @@
 // Engine throughput shoot-out: sequential vs. round-based simulation of USD
 // on the paper's Figure-1 configuration, at paper scale by default (n = 10⁷,
-// k = 3). Three engines run the same workload to stabilization:
+// k = 3). Both engines run the same workload to stabilization:
 //
 //   * sequential  — the exact table-driven Simulator, one interaction/step;
-//   * batched     — CollapsedSimulator with fixed rounds of n/divisor;
 //   * collapsed   — CollapsedSimulator with adaptive-τ rounds.
 //
 // Runs on the SweepRunner: one cell per engine, --trials trials per cell,
 // fanned out over --threads workers with deterministic per-trial RNG
 // streams (the per-trial interaction counts are thread-count invariant;
 // only wall clock changes). Reports wall-clock seconds, attempted vs
-// *effective* interactions (attempted minus the round kinds' clamped
+// *effective* interactions (attempted minus the collapsed engine's clamped
 // τ-leaping overdraw — previously the clamped share was double-counted),
-// interactions/second and the batched-vs-sequential speedup; the same
+// interactions/second and the collapsed-vs-sequential speedup; the same
 // numbers land in the unified sweep JSON (--json, default
 // BENCH_throughput.json), and CI checks its deterministic metrics against
 // bench/baselines/BENCH_throughput.json (tools/bench_baseline.py).
 //
-// Flags: --n, --k, --trials, --seed, --max-parallel, --round-divisor,
-//        --tau-epsilon, --threads (0 = hardware), --json (empty disables
-//        the file).
+// Flags: --n, --k, --trials, --seed, --max-parallel, --tau-epsilon,
+//        --threads (0 = hardware), --json (empty disables the file).
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -43,9 +41,7 @@ int run(int argc, char** argv) {
   const auto k = static_cast<std::size_t>(cli.get_int("k", 3, {.lo = 1}));
   const double max_parallel = cli.get_double("max-parallel", 1000.0, {.lo = 0.0});
   const Interactions budget = max_parallel_budget(max_parallel, n);
-  // Every engine runs, so both tuning flags apply.
-  const Interactions round_divisor =
-      cli.get_int("round-divisor", 16, benchutil::kRoundDivisor);
+  // The collapsed cell always runs, so its tuning flag always applies.
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05, benchutil::kTauEpsilon);
   const SweepCliOptions opts =
       read_sweep_flags(cli, 1, 42, "BENCH_throughput.json");
@@ -54,13 +50,12 @@ int run(int argc, char** argv) {
 
   benchutil::banner("throughput",
                     "wall-clock comparison of the USD engines on one workload: "
-                    "sequential vs batched vs collapsed");
+                    "sequential vs collapsed");
   benchutil::param("n", n);
   benchutil::param("k", static_cast<std::int64_t>(k));
   benchutil::param("trials", static_cast<std::int64_t>(opts.trials));
   benchutil::param("seed", static_cast<std::int64_t>(opts.seed));
   benchutil::param("max parallel time", max_parallel);
-  benchutil::param("batched round divisor", round_divisor);
   benchutil::param("threads", static_cast<std::int64_t>(opts.threads));
 
   const InitialConfig init = figure1_configuration(n, k);
@@ -71,18 +66,15 @@ int run(int argc, char** argv) {
   SweepSpec spec;
   spec.name = "throughput";
   opts.configure(spec);
-  for (const char* variant : {"sequential", "batched", "collapsed"}) {
+  for (const EngineKind kind : {EngineKind::kSequential, EngineKind::kCollapsed}) {
     SweepCell cell;
     cell.n = n;
     cell.k = k;
     cell.bias = static_cast<double>(init.bias);
-    cell.protocol = variant;
-    cell.engine = EngineKind::kSequential;
-    if (std::string(variant) == "batched") cell.engine = EngineKind::kBatched;
-    if (std::string(variant) == "collapsed") cell.engine = EngineKind::kCollapsed;
-    cell.round_divisor = round_divisor;
+    cell.engine = kind;
+    cell.protocol = to_string(kind);
     cell.tau_epsilon = tau_epsilon;
-    cell.name = variant;
+    cell.name = to_string(kind);
     spec.cells.push_back(cell);
   }
 
@@ -120,17 +112,10 @@ int run(int argc, char** argv) {
   table.write_pretty(std::cout);
 
   const double wall_sequential = result.cells[0].sum("wall_seconds");
-  const double wall_batched = result.cells[1].sum("wall_seconds");
-  const double wall_collapsed = result.cells[2].sum("wall_seconds");
-  auto speedup = [](double base, double fast) {
-    return fast > 0.0 ? base / fast : 0.0;
-  };
-  std::cout << "\nbatched vs sequential    (wall-clock): "
-            << format_double(speedup(wall_sequential, wall_batched), 1) << "x\n"
-            << "collapsed vs sequential  (wall-clock): "
-            << format_double(speedup(wall_sequential, wall_collapsed), 1) << "x\n"
-            << "collapsed vs batched     (wall-clock): "
-            << format_double(speedup(wall_batched, wall_collapsed), 1) << "x\n";
+  const double wall_collapsed = result.cells[1].sum("wall_seconds");
+  const double speedup = wall_collapsed > 0.0 ? wall_sequential / wall_collapsed : 0.0;
+  std::cout << "\ncollapsed vs sequential (wall-clock): " << format_double(speedup, 1)
+            << "x\n";
 
   benchutil::finish_sweep(result, opts);
   return 0;

@@ -3,18 +3,18 @@
 //
 //   ppsim_run --protocol usd --n 100000 --k 8 --bias auto --seed 7
 //   ppsim_run --protocol usd --n 100000 --k 8 --series out.tsv
-//   ppsim_run --protocol usd --n 10000000 --k 3 --engine batched
+//   ppsim_run --protocol usd --n 10000000 --k 3 --engine collapsed
 //   ppsim_run --protocol usd --n 1000000000 --k 32 --engine collapsed
 //   ppsim_run --protocol usd --n 100000 --trials 64 --threads 8
 //   ppsim_run --protocol usd --n 100000 --k 8 --trials 16 --cache-dir cache/
 //
 // --protocol accepts only usd, the protocol the paper bounds.
 // --bias auto = sqrt(n ln n). --series FILE writes the USD time series.
-// --engine auto | sequential | batched | collapsed selects the engine (auto
-// is the exact sequential engine; batched and collapsed trade τ-leaping
-// round granularity for orders of magnitude in wall clock — collapsed is
-// counts-space with adaptive rounds and reaches n = 10^9-10^11; see
-// README.md and docs/ARCHITECTURE.md).
+// --engine auto | sequential | collapsed selects the engine (auto is the
+// exact sequential engine up to n = 10^7 and collapsed above, as in the
+// benches; collapsed trades τ-leaping round granularity for orders of
+// magnitude in wall clock — it is counts-space with adaptive rounds and
+// reaches n = 10^9-10^11; see README.md and docs/ARCHITECTURE.md).
 // Trials run on the SweepRunner: --threads N fans them out over N workers
 // (0 = hardware) with deterministic per-trial RNG streams, so results are
 // identical at any thread count; --json writes the unified sweep report.
@@ -82,7 +82,7 @@ void print_cell(const SweepCellResult& cr) {
   }
   const double clamped = cr.sum("clamped");
   if (clamped > 0) {
-    std::cout << "clamped interactions (batched τ-leaping overdraw): "
+    std::cout << "clamped interactions (τ-leaping overdraw): "
               << static_cast<std::int64_t>(clamped) << " of "
               << static_cast<std::int64_t>(cr.sum("interactions"))
               << " attempted\n";
@@ -98,7 +98,7 @@ int run(int argc, char** argv) {
   const double max_parallel = cli.get_double("max-parallel", 100000.0, {.lo = 0.0});
   const std::string series_path = cli.get_string("series", "");
   const std::string engine_flag = cli.get_string(
-      "engine", "auto", {"auto", "sequential", "batched", "collapsed"});
+      "engine", "auto", {"auto", "sequential", "collapsed"});
   const std::string cache_dir = cli.get_string("cache-dir", "");
   const SweepCliOptions opts = read_sweep_flags(cli, 1, 1, "");
   cli.validate_no_unknown_flags();
@@ -121,8 +121,7 @@ int run(int argc, char** argv) {
   const UndecidedStateDynamics usd(k);
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-  const EngineKind kind =
-      engine_flag == "auto" ? EngineKind::kSequential : *parse_engine(engine_flag);
+  const EngineKind kind = resolve_engine(engine_flag, n);
   if (!series_path.empty()) {
     std::ofstream out(series_path);
     PPSIM_CHECK(out.good(), "cannot open series file " + series_path);

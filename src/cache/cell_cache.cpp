@@ -29,7 +29,6 @@ std::string canonical_cell_key(const SweepSpec& spec, std::size_t cell_index,
       .field("bias", cell.bias)
       .field("engine", to_string(cell.engine))
       .field("protocol", cell.protocol)
-      .field("round_divisor", cell.round_divisor)
       .field("tau_epsilon", cell.tau_epsilon)
       .field("kernel", kernels::to_string(cell.kernel.value_or(spec.kernel)))
       .field("params", params);

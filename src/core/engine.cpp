@@ -1,7 +1,5 @@
 #include "ppsim/core/engine.hpp"
 
-#include <algorithm>
-
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
@@ -12,17 +10,11 @@ using EngineVariant = std::variant<Simulator, CollapsedSimulator>;
 
 EngineVariant make_impl(EngineKind kind, const Protocol& protocol,
                         Configuration initial, std::uint64_t seed,
-                        CollapsedSimulator::Options options,
-                        Interactions round_divisor) {
+                        CollapsedSimulator::Options options) {
   switch (kind) {
     case EngineKind::kSequential:
       return EngineVariant(std::in_place_type<Simulator>, protocol,
                            std::move(initial), seed);
-    case EngineKind::kBatched:
-      PPSIM_CHECK(round_divisor > 0, "round divisor must be positive");
-      options.fixed_round =
-          std::max<Interactions>(1, initial.population() / round_divisor);
-      [[fallthrough]];
     case EngineKind::kCollapsed:
       return EngineVariant(
           std::in_place_type<CollapsedSimulator>, protocol, std::move(initial),
@@ -42,25 +34,24 @@ EngineVariant make_impl(EngineKind kind, const Protocol& protocol,
 std::string to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kSequential: return "sequential";
-    case EngineKind::kBatched: return "batched";
     case EngineKind::kCollapsed: return "collapsed";
   }
   return "unknown";
 }
 
-std::optional<EngineKind> parse_engine(const std::string& name) {
+EngineKind resolve_engine(const std::string& name, Count n) {
+  if (name == "auto") {
+    return n > 10'000'000 ? EngineKind::kCollapsed : EngineKind::kSequential;
+  }
   if (name == "sequential") return EngineKind::kSequential;
-  if (name == "batched") return EngineKind::kBatched;
-  if (name == "collapsed") return EngineKind::kCollapsed;
-  return std::nullopt;
+  PPSIM_CHECK(name == "collapsed", "unknown engine '" + name + "'");
+  return EngineKind::kCollapsed;
 }
 
 Engine::Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
-               std::uint64_t seed, CollapsedSimulator::Options options,
-               Interactions round_divisor)
+               std::uint64_t seed, CollapsedSimulator::Options options)
     : kind_(kind),
-      impl_(make_impl(kind, protocol, std::move(initial), seed, options,
-                      round_divisor)) {}
+      impl_(make_impl(kind, protocol, std::move(initial), seed, options)) {}
 
 const Configuration& Engine::configuration() const {
   return std::visit([](const auto& e) -> const Configuration& { return e.configuration(); },

@@ -48,8 +48,8 @@ void Recorder::sample(const Configuration& config, Interactions interactions) {
   if (keep_series_) memory_.sample(interactions, time, scratch_);
   for (auto* sink : sinks_) sink->sample(interactions, time, scratch_);
   last_sample_ = interactions;
-  // Advance by whole strides so the sampling lattice never drifts: a batched
-  // or collapsed round that overshoots a lattice point yields one (late)
+  // Advance by whole strides so the sampling lattice never drifts: a
+  // collapsed round that overshoots a lattice point yields one (late)
   // sample, and the next sample is still due at the next lattice point —
   // not at overshoot + stride.
   while (next_sample_ <= interactions) next_sample_ += stride_;

@@ -38,8 +38,7 @@ Engine SweepTrial::make_engine(const Protocol& protocol,
   const kernels::KernelKind kernel =
       cell.kernel.value_or(kernels::KernelKind::kScalar);
   return Engine(cell.engine, protocol, std::move(initial), rng(),
-                {.tau_epsilon = cell.tau_epsilon, .kernel = kernel},
-                cell.round_divisor);
+                {.tau_epsilon = cell.tau_epsilon, .kernel = kernel});
 }
 
 const SweepMetricAggregate* SweepCellResult::find(const std::string& metric) const {
@@ -182,7 +181,6 @@ std::string sweep_cell_json(const SweepCellResult& cr,
       .field("bias", cr.cell.bias)
       .field("engine", to_string(cr.cell.engine))
       .field("protocol", cr.cell.protocol)
-      .field("round_divisor", cr.cell.round_divisor)
       .field("tau_epsilon", cr.cell.tau_epsilon)
       .field("kernel",
              kernels::to_string(cr.cell.kernel.value_or(default_kernel)))

@@ -36,8 +36,9 @@
 //     — while shrinking automatically wherever a state is being drained
 //     quickly.
 //   * fixed (fixed_round = r > 0): every round is exactly min(r, budget)
-//     interactions regardless of how fast the configuration moves. This is
-//     EngineKind::kBatched, which sets r = max(1, n / round_divisor).
+//     interactions regardless of how fast the configuration moves. No
+//     EngineKind selects it: it is the exactness seam (r = 1) the
+//     equivalence and golden tests drive directly.
 //
 // Exactness: with fixed_round = 1 (or budget 1) every round is a single draw
 // from the exact pair law, realising precisely the sequential Markov chain;

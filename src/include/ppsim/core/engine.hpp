@@ -1,8 +1,8 @@
 // One switchable front door for the generic simulation engines.
 //
 // The library has two engines: the exact sequential Simulator and the
-// counts-space round engine CollapsedSimulator (adaptive or fixed-length
-// rounds). EngineKind names the three ways to run a Protocol on them. Sweep
+// counts-space round engine CollapsedSimulator (adaptive τ-leap rounds).
+// EngineKind names the two ways to run a Protocol on them. Sweep
 // trial functions, the benches and examples/ppsim_run select one with an
 // EngineKind value instead of hard-coding an engine type; Engine forwards
 // the shared surface (run_until_stable / run_until / RunOutcome /
@@ -24,25 +24,24 @@ namespace ppsim {
 
 enum class EngineKind {
   kSequential,  ///< Simulator, one interaction per step (exact)
-  kBatched,    ///< CollapsedSimulator, fixed rounds of max(1, n/round_divisor)
-  kCollapsed,  ///< CollapsedSimulator, adaptive τ rounds
+  kCollapsed,   ///< CollapsedSimulator, adaptive τ rounds
 };
 
-/// "sequential" | "batched" | "collapsed" (flag values for benches/examples).
+/// "sequential" | "collapsed" (flag values for benches/examples).
 std::string to_string(EngineKind kind);
 
-/// Inverse of to_string; nullopt for unknown names.
-std::optional<EngineKind> parse_engine(const std::string& name);
+/// The engine an `--engine` value names at population n: "sequential",
+/// "collapsed", or "auto", which is collapsed above n = 10^7 (where the
+/// per-agent engine takes minutes per trial) and sequential otherwise.
+/// Throws CheckFailure for any other name.
+EngineKind resolve_engine(const std::string& name, Count n);
 
 class Engine {
  public:
-  /// The protocol must outlive the engine. `options` applies to the round
-  /// kinds: kCollapsed uses it as given; kBatched keeps its kernel and
-  /// replaces fixed_round by max(1, n / round_divisor), where round_divisor
-  /// must be positive. kSequential ignores both.
+  /// The protocol must outlive the engine. kCollapsed runs with `options`
+  /// as given; kSequential ignores them.
   Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
-         std::uint64_t seed, CollapsedSimulator::Options options = {},
-         Interactions round_divisor = 16);
+         std::uint64_t seed, CollapsedSimulator::Options options = {});
 
   EngineKind kind() const noexcept { return kind_; }
   const Configuration& configuration() const;
@@ -53,8 +52,8 @@ class Engine {
   double parallel_time() const;
 
   RunOutcome run_until_stable(Interactions max_interactions);
-  /// Note: the round kinds (kBatched, kCollapsed) check the predicate once
-  /// per round, the sequential engine once per interaction.
+  /// Note: kCollapsed checks the predicate once per round, the sequential
+  /// engine once per interaction.
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
@@ -63,7 +62,7 @@ class Engine {
 
   /// Streams strided samples (plus engine checkpoints when the recorder has
   /// a checkpoint stride) from inside the run loops: the sequential engine
-  /// observes once per interaction, the round kinds once per round. Not
+  /// observes once per interaction, kCollapsed once per round. Not
   /// owned; nullptr detaches; the recorder must outlive the run calls.
   void set_recorder(Recorder* recorder);
 

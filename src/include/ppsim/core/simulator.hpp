@@ -34,7 +34,7 @@ struct RunOutcome {
   Interactions interactions = 0;             ///< attempted interactions so far
   /// Interactions the engine attempted but could not realise (τ-leaping
   /// overdraw clamped to live counts). Always 0 for the exact sequential
-  /// engine; for the round kinds (batched, collapsed), `interactions -
+  /// engine; for the collapsed round engine, `interactions -
   /// clamped` is the effective count — report both so throughput numbers
   /// are honest.
   Interactions clamped = 0;

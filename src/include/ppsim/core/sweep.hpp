@@ -59,9 +59,8 @@ struct SweepCell {
   double bias = 0.0;
   EngineKind engine = EngineKind::kSequential;
   std::string protocol = "usd";
-  Interactions round_divisor = 16;  ///< batched engine granularity
-  double tau_epsilon = 0.05;        ///< collapsed engine drift tolerance
-  /// Round kernel for the batched/collapsed engines; nullopt inherits
+  double tau_epsilon = 0.05;  ///< collapsed engine drift tolerance
+  /// Round kernel for the collapsed engine; nullopt inherits
   /// SweepSpec::kernel (SweepRunner stamps it in at construction, so
   /// downstream readers always see a value). Only kScalar runs
   /// (kernels/round_kernel.hpp).
@@ -116,7 +115,7 @@ struct SweepTrial {
   std::uint64_t seed;
   Xoshiro256pp& rng;
 
-  /// Builds the engine the cell names (kind + round_divisor) over `initial`,
+  /// Builds the engine the cell names (kind + tau_epsilon) over `initial`,
   /// seeded from this trial's stream — any EngineKind can be driven from a
   /// sweep cell. The protocol must outlive the engine.
   Engine make_engine(const Protocol& protocol, Configuration initial) const;

@@ -33,7 +33,6 @@ struct ArchiveRunSpec {
   Interactions max_interactions = 0;
   Interactions record_stride = 0;    ///< sampling stride, > 0
   Interactions checkpoint_every = 0; ///< 0 = no checkpoints
-  Interactions round_divisor = 16;   ///< batched-engine knob
   double tau_epsilon = 0.05;         ///< collapsed-engine knob
 };
 

@@ -64,7 +64,7 @@ struct TrajectoryHeader {
   Interactions checkpoint_every = 0;   ///< checkpoint stride (0 = none)
   Interactions max_interactions = 0;   ///< run budget
   double tau_epsilon = 0.0;            ///< collapsed-engine knob (0 = n/a)
-  Interactions round_divisor = 0;      ///< batched-engine knob (0 = n/a)
+  Interactions round_divisor = 0;      ///< retired fixed-round knob; 0 = n/a
   std::uint64_t spec_hash = 0;         ///< fnv1a over the canonical spec string
   std::string build_version;
   std::vector<std::string> channels;

@@ -1,7 +1,7 @@
 // Statistics toolkit used by the Monte-Carlo runner, the drift validators and
 // the scaling-law fits: running moments (Welford), order statistics,
-// histograms, chi-square goodness of fit, least-squares regression, and
-// bootstrap confidence intervals.
+// chi-square goodness of fit, least-squares regression, and bootstrap
+// confidence intervals.
 #pragma once
 
 #include <cstdint>
@@ -90,25 +90,5 @@ struct Interval {
 };
 Interval bootstrap_mean_ci(const std::vector<double>& values, double confidence,
                            int resamples, Xoshiro256pp& rng);
-
-/// Histogram with equal-width bins over [lo, hi); values outside are clamped
-/// into the edge bins so mass is conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::int64_t bin_count(std::size_t i) const;
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::int64_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
-};
 
 }  // namespace ppsim

@@ -40,7 +40,6 @@ TrajectoryHeader make_header(const ArchiveRunSpec& spec, Count population,
   header.checkpoint_every = spec.checkpoint_every;
   header.max_interactions = spec.max_interactions;
   header.tau_epsilon = spec.tau_epsilon;
-  header.round_divisor = spec.round_divisor;
   header.channels = channels;
   return header;
 }

@@ -212,29 +212,4 @@ Interval bootstrap_mean_ci(const std::vector<double>& values, double confidence,
   return Interval{quantile_sorted(means, alpha), quantile_sorted(means, 1.0 - alpha)};
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  PPSIM_CHECK(bins > 0, "histogram needs at least one bin");
-  PPSIM_CHECK(hi > lo, "histogram range must be non-empty");
-}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::int64_t>(std::floor((x - lo_) / width_));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::int64_t Histogram::bin_count(std::size_t i) const {
-  PPSIM_CHECK(i < counts_.size(), "bin out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  PPSIM_CHECK(i < counts_.size(), "bin out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 }  // namespace ppsim

@@ -2,7 +2,7 @@
 // small n against the analytic ordered-pair distribution), count
 // conservation and budget accounting under adaptive and fixed rounds, the
 // 2^53 population / saturating-arithmetic guards, adaptivity of the τ
-// controller, the Engine facade's batched (fixed-round) kind, and
+// controller, the Engine facade and auto engine resolution, and
 // distributional equivalence of full stabilization runs against the
 // sequential engine under both round policies.
 #include "ppsim/core/collapsed_simulator.hpp"
@@ -200,7 +200,7 @@ TEST(CollapsedSimulatorTest, SameSeedGivesIdenticalTrajectory) {
 }
 
 TEST(CollapsedSimulatorTest, TauControllerAdaptsToThePopulationScale) {
-  // Fixed rounds (the batched kind) always leap n/divisor; the adaptive
+  // Fixed rounds always leap the same number of interactions; the adaptive
   // controller must scale its rounds with n (ε·n aggregate cap) and stay
   // well below n (per-state drain bound).
   const UndecidedStateDynamics usd(kK);
@@ -255,51 +255,24 @@ TEST(CollapsedSimulatorTest, EngineFacadeSelectsCollapsed) {
   EXPECT_TRUE(engine.is_stable());
   EXPECT_EQ(engine.interactions(), out.interactions);
   EXPECT_EQ(engine.consensus_output(), out.consensus);
-  EXPECT_EQ(parse_engine("collapsed"), EngineKind::kCollapsed);
+  EXPECT_EQ(resolve_engine("collapsed", 600), EngineKind::kCollapsed);
   EXPECT_EQ(to_string(EngineKind::kCollapsed), "collapsed");
 }
 
-TEST(CollapsedSimulatorTest, EngineFacadeBatchedIsFixedRoundsOfNOverDivisor) {
-  const UndecidedStateDynamics usd(kK);
-  for (const Interactions divisor : {Interactions{0}, Interactions{-1}}) {
-    EXPECT_THROW(Engine(EngineKind::kBatched, usd, Configuration(kUsdCounts), 3,
-                        {}, divisor),
-                 CheckFailure)
-        << "round_divisor " << divisor;
-  }
-  // The adaptive kind ignores the divisor.
-  EXPECT_NO_THROW(Engine(EngineKind::kCollapsed, usd, Configuration(kUsdCounts),
-                         3, {}, 0));
-
-  // kBatched is a CollapsedSimulator with fixed_round = max(1, n / divisor):
-  // the default divisor 16 gives 600 / 16 = 37, a divisor ≥ n gives 1.
-  for (const auto& [divisor, round] :
-       {std::pair<Interactions, Interactions>{16, 37}, {1'000'000, 1}}) {
-    Engine engine(EngineKind::kBatched, usd, Configuration(kUsdCounts), 3, {},
-                  divisor);
-    EXPECT_EQ(engine.kind(), EngineKind::kBatched);
-    CollapsedSimulator direct(usd, Configuration(kUsdCounts), 3,
-                              {.fixed_round = round});
-    const RunOutcome out = engine.run_until_stable(10'000'000);
-    const RunOutcome expected = direct.run_until_stable(10'000'000);
-    EXPECT_TRUE(out.stabilized) << "round_divisor " << divisor;
-    EXPECT_TRUE(engine.is_stable());
-    EXPECT_EQ(engine.interactions(), out.interactions);
-    EXPECT_EQ(engine.consensus_output(), out.consensus);
-    EXPECT_EQ(out.interactions, expected.interactions) << "round_divisor " << divisor;
-    EXPECT_EQ(engine.configuration(), direct.configuration());
-  }
-  EXPECT_EQ(parse_engine("batched"), EngineKind::kBatched);
-  EXPECT_EQ(to_string(EngineKind::kBatched), "batched");
-  EXPECT_FALSE(parse_engine("warp-drive").has_value());
+TEST(CollapsedSimulatorTest, ResolveEngineAutoIsCollapsedAboveTenMillion) {
+  EXPECT_EQ(resolve_engine("auto", 10'000'000), EngineKind::kSequential);
+  EXPECT_EQ(resolve_engine("auto", 10'000'001), EngineKind::kCollapsed);
+  EXPECT_EQ(resolve_engine("sequential", 10'000'001), EngineKind::kSequential);
+  EXPECT_EQ(resolve_engine("collapsed", 1000), EngineKind::kCollapsed);
+  EXPECT_THROW(resolve_engine("warp-drive", 1000), CheckFailure);
 }
 
 // ----------------------------- distributional equivalence vs. sequential --
 
 TEST(CollapsedSimulatorTest, StabilizationTimesShareDistributionWithSequential) {
   // Full-run comparison against the exact sequential chain under both round
-  // policies: adaptive τ-leaping (ε = 0.05) and fixed rounds of n/16 (the
-  // batched kind's default). With 300 samples a side the α = 0.001 KS
+  // policies: adaptive τ-leaping (ε = 0.05) and fixed rounds of n/16
+  // (Options::fixed_round). With 300 samples a side the α = 0.001 KS
   // critical distance is ≈ 0.16; the τ-leaping bias of either policy
   // (measured: < 1% of the mean, well under the ~12% spread) stays far
   // below it. The sequential engine stops on the exact stabilizing

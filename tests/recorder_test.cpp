@@ -264,7 +264,7 @@ TEST(RunEngineTrialTest, CheckpointsSnapshotTheEngineWithoutPerturbingIt) {
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration({900, 600, 500});
   for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kBatched, EngineKind::kCollapsed}) {
+       {EngineKind::kSequential, EngineKind::kCollapsed}) {
     SCOPED_TRACE(to_string(kind));
     Engine twin(kind, usd, initial, 42);
     const TrialResult plain = run_engine_trial(twin, 5'000'000);

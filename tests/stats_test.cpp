@@ -1,6 +1,6 @@
 // Statistics toolkit: Welford vs closed forms, merge associativity,
 // quantiles, chi-square survival values against known tables, regression on
-// synthetic data, bootstrap coverage, histogram binning.
+// synthetic data, bootstrap coverage.
 #include "ppsim/util/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -181,26 +181,6 @@ TEST(Bootstrap, RejectsBadInput) {
   EXPECT_THROW(bootstrap_mean_ci({}, 0.95, 100, rng), CheckFailure);
   EXPECT_THROW(bootstrap_mean_ci({1.0}, 1.5, 100, rng), CheckFailure);
   EXPECT_THROW(bootstrap_mean_ci({1.0}, 0.95, 0, rng), CheckFailure);
-}
-
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamped to bin 0
-  h.add(15.0);   // clamped to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(2), 1);
-  EXPECT_EQ(h.bin_count(4), 2);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckFailure);
-  EXPECT_THROW(Histogram(1.0, 1.0, 3), CheckFailure);
 }
 
 }  // namespace

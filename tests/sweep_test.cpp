@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -152,14 +153,14 @@ TEST(SweepRunnerTest, ConditionalHelpersSelectByFlag) {
 }
 
 TEST(SweepRunnerTest, CellDrivesAnyEngineKindWithClampedAccounting) {
-  // A cell naming the batched engine builds a batched simulator through the
-  // facade, and the standard metric block separates attempted vs effective
-  // interactions (the τ-leaping clamp used to be double-reported).
+  // A cell builds the engine it names through the facade, and the standard
+  // metric block separates attempted vs effective interactions (the
+  // τ-leaping clamp used to be double-reported).
   const UndecidedStateDynamics usd(2);
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration({600, 400});
   for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kBatched}) {
+       {EngineKind::kSequential, EngineKind::kCollapsed}) {
     SweepSpec spec;
     spec.name = "engine";
     spec.trials = 2;
@@ -167,7 +168,6 @@ TEST(SweepRunnerTest, CellDrivesAnyEngineKindWithClampedAccounting) {
     cell.n = 1000;
     cell.k = 2;
     cell.engine = kind;
-    cell.round_divisor = 8;
     spec.cells.push_back(cell);
     const SweepResult result =
         SweepRunner(spec).run([&](const SweepTrial& ctx) {
@@ -182,10 +182,30 @@ TEST(SweepRunnerTest, CellDrivesAnyEngineKindWithClampedAccounting) {
       EXPECT_DOUBLE_EQ(cr.values("effective_interactions")[t],
                        cr.values("interactions")[t] - cr.values("clamped")[t]);
     }
-    if (kind != EngineKind::kBatched) {
+    if (kind == EngineKind::kSequential) {
       EXPECT_DOUBLE_EQ(cr.sum("clamped"), 0.0);  // exact engines never clamp
     }
   }
+}
+
+TEST(SweepRunnerTest, FiringClampIsSubtractedFromEffectiveInteractions) {
+  // Coarse fixed rounds (n / 8) can overdraw the last minority agents: the
+  // clamp fires in about one seed in four, and seed 14 clamps twice. The
+  // metric block must report that overdraw and subtract it from the
+  // effective count.
+  const UndecidedStateDynamics usd(2);
+  Engine engine(EngineKind::kCollapsed, usd,
+                UndecidedStateDynamics::initial_configuration({600, 400}), 14,
+                {.fixed_round = 125});
+  const TrialResult r = run_engine_trial(engine, 10'000'000);
+  ASSERT_TRUE(r.stabilized);
+  EXPECT_GT(r.clamped, 0);
+  EXPECT_EQ(engine.clamped_interactions(), r.clamped);
+  const SweepMetrics m = consensus_metrics(r);
+  const std::map<std::string, double> metric(m.begin(), m.end());
+  EXPECT_DOUBLE_EQ(metric.at("clamped"), static_cast<double>(r.clamped));
+  EXPECT_DOUBLE_EQ(metric.at("effective_interactions"),
+                   static_cast<double>(r.interactions - r.clamped));
 }
 
 TEST(SweepRunnerTest, CollapsedEngineSweepIsThreadCountInvariantByteForByte) {
@@ -459,13 +479,14 @@ TEST(SweepCliTest, MaxParallelBudgetRejectsNonFiniteAndOverflow) {
             std::numeric_limits<Interactions>::max() - 1023);
 }
 
-// The message of the CheckFailure benchutil::read_usd_engine throws for
-// `args` at population n (batched admitted, as in bench_bounds_gap), or "".
+// The message of the CheckFailure that benchutil::read_usd_engine and then
+// the unknown-flag check throw for `args` at population n, or "".
 std::string engine_flags_error(std::vector<const char*> args, Count n = 1000) {
   args.insert(args.begin(), "prog");
   Cli cli(static_cast<int>(args.size()), args.data());
   try {
-    benchutil::read_usd_engine(cli, n, cli.get_int("round-divisor", 16));
+    benchutil::read_usd_engine(cli, n);
+    cli.validate_no_unknown_flags();
   } catch (const CheckFailure& e) {
     return e.what();
   }
@@ -478,25 +499,26 @@ TEST(BenchFlagsTest, RejectsTuningFlagsTheEngineIgnores) {
                 .find("--tau-epsilon applies only to --engine collapsed, not to "
                       "--engine sequential"),
             std::string::npos);
-  EXPECT_NE(engine_flags_error({"--engine", "collapsed", "--round-divisor", "8"})
-                .find("--round-divisor applies only to --engine batched"),
-            std::string::npos);
-  EXPECT_NE(engine_flags_error({"--engine", "batched", "--tau-epsilon", "0.1"})
-                .find("--tau-epsilon"),
-            std::string::npos);
-  EXPECT_EQ(engine_flags_error({"--engine", "batched", "--round-divisor", "8"}), "");
+  EXPECT_EQ(engine_flags_error({"--engine", "collapsed", "--tau-epsilon", "0.1"}), "");
   EXPECT_EQ(engine_flags_error({"--tau-epsilon", "0.1"}, 100'000'000), "");
 }
 
+// The retired fixed-round engine's divisor flag used to be rejected as
+// applying only to that engine, even by benches that never offered it. No
+// bench registers it now, so it is an unknown flag.
+TEST(BenchFlagsTest, RoundDivisorIsAnUnknownFlag) {
+  EXPECT_NE(engine_flags_error({"--round-divisor", "8"})
+                .find("unknown flag --round-divisor"),
+            std::string::npos);
+}
+
 TEST(BenchFlagsTest, ResolvesAutoIntoTheCellTemplate) {
-  const char* argv[] = {"prog", "--engine", "batched", "--round-divisor", "8"};
+  const char* argv[] = {"prog", "--engine", "collapsed", "--tau-epsilon", "0.1"};
   Cli cli(5, argv);
-  const SweepCell cell = benchutil::read_usd_engine(
-      cli, 1000, cli.get_int("round-divisor", 16, benchutil::kRoundDivisor));
-  EXPECT_EQ(cell.engine, EngineKind::kBatched);
-  EXPECT_EQ(cell.protocol, "usd-batched");
-  EXPECT_EQ(cell.round_divisor, 8);
-  EXPECT_DOUBLE_EQ(cell.tau_epsilon, 0.05);
+  const SweepCell cell = benchutil::read_usd_engine(cli, 1000);
+  EXPECT_EQ(cell.engine, EngineKind::kCollapsed);
+  EXPECT_EQ(cell.protocol, "usd-collapsed");
+  EXPECT_DOUBLE_EQ(cell.tau_epsilon, 0.1);
 
   const char* none[] = {"prog"};
   Cli small(1, none);
@@ -504,9 +526,6 @@ TEST(BenchFlagsTest, ResolvesAutoIntoTheCellTemplate) {
   Cli large(1, none);
   EXPECT_EQ(benchutil::read_usd_engine(large, 100'000'000).engine,
             EngineKind::kCollapsed);
-  const char* batched[] = {"prog", "--engine", "batched"};
-  Cli refused(3, batched);
-  EXPECT_THROW(benchutil::read_usd_engine(refused, 1000), CheckFailure);
 }
 
 TEST(BenchFlagsTest, KRangeIsOrdered) {
