@@ -49,12 +49,12 @@ inline SweepCell read_usd_engine(Cli& cli, Count n) {
 /// The engine a USD bench trial runs. Sequential cells seed the Simulator
 /// with the trial's scalar `seed`, the stream their reports have always
 /// used; the collapsed kind takes make_engine's own draw.
-inline Engine make_usd_engine(const SweepTrial& ctx, const Protocol& protocol,
+inline Engine make_usd_engine(const SweepTrial& ctx, const UndecidedStateDynamics& usd,
                               Configuration initial) {
   if (ctx.cell.engine == EngineKind::kSequential) {
-    return Engine(EngineKind::kSequential, protocol, std::move(initial), ctx.seed);
+    return Engine(EngineKind::kSequential, usd, std::move(initial), ctx.seed);
   }
-  return ctx.make_engine(protocol, std::move(initial));
+  return ctx.make_engine(usd, std::move(initial));
 }
 
 /// Reads --kmin and --kmax: 2 ≤ kmin ≤ kmax. The k loops grow from kmin,

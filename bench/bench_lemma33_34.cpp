@@ -41,14 +41,6 @@ namespace {
 
 using namespace ppsim;
 
-/// Lemma 3.3 cells wait for x_1 to reach `level`; Lemma 3.4 cells wait for
-/// Δmax to reach it.
-template <typename Sim>
-HittingResult hitting_time(Sim& sim, bool growth, Count level, Interactions budget) {
-  return growth ? time_until_opinion_reaches(sim, 0, level, budget)
-                : time_until_delta_reaches(sim, level, budget);
-}
-
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   const Count n = cli.get_int("n", 100'000, {.lo = 2});
@@ -111,14 +103,12 @@ int run(int argc, char** argv) {
     const bool growth = ctx.cell_index < growth_cells;
     const auto level =
         static_cast<Count>(ctx.cell.param(growth ? "target" : "alpha", 0.0));
-    HittingResult r;
-    if (ctx.cell.engine == EngineKind::kCollapsed) {
-      Engine sim = ctx.make_engine(protocols[ctx.cell_index], initials[ctx.cell_index]);
-      r = hitting_time(sim, growth, level, budget);
-    } else {
-      Simulator sim(protocols[ctx.cell_index], initials[ctx.cell_index], ctx.seed);
-      r = hitting_time(sim, growth, level, budget);
-    }
+    // Lemma 3.3 cells wait for x_1 to reach `level`; Lemma 3.4 cells wait
+    // for Δmax to reach it.
+    Engine sim = benchutil::make_usd_engine(ctx, protocols[ctx.cell_index],
+                                            initials[ctx.cell_index]);
+    const HittingResult r = growth ? time_until_opinion_reaches(sim, 0, level, budget)
+                                   : time_until_delta_reaches(sim, level, budget);
     SweepMetrics m = {{"hit", r.hit ? 1.0 : 0.0}};
     // A run that stabilized below the level never violated the bound (the
     // observable never grew that fast) — it simply reports no hitting time.

@@ -173,8 +173,9 @@ int run(int argc, char** argv) {
   } else {
     // Beyond what the canonical cell key holds (n, k, bias, engine kind,
     // kernel, seed, trial count), the trial closure captures only the
-    // engine flag and the budget.
-    const std::string fn_id = "ppsim_run/v1;engine=" + engine_flag +
+    // resolved engine and the budget. Keying on the resolved engine lets
+    // `--engine auto` and the engine it resolves to share entries.
+    const std::string fn_id = "ppsim_run/v1;engine=" + to_string(kind) +
                               ";max_parallel=" +
                               JsonObject::render_double(max_parallel);
     cache::CellCache cache({.disk_dir = cache_dir});

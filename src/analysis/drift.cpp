@@ -84,9 +84,4 @@ double UsdDrift::opinion_threshold(Opinion i) const {
   return (static_cast<double>(n_) - static_cast<double>(x(i))) / 2.0;
 }
 
-double UsdDrift::settle_point() const noexcept {
-  const auto nn = static_cast<double>(n_);
-  return nn / 2.0 - nn / (4.0 * static_cast<double>(k()));
-}
-
 }  // namespace ppsim

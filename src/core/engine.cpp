@@ -8,16 +8,16 @@ namespace {
 
 using EngineVariant = std::variant<Simulator, CollapsedSimulator>;
 
-EngineVariant make_impl(EngineKind kind, const Protocol& protocol,
+EngineVariant make_impl(EngineKind kind, const UndecidedStateDynamics& usd,
                         Configuration initial, std::uint64_t seed,
                         CollapsedSimulator::Options options) {
   switch (kind) {
     case EngineKind::kSequential:
-      return EngineVariant(std::in_place_type<Simulator>, protocol,
+      return EngineVariant(std::in_place_type<Simulator>, usd,
                            std::move(initial), seed);
     case EngineKind::kCollapsed:
       return EngineVariant(
-          std::in_place_type<CollapsedSimulator>, protocol, std::move(initial),
+          std::in_place_type<CollapsedSimulator>, usd, std::move(initial),
           seed, options);
   }
   // Reachable only through a forged enum value (e.g. a bad static_cast from
@@ -48,10 +48,10 @@ EngineKind resolve_engine(const std::string& name, Count n) {
   return EngineKind::kCollapsed;
 }
 
-Engine::Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
-               std::uint64_t seed, CollapsedSimulator::Options options)
-    : kind_(kind),
-      impl_(make_impl(kind, protocol, std::move(initial), seed, options)) {}
+Engine::Engine(EngineKind kind, const UndecidedStateDynamics& usd,
+               Configuration initial, std::uint64_t seed,
+               CollapsedSimulator::Options options)
+    : kind_(kind), impl_(make_impl(kind, usd, std::move(initial), seed, options)) {}
 
 const Configuration& Engine::configuration() const {
   return std::visit([](const auto& e) -> const Configuration& { return e.configuration(); },

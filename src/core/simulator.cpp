@@ -4,23 +4,12 @@
 
 namespace ppsim {
 
-Simulator::Simulator(const Protocol& protocol, Configuration initial,
+Simulator::Simulator(const UndecidedStateDynamics& usd, Configuration initial,
                      std::uint64_t seed)
-    : protocol_(protocol),
-      table_(protocol),
-      config_(std::move(initial)),
-      sampler_(config_),
-      rng_(seed) {
-  PPSIM_CHECK(config_.num_states() == protocol.num_states(),
+    : config_(std::move(initial)), sampler_(config_), rng_(seed) {
+  PPSIM_CHECK(config_.num_states() == usd.num_states(),
               "configuration size must match the protocol's state space");
-  const auto& counts = config_.counts();
-  slot_.assign(counts.size(), 0);
-  for (State s = 0; s < counts.size(); ++s) {
-    if (counts[s] == 0) continue;
-    slot_[s] = present_.size();
-    present_.push_back(s);
-  }
-  find_witness();
+  surviving_opinions_ = surviving_opinions(config_);
 }
 
 // `inline`: step() calls this on every state-changing interaction.
@@ -28,51 +17,33 @@ inline void Simulator::move_agent(State from, State to) {
   config_.move_agent(from, to);
   sampler_.move_agent(from, to);
   const auto& counts = config_.counts();
-  if (counts[from] == 0) {  // swap-remove `from` from the present list
-    const State last = present_.back();
-    present_[slot_[from]] = last;
-    slot_[last] = slot_[from];
-    present_.pop_back();
+  if (from != UndecidedStateDynamics::kUndecided && counts[from] == 0) {
+    --surviving_opinions_;
   }
-  if (counts[to] == 1) {
-    slot_[to] = present_.size();
-    present_.push_back(to);
+  if (to != UndecidedStateDynamics::kUndecided && counts[to] == 1) {
+    ++surviving_opinions_;
   }
 }
 
 bool Simulator::step() {
+  constexpr State kUndecided = UndecidedStateDynamics::kUndecided;
   const auto [a, b] = sampler_.sample(rng_);
-  const Transition t = table_.apply(a, b);
   ++interactions_;
-  if (t.initiator == a && t.responder == b) return false;
-  if (t.initiator != a) move_agent(a, t.initiator);
-  if (t.responder != b) move_agent(b, t.responder);
-  // Counts fell only in states a and b, and a witness needs at most two
-  // agents per state, so it can only have broken if a or b is down to one.
-  // (A stable configuration never gets here: every present pair is null.)
-  const auto& counts = config_.counts();
-  if ((counts[a] <= 1 || counts[b] <= 1) && !applicable(witness_a_, witness_b_)) {
-    find_witness();
+  if (a == b) return false;  // same opinion, or both undecided
+  if (a == kUndecided) {
+    move_agent(a, b);  // the initiator adopts the responder's opinion
+  } else if (b == kUndecided) {
+    move_agent(b, a);  // the responder adopts the initiator's opinion
+  } else {
+    move_agent(a, kUndecided);  // a clash: both become undecided
+    move_agent(b, kUndecided);
   }
   return true;
 }
 
-void Simulator::find_witness() {
-  for (const State a : present_) {
-    for (const State b : present_) {
-      if (!applicable(a, b) || table_.is_null(a, b)) continue;
-      witness_a_ = a;
-      witness_b_ = b;
-      stable_ = false;
-      return;
-    }
-  }
-  stable_ = true;
-}
-
 RunOutcome Simulator::run_until_stable(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
-  while (interactions_ < max_interactions && !stable_) {
+  while (interactions_ < max_interactions && !is_stable()) {
     step();
     observe();
   }
@@ -92,7 +63,7 @@ RunOutcome Simulator::run_until(
     // Stop on stability like run_until_stable (and CollapsedSimulator::
     // run_until): once stable the configuration never changes again, so a
     // configuration predicate that has not fired never will.
-    if (stable_) break;
+    if (is_stable()) break;
     step();
     observe();
   }
@@ -104,7 +75,15 @@ RunOutcome Simulator::run_until(
 }
 
 std::optional<Opinion> Simulator::consensus_output() const {
-  return ppsim::consensus_output(protocol_, config_);
+  // Every agent outputs the same opinion iff none is undecided and exactly
+  // one opinion is present.
+  const auto& counts = config_.counts();
+  if (surviving_opinions_ != 1 || counts[UndecidedStateDynamics::kUndecided] > 0) {
+    return std::nullopt;
+  }
+  State s = 1;
+  while (counts[s] == 0) ++s;
+  return static_cast<Opinion>(s - 1);
 }
 
 EngineCheckpoint Simulator::checkpoint_state() const {

@@ -30,14 +30,14 @@ std::string SweepCell::label() const {
   return "n=" + std::to_string(n) + ",k=" + std::to_string(k);
 }
 
-Engine SweepTrial::make_engine(const Protocol& protocol,
+Engine SweepTrial::make_engine(const UndecidedStateDynamics& usd,
                                Configuration initial) const {
   // Each engine built by this trial draws its own scalar seed from the
   // trial's private stream, so a trial that builds several engines seeds
   // them from disjoint draws deterministically.
   const kernels::KernelKind kernel =
       cell.kernel.value_or(kernels::KernelKind::kScalar);
-  return Engine(cell.engine, protocol, std::move(initial), rng(),
+  return Engine(cell.engine, usd, std::move(initial), rng(),
                 {.tau_epsilon = cell.tau_epsilon, .kernel = kernel});
 }
 

@@ -62,10 +62,6 @@ class UsdDrift {
   /// The threshold u_i = (n - x_i) / 2: E[Δx_i] > 0 iff u > u_i.
   double opinion_threshold(Opinion i) const;
 
-  /// The settling point n/2 - n/(4k) of the undecided count (Lemma 3.1 and
-  /// the guide line in Figure 1).
-  double settle_point() const noexcept;
-
  private:
   double pair_norm() const noexcept {  // n(n-1)
     return static_cast<double>(n_) * static_cast<double>(n_ - 1);

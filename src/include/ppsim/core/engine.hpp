@@ -1,8 +1,8 @@
-// One switchable front door for the generic simulation engines.
+// One switchable front door for the two USD engines.
 //
 // The library has two engines: the exact sequential Simulator and the
 // counts-space round engine CollapsedSimulator (adaptive τ-leap rounds).
-// EngineKind names the two ways to run a Protocol on them. Sweep
+// EngineKind names the two ways to run USD on them. Sweep
 // trial functions, the benches and examples/ppsim_run select one with an
 // EngineKind value instead of hard-coding an engine type; Engine forwards
 // the shared surface (run_until_stable / run_until / RunOutcome /
@@ -16,9 +16,9 @@
 
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
-#include "ppsim/core/protocol.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/core/types.hpp"
+#include "ppsim/protocols/usd.hpp"
 
 namespace ppsim {
 
@@ -40,7 +40,7 @@ class Engine {
  public:
   /// The protocol must outlive the engine. kCollapsed runs with `options`
   /// as given; kSequential ignores them.
-  Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
+  Engine(EngineKind kind, const UndecidedStateDynamics& usd, Configuration initial,
          std::uint64_t seed, CollapsedSimulator::Options options = {});
 
   EngineKind kind() const noexcept { return kind_; }

@@ -1,28 +1,27 @@
-// Exact sequential-interaction engine for arbitrary population protocols.
+// Exact sequential-interaction engine for k-opinion USD.
 //
-// The transition function f is compiled once into a dense TransitionTable,
-// so the per-interaction hot path is a table lookup with no virtual dispatch.
+// Each step draws one ordered pair of distinct agents and applies USD's
+// three rules (protocols/usd.hpp) inline: a clash of two opinions sends both
+// agents to ⊥, an undecided agent adopts its partner's opinion, and an equal
+// pair is null. The initiator moves first.
 //
 // The engine owns the configuration, the pair sampler and the RNG, so a
 // Simulator is a self-contained, restartable experiment. Stopping times are
-// exact: the engine keeps a *witness*, one present ordered pair whose
-// transition is not null. A state-changing step re-checks it in O(1); only
-// when the witness is no longer applicable are the present states rescanned
-// for a new one, and finding none means the configuration is stable. The
-// present states are a swap-remove list that changes only when a count
-// crosses 0↔1, so the rescan never visits an empty state.
+// exact: the engine counts the opinions with a nonzero count, updating the
+// count only when an opinion's count crosses 0, so is_stable() is O(1) after
+// every interaction. A USD configuration is stable iff no opinion is
+// present, or exactly one is and no agent is undecided.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "ppsim/core/configuration.hpp"
-#include "ppsim/core/protocol.hpp"
 #include "ppsim/core/recorder.hpp"
 #include "ppsim/core/scheduler.hpp"
-#include "ppsim/core/transition_table.hpp"
 #include "ppsim/core/types.hpp"
+#include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"  // CheckFailure, thrown by the members below
 #include "ppsim/util/rng.hpp"
 
@@ -43,8 +42,9 @@ struct RunOutcome {
 
 class Simulator {
  public:
-  /// The protocol must outlive the simulator.
-  Simulator(const Protocol& protocol, Configuration initial, std::uint64_t seed);
+  /// `initial` must have USD's k + 1 states, ⊥ first.
+  Simulator(const UndecidedStateDynamics& usd, Configuration initial,
+            std::uint64_t seed);
 
   const Configuration& configuration() const noexcept { return config_; }
   Interactions interactions() const noexcept { return interactions_; }
@@ -70,8 +70,12 @@ class Simulator {
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
 
-  /// True iff no applicable pair can change any state. O(1).
-  bool is_stable() const noexcept { return stable_; }
+  /// True iff no pair of agents can change any state. O(1).
+  bool is_stable() const noexcept {
+    return surviving_opinions_ == 0 ||
+           (surviving_opinions_ == 1 &&
+            config_.counts()[UndecidedStateDynamics::kUndecided] == 0);
+  }
 
   /// If every agent's output is the same committed opinion, returns it.
   std::optional<Opinion> consensus_output() const;
@@ -94,28 +98,16 @@ class Simulator {
     }
   }
 
-  /// Moves one agent in the configuration, the sampler and the present list.
+  /// Moves one agent in the configuration and the sampler, and keeps the
+  /// count of present opinions.
   void move_agent(State from, State to);
-  /// True iff two distinct agents can be drawn in states (a, b).
-  bool applicable(State a, State b) const noexcept {
-    const auto& counts = config_.counts();
-    return counts[a] > 0 && counts[b] > (a == b ? 1 : 0);
-  }
-  /// Rescans the present states for a witness; sets stable_ if none.
-  void find_witness();
 
-  const Protocol& protocol_;
-  TransitionTable table_;
   Configuration config_;
   PairSampler sampler_;
   Xoshiro256pp rng_;
   Interactions interactions_ = 0;
   Recorder* recorder_ = nullptr;
-  std::vector<State> present_;      // states with a nonzero count, any order
-  std::vector<std::size_t> slot_;   // slot_[s] = index of s in present_
-  State witness_a_ = 0;             // a present non-null pair, unless stable_
-  State witness_b_ = 0;
-  bool stable_ = false;
+  std::size_t surviving_opinions_ = 0;  // opinions with a nonzero count
 };
 
 }  // namespace ppsim

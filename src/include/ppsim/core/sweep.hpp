@@ -118,7 +118,7 @@ struct SweepTrial {
   /// Builds the engine the cell names (kind + tau_epsilon) over `initial`,
   /// seeded from this trial's stream — any EngineKind can be driven from a
   /// sweep cell. The protocol must outlive the engine.
-  Engine make_engine(const Protocol& protocol, Configuration initial) const;
+  Engine make_engine(const UndecidedStateDynamics& usd, Configuration initial) const;
 };
 
 /// Named scalar observables produced by one trial. Insertion order is

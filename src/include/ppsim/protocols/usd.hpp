@@ -7,8 +7,9 @@
 //     f(s, ⊥)   = (s, s)   for any opinion s (and symmetrically),
 //     f          = identity otherwise.
 //
-// UndecidedStateDynamics is the Protocol, run by the generic engines
-// (Simulator for exact runs, CollapsedSimulator at paper scale). The free
+// UndecidedStateDynamics is the Protocol that both engines run: Simulator
+// applies the rules above inline for exact runs, and CollapsedSimulator
+// compiles them into its round law at paper scale. The free
 // functions below read the paper's observables u(t), x_i(t), Δmax(t) and the
 // surviving-opinion count off any Configuration in its ⊥-first layout.
 #pragma once

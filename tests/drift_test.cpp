@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "ppsim/analysis/bounds.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
@@ -86,9 +87,9 @@ TEST(UsdDriftTest, EqualOpinionsHaveZeroDeltaDrift) {
 }
 
 TEST(UsdDriftTest, SettlePointFormula) {
-  const UsdDrift d({0, 500, 250, 250});
-  // n = 1000, k = 3: n/2 - n/(4k) = 500 - 83.33...
-  EXPECT_NEAR(d.settle_point(), 500.0 - 1000.0 / 12.0, 1e-9);
+  // The settle point of u lives in analysis/bounds: n = 1000, k = 3 gives
+  // n/2 - n/(4k) = 500 - 83.33...
+  EXPECT_NEAR(bounds::usd_settle_point(1000, 3), 500.0 - 1000.0 / 12.0, 1e-9);
 }
 
 // ------------------------------------------------- Monte-Carlo validation ----

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "ppsim/core/engine.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/util/check.hpp"
 
@@ -20,8 +23,14 @@ Configuration usd_config(const std::vector<Count>& opinions, Count undecided = 0
 const UndecidedStateDynamics kUsd2(2);
 const UndecidedStateDynamics kUsd3(3);
 
+/// The exact engine, as the benches build it.
+Engine sequential(const UndecidedStateDynamics& usd, Configuration initial,
+                  std::uint64_t seed) {
+  return Engine(EngineKind::kSequential, usd, std::move(initial), seed);
+}
+
 TEST(HittingTimesTest, AlreadyAtLevelHitsImmediately) {
-  Simulator engine(kUsd2, usd_config({50, 50}), 1);
+  Engine engine = sequential(kUsd2, usd_config({50, 50}), 1);
   const HittingResult r = time_until_opinion_reaches(engine, 0, 50, 1000);
   EXPECT_TRUE(r.hit);
   EXPECT_EQ(r.interactions_at_hit, 0);
@@ -33,7 +42,7 @@ TEST(HittingTimesTest, SkipAheadMatchesStepByStepReference) {
   // exactly.
   constexpr Count kLevel = 60;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Simulator fast(kUsd3, usd_config({50, 30, 20}), seed);
+    Engine fast = sequential(kUsd3, usd_config({50, 30, 20}), seed);
     const HittingResult via_helper =
         time_until_opinion_reaches(fast, 0, kLevel, 500000);
 
@@ -61,7 +70,7 @@ TEST(HittingTimesTest, SkipAheadMatchesStepByStepReference) {
 TEST(HittingTimesTest, DeltaSkipAheadMatchesReference) {
   constexpr Count kLevel = 30;
   for (std::uint64_t seed = 20; seed <= 26; ++seed) {
-    Simulator fast(kUsd3, usd_config({40, 30, 30}), seed);
+    Engine fast = sequential(kUsd3, usd_config({40, 30, 30}), seed);
     const HittingResult via_helper = time_until_delta_reaches(fast, kLevel, 300000);
 
     Simulator slow(kUsd3, usd_config({40, 30, 30}), seed);
@@ -85,8 +94,52 @@ TEST(HittingTimesTest, DeltaSkipAheadMatchesReference) {
   }
 }
 
+TEST(HittingTimesTest, CollapsedSkipAheadMatchesACheckAtEveryRound) {
+  // A round of τ interactions moves x_i by at most τ and Δmax by at most 2τ,
+  // so the skip-ahead reads the same first hitting round as a read at every
+  // round boundary, on the same seed.
+  const Configuration initial = usd_config({45000, 30000, 25000});
+  const auto every_round = [&](std::uint64_t seed, auto value, Count level) {
+    Engine engine(EngineKind::kCollapsed, kUsd3, initial, seed);
+    HittingResult r;
+    const RunOutcome out = engine.run_until(
+        [&](const Configuration& c, Interactions t) {
+          if (value(c) < level) return false;
+          r.hit = true;
+          r.interactions_at_hit = t;
+          return true;
+        },
+        50'000'000);
+    if (!r.hit && value(engine.configuration()) >= level) {
+      r.hit = true;
+      r.interactions_at_hit = out.interactions;
+    }
+    r.interactions_used = out.interactions;
+    r.stabilized = out.stabilized;
+    return r;
+  };
+  const auto x0 = [](const Configuration& c) { return opinion_count(c, 0); };
+  const auto delta = [](const Configuration& c) { return delta_max(c); };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Engine growth(EngineKind::kCollapsed, kUsd3, initial, seed);
+    const HittingResult g = time_until_opinion_reaches(growth, 0, 70000, 50'000'000);
+    const HittingResult g_ref = every_round(seed, x0, 70000);
+    ASSERT_TRUE(g.hit);
+    EXPECT_EQ(g.interactions_at_hit, g_ref.interactions_at_hit);
+    EXPECT_EQ(g.interactions_used, g_ref.interactions_used);
+
+    Engine doubling(EngineKind::kCollapsed, kUsd3, initial, seed);
+    const HittingResult d = time_until_delta_reaches(doubling, 40000, 50'000'000);
+    const HittingResult d_ref = every_round(seed, delta, 40000);
+    ASSERT_TRUE(d.hit);
+    EXPECT_EQ(d.interactions_at_hit, d_ref.interactions_at_hit);
+    EXPECT_EQ(d.interactions_used, d_ref.interactions_used);
+  }
+}
+
 TEST(HittingTimesTest, BudgetPreventsHit) {
-  Simulator engine(kUsd2, usd_config({500, 500}), 5);
+  Engine engine = sequential(kUsd2, usd_config({500, 500}), 5);
   // level n is unreachable in 10 interactions from a balanced start
   const HittingResult r = time_until_opinion_reaches(engine, 0, 1000, 10);
   EXPECT_FALSE(r.hit);
@@ -96,14 +149,14 @@ TEST(HittingTimesTest, BudgetPreventsHit) {
 TEST(HittingTimesTest, StabilizationEndsTheRun) {
   // Tiny population stabilizes long before the budget; the helper must
   // report stabilized and not spin.
-  Simulator engine(kUsd2, usd_config({3, 2}), 9);
+  Engine engine = sequential(kUsd2, usd_config({3, 2}), 9);
   const HittingResult r = time_until_opinion_reaches(engine, 1, 5, 1'000'000);
   EXPECT_TRUE(r.stabilized || r.hit);
   EXPECT_LT(r.interactions_used, 1'000'000);
 }
 
 TEST(HittingTimesTest, InvalidArguments) {
-  Simulator engine(kUsd2, usd_config({5, 5}), 1);
+  Engine engine = sequential(kUsd2, usd_config({5, 5}), 1);
   EXPECT_THROW(time_until_opinion_reaches(engine, 2, 5, 100), CheckFailure);
   EXPECT_THROW(time_until_opinion_reaches(engine, 0, 5, -1), CheckFailure);
 }

@@ -10,6 +10,7 @@
 #include "ppsim/analysis/drift.hpp"
 #include "ppsim/analysis/hitting_times.hpp"
 #include "ppsim/analysis/initial.hpp"
+#include "ppsim/core/engine.hpp"
 #include "ppsim/core/simulator.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "stat_util.hpp"
@@ -24,6 +25,14 @@ Simulator usd_sim(const UndecidedStateDynamics& usd, const InitialConfig& init,
                    seed);
 }
 
+/// The same engine behind the Engine facade, which the run-analysis helpers
+/// (analysis/hitting_times) take.
+Engine usd_engine(const UndecidedStateDynamics& usd, const InitialConfig& init,
+                  std::uint64_t seed) {
+  return Engine(EngineKind::kSequential, usd,
+                UndecidedStateDynamics::initial_configuration(init.opinion_counts), seed);
+}
+
 // ----------------------------------------------------------- Lemma 3.1 ----
 
 TEST(PaperLemma31, UndecidedNeverExceedsCeiling) {
@@ -35,9 +44,7 @@ TEST(PaperLemma31, UndecidedNeverExceedsCeiling) {
   const double ceiling = bounds::lemma31_ceiling(n, k);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const InitialConfig init = figure1_configuration(n, k);
-    Engine engine(EngineKind::kSequential, usd,
-                  UndecidedStateDynamics::initial_configuration(init.opinion_counts),
-                  seed);
+    Engine engine = usd_engine(usd, init, seed);
     const UndecidedExcursion exc = max_undecided_over_run(engine, 100 * n);
     EXPECT_LT(static_cast<double>(exc.max_undecided), ceiling) << "seed " << seed;
   }
@@ -103,7 +110,7 @@ TEST(PaperLemma33, OpinionGrowthIsSlow) {
     const InitialConfig init = figure1_configuration(n, k);
     ASSERT_LT(static_cast<double>(init.majority()),
               bounds::lemma33_start_level(n, k));
-    Simulator engine = usd_sim(usd, init, seed);
+    Engine engine = usd_engine(usd, init, seed);
     const HittingResult r = time_until_opinion_reaches(engine, 0, target, budget);
     EXPECT_FALSE(r.hit) << "seed " << seed << ": x_0 reached 2n/k after "
                         << r.interactions_at_hit << " interactions (budget "
@@ -123,7 +130,7 @@ TEST(PaperLemma34, MaxDifferenceDoesNotDoubleFast) {
   const auto budget = static_cast<Interactions>(bounds::lemma34_interactions(n, k));
   for (std::uint64_t seed = 21; seed <= 25; ++seed) {
     const InitialConfig init = adversarial_configuration(n, k, alpha_half);
-    Simulator engine = usd_sim(usd, init, seed);
+    Engine engine = usd_engine(usd, init, seed);
     const HittingResult r =
         time_until_delta_reaches(engine, 2 * init.bias, budget);
     EXPECT_FALSE(r.hit) << "seed " << seed << ": Δmax doubled after "
@@ -189,7 +196,7 @@ TEST(PaperFigure1, DoublingTakesMostOfTheStabilizationTime) {
   const UndecidedStateDynamics usd(k);
   const InitialConfig init = figure1_configuration(n, k);
 
-  Simulator doubling_engine = usd_sim(usd, init, 99);
+  Engine doubling_engine = usd_engine(usd, init, 99);
   const HittingResult doubling = time_until_opinion_reaches(
       doubling_engine, 0, 2 * init.majority(), 100000 * n);
   ASSERT_TRUE(doubling.hit);

@@ -1,24 +1,19 @@
-// Generic engine: conservation, determinism, exact stability-driven
+// The exact USD engine: conservation, determinism, exact stability-driven
 // termination, predicates, and the recorder.
 #include "ppsim/core/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ppsim/core/recorder.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
-#include "toy_protocols.hpp"
 
 namespace ppsim {
 namespace {
-
-using toy::Averaging;
-using toy::Epidemic;
-using toy::FourStateMajority;
-using toy::LeaderElection;
-using toy::Voter;
 
 TEST(SimulatorTest, RejectsMismatchedConfiguration) {
   const UndecidedStateDynamics usd(2);
@@ -54,36 +49,6 @@ TEST(SimulatorTest, DifferentSeedsDiverge) {
     b.step();
   }
   EXPECT_NE(a.configuration(), b.configuration());
-}
-
-TEST(SimulatorTest, EpidemicInfectsEveryone) {
-  const Epidemic epidemic;
-  Simulator sim(epidemic, Epidemic::initial(200, 1), 5);
-  const RunOutcome out = sim.run_until_stable(1'000'000);
-  ASSERT_TRUE(out.stabilized);
-  EXPECT_EQ(sim.configuration().count(Epidemic::kInfected), 200);
-  EXPECT_TRUE(out.consensus.has_value());
-  EXPECT_EQ(*out.consensus, 1u);
-}
-
-TEST(SimulatorTest, EpidemicTakesAboutLogNParallelTime) {
-  // Θ(log n) parallel time w.h.p.; for n = 1000, ln n ≈ 6.9. Accept a very
-  // generous band — this is a sanity calibration, not a sharp test.
-  const Epidemic epidemic;
-  Simulator sim(epidemic, Epidemic::initial(1000, 1), 17);
-  const RunOutcome out = sim.run_until_stable(10'000'000);
-  ASSERT_TRUE(out.stabilized);
-  EXPECT_GT(sim.parallel_time(), 2.0);
-  EXPECT_LT(sim.parallel_time(), 60.0);
-}
-
-TEST(SimulatorTest, LeaderElectionLeavesExactlyOneLeader) {
-  const LeaderElection le;
-  Simulator sim(le, LeaderElection::initial(150), 23);
-  const RunOutcome out = sim.run_until_stable(10'000'000);
-  ASSERT_TRUE(out.stabilized);
-  EXPECT_EQ(sim.configuration().count(LeaderElection::kLeader), 1);
-  EXPECT_EQ(sim.configuration().count(LeaderElection::kFollower), 149);
 }
 
 TEST(SimulatorTest, StableConfigurationStopsImmediately) {
@@ -131,13 +96,14 @@ TEST(SimulatorTest, ConsensusOutputRules) {
 }
 
 /// Reference stability: every ordered pair of two distinct present agents'
-/// states is null under f (the O(S²) scan the witness replaces).
-bool brute_force_stable(const Protocol& protocol, const Configuration& c) {
+/// states is null under USD's f (the O(S²) scan that the engine's count of
+/// present opinions replaces).
+bool brute_force_stable(const UndecidedStateDynamics& usd, const Configuration& c) {
   const auto& counts = c.counts();
   for (State a = 0; a < counts.size(); ++a) {
     for (State b = 0; b < counts.size(); ++b) {
       if (counts[a] == 0 || counts[b] < (a == b ? 2 : 1)) continue;
-      const Transition t = protocol.apply(a, b);
+      const Transition t = usd.apply(a, b);
       if (t.initiator != a || t.responder != b) return false;
     }
   }
@@ -169,35 +135,38 @@ TEST(SimulatorTest, StopsOnTheExactStabilizingInteraction) {
 
 TEST(SimulatorTest, StabilityWitnessMatchesBruteForceScan) {
   // is_stable() from construction and after every interaction, against the
-  // full pair scan, on protocols whose null pairs differ in shape: a
-  // non-null diagonal (leader election), ordered pairs that are not mirror
-  // images (voter, averaging) and more than 32 states (averaging, 129).
-  const UndecidedStateDynamics usd(3);
-  const FourStateMajority four;
-  const LeaderElection leader;
-  const Voter voter;
-  const Averaging averaging(64);
-  const std::pair<const Protocol*, Configuration> cases[] = {
-      {&usd, Configuration({2, 5, 4, 3})},
-      {&four, FourStateMajority::initial(9, 7)},
-      {&leader, LeaderElection::initial(12)},
-      {&voter, Configuration({5, 4, 6})},
-      {&averaging, averaging.initial(8, 6)},
-  };
-  for (const auto& [protocol, initial] : cases) {
-    SCOPED_TRACE(protocol->name());
-    Simulator sim(*protocol, initial, 5);
-    const auto run_to_stability = [&] {
-      ASSERT_EQ(sim.is_stable(), brute_force_stable(*protocol, sim.configuration()));
-      while (sim.interactions() < 200'000 && !sim.is_stable()) {
-        sim.step();
-        ASSERT_EQ(sim.is_stable(),
-                  brute_force_stable(*protocol, sim.configuration()))
-            << "after interaction " << sim.interactions();
-      }
-      ASSERT_TRUE(sim.is_stable());
+  // full pair scan, at k = 2, 3, 27 and 40 (41 states: two nodes of the pair
+  // sampler's prefix-sum tree). Each k starts from a mixed configuration,
+  // from one opinion plus ⊥ (not stable: ⊥ adopts), and from two stable
+  // ones: all ⊥, and one opinion with u = 0.
+  for (const std::size_t k : {2u, 3u, 27u, 40u}) {
+    const UndecidedStateDynamics usd(k);
+    std::vector<Count> mixed(k, 2);
+    mixed[0] = 5;
+    std::vector<Count> lone(k, 0);
+    lone[k - 1] = 6;
+    const Configuration cases[] = {
+        UndecidedStateDynamics::initial_configuration(mixed, 3),
+        UndecidedStateDynamics::initial_configuration(lone, 4),
+        UndecidedStateDynamics::initial_configuration(std::vector<Count>(k, 0), 7),
+        UndecidedStateDynamics::initial_configuration(lone),
     };
-    ASSERT_NO_FATAL_FAILURE(run_to_stability());
+    for (const Configuration& initial : cases) {
+      SCOPED_TRACE(usd.name() + " from u = " + std::to_string(initial.count(0)));
+      Simulator sim(usd, initial, 5);
+      const auto run_to_stability = [&] {
+        ASSERT_EQ(sim.is_stable(), brute_force_stable(usd, sim.configuration()));
+        while (sim.interactions() < 200'000 && !sim.is_stable()) {
+          sim.step();
+          ASSERT_EQ(sim.is_stable(), brute_force_stable(usd, sim.configuration()))
+              << "after interaction " << sim.interactions();
+        }
+        ASSERT_TRUE(sim.is_stable());
+        // The engine's consensus against the generic output-map scan.
+        EXPECT_EQ(sim.consensus_output(), consensus_output(usd, sim.configuration()));
+      };
+      ASSERT_NO_FATAL_FAILURE(run_to_stability());
+    }
   }
 }
 

@@ -1,22 +1,20 @@
-// Small protocols that the engine tests use as generic fixtures, chosen for
-// the shapes of their transition functions rather than for any result:
+// Small protocols that the round-engine tests (the collapsed engine and its
+// pair law, which still take any Protocol) use as generic fixtures, chosen
+// for the shapes of their transition functions rather than for any result:
 //   * Epidemic — one-way broadcast, mirrored rules, 2 states;
 //   * LeaderElection — a non-null diagonal (L, L) -> (L, F);
 //   * FourStateMajority — mirrored rules with three reacting unordered pairs;
-//   * Voter — f(b, a) is not the mirror of f(a, b);
-//   * Averaging — quantized averaging over 2m + 1 states, e.g. 129 for m = 64
-//     (more than one 32-wide node of the pair sampler's prefix-sum tree).
-// toy_protocols_test.cpp pins each fixture's rules and invariants, so an
-// engine test that fails points at the engine, not at its fixture.
+//   * Voter — f(b, a) is not the mirror of f(a, b).
+// toy_protocols_test.cpp pins the LeaderElection and FourStateMajority
+// rules, so an engine test that fails points at the engine, not at its
+// fixture.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/protocol.hpp"
-#include "ppsim/util/check.hpp"
 
 namespace ppsim::toy {
 
@@ -35,11 +33,6 @@ class Epidemic final : public Protocol {
   }
   std::optional<Opinion> output(State s) const override { return s; }
   std::string name() const override { return "epidemic"; }
-
-  /// `sources` infected agents among n.
-  static Configuration initial(Count n, Count sources) {
-    return Configuration({n - sources, sources});
-  }
 };
 
 /// Fratricide: (L, L) -> (L, F); everything else is null.
@@ -88,11 +81,6 @@ class FourStateMajority final : public Protocol {
     return (s == kStrongA || s == kWeakA) ? 0 : 1;
   }
   std::string name() const override { return "four-state-majority"; }
-
-  /// `a` strong-A agents and `b` strong-B agents.
-  static Configuration initial(Count a, Count b) {
-    return Configuration({a, b, 0, 0});
-  }
 };
 
 /// (a, b) -> (a, a): the initiator converts the responder. f(b, a) = (b, b)
@@ -105,62 +93,6 @@ class Voter final : public Protocol {
   }
   std::optional<Opinion> output(State s) const override { return s; }
   std::string name() const override { return "voter"; }
-};
-
-/// Values in [-m, m] (state s is value s - m); a pair is replaced by the
-/// ceiling and floor of its average. A pair whose result is the same
-/// multiset, such as {v, v + 1}, is null.
-class Averaging final : public Protocol {
- public:
-  static constexpr Opinion kOpinionA = 0;  ///< positive values
-  static constexpr Opinion kOpinionB = 1;  ///< negative values
-
-  explicit Averaging(Count m) : m_(m) { PPSIM_CHECK(m >= 1, "resolution m must be >= 1"); }
-
-  std::size_t num_states() const override {
-    return static_cast<std::size_t>(2 * m_ + 1);
-  }
-  Transition apply(State initiator, State responder) const override {
-    const Count v1 = state_value(initiator);
-    const Count v2 = state_value(responder);
-    const Count sum = v1 + v2;
-    const Count lo = sum >= 0 ? sum / 2 : -((-sum + 1) / 2);  // floor
-    const Count hi = sum - lo;
-    if ((hi == v1 && lo == v2) || (hi == v2 && lo == v1)) {
-      return {initiator, responder};
-    }
-    return {value_state(hi), value_state(lo)};
-  }
-  std::optional<Opinion> output(State s) const override {
-    const Count v = state_value(s);
-    if (v == 0) return std::nullopt;
-    return v > 0 ? kOpinionA : kOpinionB;
-  }
-  std::string name() const override { return "averaging-m" + std::to_string(m_); }
-
-  Count state_value(State s) const { return static_cast<Count>(s) - m_; }
-  State value_state(Count v) const {
-    PPSIM_CHECK(v >= -m_ && v <= m_, "value outside [-m, m]");
-    return static_cast<State>(v + m_);
-  }
-
-  /// `a` agents at +m and `b` agents at -m.
-  Configuration initial(Count a, Count b) const {
-    std::vector<Count> counts(num_states(), 0);
-    counts[value_state(m_)] = a;
-    counts[value_state(-m_)] = b;
-    return Configuration(std::move(counts));
-  }
-
-  /// The conserved quantity: the sum of all agent values.
-  Count value_sum(const Configuration& config) const {
-    Count sum = 0;
-    for (State s = 0; s < num_states(); ++s) sum += state_value(s) * config.count(s);
-    return sum;
-  }
-
- private:
-  Count m_;
 };
 
 }  // namespace ppsim::toy

@@ -179,8 +179,8 @@ TEST(UsdSimulatorTest, RunUntilPredicate) {
   EXPECT_GE(undecided_count(sim.configuration()), 100);
 }
 
-// The sequential Simulator with the USD table draws the same pairs as the
-// retired hand-written USD engine (PairSampler makes the same two `bounded`
+// The sequential Simulator draws the same pairs as the retired
+// hand-written USD engine (PairSampler makes the same two `bounded`
 // draws), so it must stop on the very interactions that engine reported.
 // Captured from that engine on figure1_configuration(20000, 9).
 TEST(UsdSimulatorTest, StopsWhereTheFormerSpecializedEngineStopped) {
