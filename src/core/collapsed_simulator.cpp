@@ -7,16 +7,14 @@
 
 namespace ppsim {
 
-CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
+CollapsedSimulator::CollapsedSimulator(const UndecidedStateDynamics& usd,
                                        Configuration initial, std::uint64_t seed,
                                        Options options)
-    : protocol_(protocol),
-      table_(protocol),
-      config_(std::move(initial)),
+    : config_(std::move(initial)),
       rng_(seed),
       options_(options),
       kernel_(&kernels::resolve(options.kernel)) {
-  PPSIM_CHECK(config_.num_states() == protocol.num_states(),
+  PPSIM_CHECK(config_.num_states() == usd.num_states(),
               "configuration size must match the protocol's state space");
   PPSIM_CHECK(config_.population() >= 2, "population must have at least two agents");
   PPSIM_CHECK(config_.population() <= kMaxPopulation,
@@ -25,15 +23,16 @@ CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
   PPSIM_CHECK(options_.tau_epsilon > 0.0 && options_.tau_epsilon <= 1.0,
               "tau_epsilon must be in (0, 1]");
   PPSIM_CHECK(options_.fixed_round >= 0, "fixed_round must be non-negative");
+  surviving_opinions_ = surviving_opinions(config_);
 }
 
-CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
+CollapsedSimulator::CollapsedSimulator(const UndecidedStateDynamics& usd,
                                        Configuration initial, std::uint64_t seed)
-    : CollapsedSimulator(protocol, std::move(initial), seed, Options()) {}
+    : CollapsedSimulator(usd, std::move(initial), seed, Options()) {}
 
 void CollapsedSimulator::refresh_law() {
   if (law_generation_ == counts_generation_) return;
-  law_.rebuild(table_, config_);
+  law_.rebuild(config_);
   law_generation_ = counts_generation_;
 }
 
@@ -79,7 +78,8 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
     // Exact single-draw path: Bernoulli(active/total) selects "some non-null
     // pair", then the alias table picks which one — the product law is
     // exactly w(a,b)/n(n−1). Null draws leave the counts (and therefore the
-    // alias table) untouched, so the O(S²) rebuild amortizes over them.
+    // alias table) untouched, so the O(k²) bucket enumeration amortizes
+    // over them.
     if (rng_.bernoulli(law_.active_weight() / law_.total_weight())) {
       const kernels::ApplyResult applied =
           kernels::apply_one(law_, config_, law_.alias().sample(rng_), 1);
@@ -100,7 +100,7 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
 void CollapsedSimulator::commit_round(const kernels::RoundTask& task) {
   if (task.active == 0) return;
   const kernels::ApplyResult applied =
-      kernels::apply_draws(law_, config_, *task.draws);
+      kernels::apply_round(config_, task.active, *task.draws);
   clamped_ = sat_add(clamped_, applied.clamped);
   if (applied.moved) touch_counts();
 }
@@ -109,10 +109,9 @@ Interactions CollapsedSimulator::step_round(Interactions max_interactions) {
   PPSIM_CHECK(max_interactions >= 0, "interaction budget must be non-negative");
   if (max_interactions == 0) return 0;
   // Identical-distribution batch rounds go stage → kernel → commit: all
-  // `batch` draws see the start-of-round counts; the kernel splits off the
-  // null interactions with one binomial and distributes the rest over the
-  // active pairs with an exact multinomial (grouping a multinomial's
-  // buckets and splitting afterwards preserves the law).
+  // `batch` draws see the start-of-round counts; the kernel draws the
+  // round's adoptions and clash endpoints per opinion, and the commit
+  // applies them clamped to the live counts.
   kernels::RoundTask task;
   if (stage_round(max_interactions, task)) {
     kernel_->advance(task);

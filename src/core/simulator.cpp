@@ -75,15 +75,7 @@ RunOutcome Simulator::run_until(
 }
 
 std::optional<Opinion> Simulator::consensus_output() const {
-  // Every agent outputs the same opinion iff none is undecided and exactly
-  // one opinion is present.
-  const auto& counts = config_.counts();
-  if (surviving_opinions_ != 1 || counts[UndecidedStateDynamics::kUndecided] > 0) {
-    return std::nullopt;
-  }
-  State s = 1;
-  while (counts[s] == 0) ++s;
-  return static_cast<Opinion>(s - 1);
+  return usd_consensus(config_, surviving_opinions_);
 }
 
 EngineCheckpoint Simulator::checkpoint_state() const {

@@ -1,23 +1,25 @@
-// Counts-space ("collapsed") round engine for population protocols.
+// Counts-space ("collapsed") round engine for k-opinion USD.
 //
 // The sequential Simulator already works on counts but still pays one RNG
-// draw per *interaction*. This engine simulates the pair-count Markov chain
+// draw per *interaction*. This engine simulates the count Markov chain
 // directly and is built for populations far beyond the sequential engine's
 // reach (n = 10^9–10^11):
 //
-//   * State is only the S = |Σ| counts (a Configuration). No per-agent data
+//   * State is only the k + 1 counts (a Configuration). No per-agent data
 //     structure exists at any n.
-//   * Single-interaction rounds sample the ordered interacting pair from the
-//     *exact* pair distribution — P[(a, b)] = w(a,b) / n(n−1) with
-//     w(a,b) = c_a·c_b for a ≠ b and w(a,a) = c_a·(c_a − 1) — through a
-//     Walker/Vose AliasTable over the active (non-null) pairs that is
-//     rebuilt lazily: null interactions leave the counts unchanged, so the
-//     table survives them untouched and a rebuild costs O(S²) only when a
-//     state count actually moved.
+//   * Single-interaction rounds sample the interacting pair from the *exact*
+//     pair law — P[(a, b)] = w(a,b) / n(n−1) with w(a,b) = c_a·c_b for
+//     a ≠ b and w(a,a) = c_a·(c_a − 1) — as a Bernoulli "non-null" draw and
+//     then a Walker/Vose alias draw over the active pair buckets. Null
+//     interactions leave the counts unchanged, so the O(k²) bucket
+//     enumeration and its alias table survive them untouched.
 //   * Multi-interaction rounds batch a run of identical-distribution draws:
-//     one binomial splits off the null interactions and one exact
-//     multinomial distributes the rest over the active pairs. All draws of a
-//     round see the start-of-round counts (τ-leaping).
+//     the round kernel splits off the null interactions, then the
+//     adoptions, and spreads the adoptions over the opinions and the clash
+//     endpoints down USD's split tree (kernels/round_kernel.hpp), in O(k)
+//     binomials. All draws of a round see the start-of-round counts
+//     (τ-leaping), and the O(k) law rebuild runs once per round that moved
+//     a count.
 //
 // The round length τ follows one of two policies (Options::fixed_round):
 //   * adaptive (fixed_round = 0, the default): the τ controller (choose_tau)
@@ -43,11 +45,13 @@
 // Exactness: with fixed_round = 1 (or budget 1) every round is a single draw
 // from the exact pair law, realising precisely the sequential Markov chain;
 // tests/engine_equivalence_test.cpp pins this against the sequential
-// engines. For larger rounds it is a τ-leaping approximation. Bulk moves are
-// clamped to the live counts (clamped_interactions() reports how often that
-// fired). Counts and interaction totals use 64-bit saturating arithmetic
-// (util/check sat_add/sat_mul); populations are capped at 2^53 so every
-// count stays exactly representable in the double-precision weights.
+// engine. For larger rounds it is a τ-leaping approximation. Bulk moves are
+// clamped per state to the live counts (kernels::apply_round defines the
+// clamp; clamped_interactions() reports how much of it fired). Stability is
+// USD's rule, as in Simulator: no opinion present, or exactly one and no
+// undecided agent. Counts and interaction totals use 64-bit saturating
+// arithmetic (util/check sat_add/sat_mul); populations are capped at 2^53 so
+// every count stays exactly representable in the double-precision weights.
 #pragma once
 
 #include <functional>
@@ -55,12 +59,11 @@
 #include <vector>
 
 #include "ppsim/core/configuration.hpp"
-#include "ppsim/core/protocol.hpp"
 #include "ppsim/core/simulator.hpp"
-#include "ppsim/core/transition_table.hpp"
 #include "ppsim/core/types.hpp"
 #include "ppsim/kernels/pair_law.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
+#include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/rng.hpp"
 
 namespace ppsim {
@@ -87,10 +90,11 @@ class CollapsedSimulator {
   /// representable in a double (2^53).
   static constexpr Count kMaxPopulation = Count{1} << 53;
 
-  /// The protocol must outlive the simulator. Requires 2 ≤ n ≤ 2^53.
-  CollapsedSimulator(const Protocol& protocol, Configuration initial,
+  /// `initial` must have USD's k + 1 states, ⊥ first. Requires
+  /// 2 ≤ n ≤ 2^53.
+  CollapsedSimulator(const UndecidedStateDynamics& usd, Configuration initial,
                      std::uint64_t seed, Options options);
-  CollapsedSimulator(const Protocol& protocol, Configuration initial,
+  CollapsedSimulator(const UndecidedStateDynamics& usd, Configuration initial,
                      std::uint64_t seed);
 
   const Configuration& configuration() const noexcept { return config_; }
@@ -123,12 +127,14 @@ class CollapsedSimulator {
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
 
-  /// True iff no applicable pair can change any state.
-  bool is_stable() const { return table_.is_stable(config_); }
+  /// True iff no pair of agents can change any state. O(1).
+  bool is_stable() const noexcept {
+    return usd_stable(config_, surviving_opinions_);
+  }
 
   /// If every agent's output is the same committed opinion, returns it.
   std::optional<Opinion> consensus_output() const {
-    return ppsim::consensus_output(protocol_, config_);
+    return usd_consensus(config_, surviving_opinions_);
   }
 
   /// Streams strided samples (and engine checkpoints) from inside the run
@@ -150,7 +156,9 @@ class CollapsedSimulator {
   /// stages a kernel task over this engine's law, RNG and scratch and
   /// returns true; the caller then runs kernel().advance and calls
   /// commit_round. step_round(b) ≡ stage_round(b, t) &&
-  /// (kernel().advance(t), commit_round(t)). Requires max_interactions > 0.
+  /// (kernel().advance(t), commit_round(t)); commit_round applies the
+  /// kernel's (A, L) draws through kernels::apply_round. Requires
+  /// max_interactions > 0.
   bool stage_round(Interactions max_interactions, kernels::RoundTask& task);
   void commit_round(const kernels::RoundTask& task);
 
@@ -164,17 +172,19 @@ class CollapsedSimulator {
     }
   }
   /// Any count mutation funnels through this single invalidation point:
-  /// the pair law (and transitively its alias table) rebuilds iff the
-  /// counts generation moved since it was last built.
-  void touch_counts() noexcept { ++counts_generation_; }
-  /// Rebuilds the pair law if a count changed since the last build. O(S²).
+  /// the pair law (and transitively its buckets and alias table) rebuilds
+  /// iff the counts generation moved since it was last built, and the
+  /// surviving-opinion count is re-read. O(k).
+  void touch_counts() noexcept {
+    ++counts_generation_;
+    surviving_opinions_ = surviving_opinions(config_);
+  }
+  /// Rebuilds the pair law if a count changed since the last build. O(k).
   void refresh_law();
   /// Adaptive round length: min over the drift bounds, clamped to
   /// [1, budget]. Requires a fresh law.
   Interactions choose_tau(Interactions budget) const;
 
-  const Protocol& protocol_;
-  TransitionTable table_;
   Configuration config_;
   Xoshiro256pp rng_;
   Options options_;
@@ -183,14 +193,15 @@ class CollapsedSimulator {
   Interactions clamped_ = 0;
   Interactions last_round_size_ = 0;
   Recorder* recorder_ = nullptr;
+  std::size_t surviving_opinions_ = 0;  // opinions with a nonzero count
 
-  // The active-pair law, rebuilt when law_generation_ falls behind
-  // counts_generation_ (kernels/pair_law.hpp owns the enumeration and the
-  // lazily built alias table).
+  // The pair law, rebuilt when law_generation_ falls behind
+  // counts_generation_ (kernels/pair_law.hpp owns the split tree, the
+  // lazily enumerated buckets and their alias table).
   kernels::PairLaw law_;
   std::uint64_t counts_generation_ = 1;
   std::uint64_t law_generation_ = 0;  ///< counts generation law_ was built at
-  std::vector<std::int64_t> draws_;   ///< kernel scratch (multinomial output)
+  std::vector<std::int64_t> draws_;   ///< kernel scratch: (A, L) per opinion
 };
 
 }  // namespace ppsim

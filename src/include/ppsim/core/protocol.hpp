@@ -44,7 +44,8 @@ class Protocol {
 
 /// If every agent present in `config` outputs the same committed opinion
 /// under γ, returns it; nullopt if any agent is uncommitted or outputs
-/// disagree. Shared by every engine that reports a RunOutcome.
+/// disagree. The engines use USD's O(1) rule (usd_consensus); this generic
+/// scan is the reference simulator_test checks it against.
 inline std::optional<Opinion> consensus_output(const Protocol& protocol,
                                                const Configuration& config) {
   std::optional<Opinion> agreed;

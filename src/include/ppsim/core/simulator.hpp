@@ -72,9 +72,7 @@ class Simulator {
 
   /// True iff no pair of agents can change any state. O(1).
   bool is_stable() const noexcept {
-    return surviving_opinions_ == 0 ||
-           (surviving_opinions_ == 1 &&
-            config_.counts()[UndecidedStateDynamics::kUndecided] == 0);
+    return usd_stable(config_, surviving_opinions_);
   }
 
   /// If every agent's output is the same committed opinion, returns it.

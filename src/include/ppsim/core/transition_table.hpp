@@ -1,10 +1,10 @@
-// Dense S×S transition table compiled from a Protocol.
+// Dense S×S transition table compiled from a Protocol, with precomputed
+// knowledge of which ordered pairs are "null" (leave both states
+// unchanged): a configuration is stable iff every pair of present states is
+// null.
 //
-// Every simulation engine is table-driven: compiling f once removes
-// virtual dispatch from the per-interaction hot path and lets us precompute
-// which ordered pairs are "null" (leave both states unchanged). Null-pair
-// knowledge is what makes exact stabilization detection cheap: a
-// configuration is stable iff every pair of present states is null.
+// No engine uses it: both engines apply USD's rules directly. Only perfbench
+// (its pair-law and stability rows) and the tests still compile tables.
 #pragma once
 
 #include <memory>

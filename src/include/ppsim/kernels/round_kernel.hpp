@@ -1,22 +1,32 @@
-// The round kernel of the counts-space engines.
+// The round kernel of the counts-space engine.
 //
-// One simulated round is two draws against the frozen start-of-round
-// PairLaw:
+// One simulated round of τ interactions draws, against the frozen
+// start-of-round PairLaw, in this fixed order:
 //
-//   active ~ Binomial(batch, active_weight / total_weight)   // null split
-//   draws  ~ Multinomial(active, bucket weights)             // bucket split
+//   1. active    ~ Binomial(τ, active_weight / total_weight)   null split
+//   2. adoptions ~ Binomial(active, adoption_weight / active_weight)
+//   3. A         ~ Multinomial(adoptions, c_i)                 over opinions
+//   4. the X = active − adoptions clashes go down the law's split tree, in
+//      pre-order from the root (X internal clashes, no inherited endpoint).
+//      At each internal node V = A ∪ B, with x internal clashes and e
+//      inherited endpoints:
+//        x_AA ~ Binomial(x, p_left_internal)
+//        x_BB ~ Binomial(x − x_AA, p_right_internal)
+//        e_A  ~ Binomial(e, p_left)
+//      then the left subtree gets (x_AA, e_A + x_AB) and the right subtree
+//      (x_BB, e − e_A + x_AB), x_AB = x − x_AA − x_BB. A subtree with
+//      nothing to split draws nothing, and a leaf's inherited endpoints
+//      are L_i.
 //
-// A bucket is an ordered state pair or a merged mirror pair {a, b} whose two
-// orders change the counts identically (see pair_law.hpp), so the chain has
-// one conditional binomial per bucket: 378 for USD at k = 27, not 756.
+// That is ~4 binomials per present opinion: ~105 at k = 27 and ~2,000 at
+// k = 503, against k(k+1)/2 = 378 and 126,756 pair buckets. The law is
+// exact: clashes are a multinomial over the pairs {i, j} ∝ c_i·c_j,
+// which the tree reproduces because on A × B the pair weight is a product.
+// Trivial binomials (no trials, p of 0 or 1) consume no randomness.
 //
-// That sampling step — not the O(S²) law rebuild or the count updates — is
-// the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell).
-//
-// Determinism contract: advance() consumes the engine RNG through
-// util/random_variates — one binomial() for the null split, then the
-// conditional-binomial multinomial chain. The sampler is the library's own,
-// so the draw sequence is a function of the seed alone, on every host,
+// Determinism contract: advance() consumes the engine RNG only through
+// util/random_variates, in the order above. The sampler is the library's
+// own, so the draw sequence is a function of the seed alone, on every host,
 // build type and standard library (tests/engine_equivalence_test.cpp pins
 // it draw for draw).
 #pragma once
@@ -49,8 +59,9 @@ KernelKind auto_kind() noexcept;
 std::string to_string(KernelKind kind);
 
 /// One staged round: the kernel reads (law, batch, rng) and writes (active,
-/// draws). `draws` is engine-owned scratch resized by the kernel to
-/// law->size(); it is filled only when active > 0.
+/// draws). `draws` is engine-owned scratch that the kernel fills, when
+/// active > 0, with (A_0..A_{k−1}, L_0..L_{k−1}): the adoptions into and
+/// the clash endpoints on each opinion. apply_round commits it.
 struct RoundTask {
   const PairLaw* law = nullptr;
   Interactions batch = 0;

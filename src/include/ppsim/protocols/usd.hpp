@@ -75,4 +75,16 @@ Count delta_max(const Configuration& c);
 /// Number of opinions with a nonzero count.
 std::size_t surviving_opinions(const Configuration& c);
 
+/// USD's stability rule, given surviving = surviving_opinions(c): no pair of
+/// agents can change a state iff no opinion is present, or exactly one is
+/// and no agent is undecided. O(1); both engines keep `surviving` current.
+inline bool usd_stable(const Configuration& c, std::size_t surviving) noexcept {
+  return surviving == 0 ||
+         (surviving == 1 && c.counts()[UndecidedStateDynamics::kUndecided] == 0);
+}
+
+/// The opinion every agent outputs — the one present opinion when none is
+/// undecided — or nullopt. `surviving` as for usd_stable.
+std::optional<Opinion> usd_consensus(const Configuration& c, std::size_t surviving);
+
 }  // namespace ppsim

@@ -66,4 +66,14 @@ std::size_t surviving_opinions(const Configuration& c) {
       std::count_if(counts.begin() + 1, counts.end(), [](Count x) { return x > 0; }));
 }
 
+std::optional<Opinion> usd_consensus(const Configuration& c, std::size_t surviving) {
+  const auto& counts = c.counts();
+  if (surviving != 1 || counts[UndecidedStateDynamics::kUndecided] > 0) {
+    return std::nullopt;
+  }
+  State s = 1;
+  while (counts[s] == 0) ++s;
+  return static_cast<Opinion>(s - 1);
+}
+
 }  // namespace ppsim

@@ -21,7 +21,6 @@
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
 #include "stat_util.hpp"
-#include "toy_protocols.hpp"
 
 namespace ppsim {
 namespace {
@@ -219,17 +218,6 @@ TEST(CollapsedSimulatorTest, TauControllerAdaptsToThePopulationScale) {
   EXPECT_GT(large_round, 100 * small_round);
   EXPECT_LE(large_round, 1'000'000 * 0.05 + 1);  // ε·n aggregate cap
   EXPECT_GE(small_round, 1);
-}
-
-TEST(CollapsedSimulatorTest, HandlesNonNullSelfPairs) {
-  // Leader election's (L, L) -> (L, F) transition exercises the a == b bulk
-  // branch and drives a state down to a single agent.
-  const toy::LeaderElection protocol;
-  CollapsedSimulator sim(protocol, toy::LeaderElection::initial(1000), 5);
-  const RunOutcome out = sim.run_until_stable(50'000'000);
-  ASSERT_TRUE(out.stabilized);
-  EXPECT_EQ(sim.configuration().population(), 1000);
-  EXPECT_EQ(sim.configuration().count(toy::LeaderElection::kLeader), 1);
 }
 
 TEST(CollapsedSimulatorTest, StabilizesToUsdConsensus) {

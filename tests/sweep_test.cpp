@@ -190,12 +190,12 @@ TEST(SweepRunnerTest, CellDrivesAnyEngineKindWithClampedAccounting) {
 
 TEST(SweepRunnerTest, FiringClampIsSubtractedFromEffectiveInteractions) {
   // Coarse fixed rounds (n / 8) can overdraw the last minority agents: the
-  // clamp fires in about one seed in four, and seed 14 clamps twice. The
+  // clamp fires in about one seed in two, and seed 13 clamps twice. The
   // metric block must report that overdraw and subtract it from the
   // effective count.
   const UndecidedStateDynamics usd(2);
   Engine engine(EngineKind::kCollapsed, usd,
-                UndecidedStateDynamics::initial_configuration({600, 400}), 14,
+                UndecidedStateDynamics::initial_configuration({600, 400}), 13,
                 {.fixed_round = 125});
   const TrialResult r = run_engine_trial(engine, 10'000'000);
   ASSERT_TRUE(r.stabilized);

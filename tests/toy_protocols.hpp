@@ -1,13 +1,12 @@
-// Small protocols that the round-engine tests (the collapsed engine and its
-// pair law, which still take any Protocol) use as generic fixtures, chosen
-// for the shapes of their transition functions rather than for any result:
+// Small generic protocols, chosen for the shapes of their transition
+// functions rather than for any result. Both engines run USD alone, so no
+// engine test uses them any more (ROADMAP item 14 retires them):
 //   * Epidemic — one-way broadcast, mirrored rules, 2 states;
 //   * LeaderElection — a non-null diagonal (L, L) -> (L, F);
 //   * FourStateMajority — mirrored rules with three reacting unordered pairs;
 //   * Voter — f(b, a) is not the mirror of f(a, b).
 // toy_protocols_test.cpp pins the LeaderElection and FourStateMajority
-// rules, so an engine test that fails points at the engine, not at its
-// fixture.
+// rules.
 #pragma once
 
 #include <optional>
