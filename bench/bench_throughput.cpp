@@ -2,7 +2,9 @@
 // on the paper's Figure-1 configuration, at paper scale by default (n = 10⁷,
 // k = 3). Both engines run the same workload to stabilization:
 //
-//   * sequential  — the exact table-driven Simulator, one interaction/step;
+//   * sequential  — the exact Simulator: USD's rules inline, collision-free
+//                   batches of ~√(πn/8) interactions (stepping below its
+//                   crossover);
 //   * collapsed   — CollapsedSimulator with adaptive-τ rounds.
 //
 // Runs on the SweepRunner: one cell per engine, --trials trials per cell,

@@ -33,6 +33,7 @@
 #include "ppsim/cache/cell_cache.hpp"
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/recorder.hpp"
+#include "ppsim/core/runner.hpp"
 #include "ppsim/core/sweep.hpp"
 #include "ppsim/io/archive_run.hpp"
 #include "ppsim/protocols/usd.hpp"
@@ -125,9 +126,11 @@ int run(int argc, char** argv) {
   if (!series_path.empty()) {
     std::ofstream out(series_path);
     PPSIM_CHECK(out.good(), "cannot open series file " + series_path);
-    // --series reproduces sweep trial 0 (same derived seed, same engine):
-    // the archive channels, sampled every n/10 interactions; run_until
-    // stops at stability or budget.
+    // --series reproduces sweep trial 0 (same derived seed, same engine,
+    // same run_engine_trial call): the archive channels, sampled at the
+    // start, then at the first engine step (interaction, batch or round) at
+    // or past each multiple of n/10 interactions, then at the end. The
+    // recorder only observes, so the draws are trial 0's.
     const std::uint64_t series_seed = SweepRunner::trial_stream(seed, 0)();
     Recorder rec(std::max<Interactions>(1, n / 10));
     const io::ArchiveChannels channels = io::usd_archive_channels(k);
@@ -135,17 +138,8 @@ int run(int argc, char** argv) {
       rec.add_channel(channels.names[c], channels.projections[c]);
     }
     Engine engine(kind, usd, initial, series_seed);
-    engine.run_until(
-        [&](const Configuration& c, Interactions i) {
-          rec.maybe_sample(c, i);
-          return false;  // sampling only; the engine stops at stability
-        },
-        budget);
-    // Capture the end state unless the strided sampler just did.
-    if (rec.series().parallel_time.empty() ||
-        rec.series().parallel_time.back() != engine.parallel_time()) {
-      rec.sample(engine.configuration(), engine.interactions());
-    }
+    rec.sample(engine.configuration(), 0);
+    run_engine_trial(engine, budget, &rec);
     std::move(rec).take_series().write_tsv(out);
     std::cout << "series written to " << series_path << "\n";
   }

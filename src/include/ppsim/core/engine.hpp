@@ -23,7 +23,7 @@
 namespace ppsim {
 
 enum class EngineKind {
-  kSequential,  ///< Simulator, one interaction per step (exact)
+  kSequential,  ///< Simulator, exact: steps or collision-free batches
   kCollapsed,   ///< CollapsedSimulator, adaptive τ rounds
 };
 
@@ -53,7 +53,7 @@ class Engine {
 
   RunOutcome run_until_stable(Interactions max_interactions);
   /// Note: kCollapsed checks the predicate once per round, the sequential
-  /// engine once per interaction.
+  /// engine once per interaction (run_until never batches).
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
@@ -62,7 +62,7 @@ class Engine {
 
   /// Streams strided samples (plus engine checkpoints when the recorder has
   /// a checkpoint stride) from inside the run loops: the sequential engine
-  /// observes once per interaction, kCollapsed once per round. Not
+  /// observes once per interaction or batch, kCollapsed once per round. Not
   /// owned; nullptr detaches; the recorder must outlive the run calls.
   void set_recorder(Recorder* recorder);
 

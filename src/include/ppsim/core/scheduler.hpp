@@ -133,6 +133,14 @@ class PrefixSumTree {
   std::int64_t total_ = 0;
 };
 
+/// The number of interactions the scheduler makes, from a fresh start,
+/// before the first one that meets an agent an earlier one met: the length
+/// ℓ of a collision-free run, P(ℓ ≥ m) = ∏_{j<m} (n−2j)(n−2j−1)/(n(n−1)).
+/// E[ℓ] ≈ √(πn/8) interactions (√(πn/2) agents, the birthday problem):
+/// ~627 at n = 10⁶. Drawn by inversion, one uniform and O(ℓ) multiplies,
+/// with + − × ÷ only and no table. Requires n ≥ 2; 1 ≤ ℓ ≤ n/2.
+Interactions collision_free_run_length(Xoshiro256pp& rng, Count n);
+
 class PairSampler {
  public:
   /// Builds the sampler over the configuration's counts.

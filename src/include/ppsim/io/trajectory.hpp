@@ -51,7 +51,7 @@ inline constexpr std::string_view kTrajectoryMagic = "PPTRAJ1\n";
 inline constexpr std::uint64_t kTrajectoryFormatVersion = 1;
 /// Stamped into every header; bump when the producing code changes in a way
 /// that affects archived bytes.
-inline constexpr std::string_view kBuildVersion = "ppsim-0.12";
+inline constexpr std::string_view kBuildVersion = "ppsim-0.13";
 
 struct TrajectoryHeader {
   std::string engine;                  ///< to_string(EngineKind)

@@ -1,12 +1,12 @@
-// Exact samplers for the discrete distributions the round engine and the
-// workload generators need: binomial and multinomial.
+// Exact samplers for the discrete distributions the engines and the
+// workload generators need: binomial, multinomial and hypergeometric.
 //
 // Exactness matters: a round must be distributed *exactly* as the model
 // prescribes, so approximations (normal/Poisson) are not used here.
 // binomial() is the library's own inversion/BTRS sampler, so its draw
 // sequence is a function of the RNG state alone, not of the C++ standard
 // library that built the binary. The multinomial is a chain of conditional
-// binomials.
+// binomials. The hypergeometric calls no transcendental function at all.
 #pragma once
 
 #include <cstdint>
@@ -49,5 +49,31 @@ void multinomial_into(Xoshiro256pp& rng, std::int64_t trials,
 /// Convenience overload with integer weights (counts).
 std::vector<std::int64_t> multinomial(Xoshiro256pp& rng, std::int64_t trials,
                                       const std::vector<std::int64_t>& weights);
+
+/// Exact Hypergeometric(population, good, sample): the number of the `good`
+/// marked items in a uniform `sample`-subset of `population` items. Throws
+/// CheckFailure unless 0 ≤ good, sample ≤ population. Trivial draws (good
+/// or sample 0 or the whole population) consume no randomness.
+///
+/// The symmetries X ↔ sample − X (good ↔ bad), X ↔ good − X (sample ↔ its
+/// complement) and good ↔ sample reduce it to a ≤ b ≤ population/2 with
+/// a = min(good, sample). Below a = 16 it walks the a items, each one
+/// bounded draw; otherwise it runs Stadlober's ratio-of-uniforms (HRUA,
+/// Stadlober 1989) with the exact mode, testing U² ≤ f(x)/f(mode) as a
+/// product of the pmf's term ratios between x and the mode, stopping as
+/// soon as a partial product falls below U². That costs O(|x − mode|)
+/// multiplies and no exp, log or lgamma, so the draw sequence needs no
+/// libm at all; the products stay in double range for populations up to
+/// 2^53. tests/random_variates_test.cpp checks the hat against the pmf on
+/// a grid, the pmf by χ² at N = 60 and N = 10⁶…10⁹, and pins the draws.
+std::int64_t hypergeometric(Xoshiro256pp& rng, std::int64_t population,
+                            std::int64_t good, std::int64_t sample);
+
+/// The largest element of a uniform `size`-subset of {1, …, length}:
+/// P(X ≤ j) = C(j, size) / C(length, size) for size ≤ j ≤ length. Drawn by
+/// inversion from j = length downward, one uniform, O((length − X) + 1)
+/// multiplies. Requires 1 ≤ size ≤ length.
+std::int64_t uniform_subset_max(Xoshiro256pp& rng, std::int64_t length,
+                                std::int64_t size);
 
 }  // namespace ppsim

@@ -1,10 +1,12 @@
-// Alias table + binomial/multinomial samplers: moment checks, conservation,
-// degenerate cases, distribution-shape chi-square tests, and draw-for-draw
-// pins of the binomial sampler.
+// Alias table + binomial/multinomial/hypergeometric samplers: moment checks,
+// conservation, degenerate cases, distribution-shape chi-square tests, and
+// draw-for-draw pins of the binomial and hypergeometric samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "ppsim/util/alias_table.hpp"
@@ -243,9 +245,33 @@ TEST(BinomialStability, ExtremeTailsStayInBounds) {
 
 // ------------------------------------------- binomial pmf goodness of fit --
 
-// Chi-square p-value of `draws` Binomial(n, p) samples against the exact pmf.
+// Chi-square p-value of `hits[x]` draws of outcome lo + x against `pmf[x]`.
 // Outcomes are pooled from each tail inward until every bin expects at
 // least 5 hits, so the statistic's chi-square approximation holds.
+double pmf_fit_pvalue(const std::vector<std::int64_t>& hits,
+                      const std::vector<double>& pmf, int draws) {
+  std::vector<std::int64_t> observed;
+  std::vector<double> expected;
+  std::int64_t bin_hits = 0;
+  double bin_expect = 0.0;
+  for (std::size_t k = 0; k < pmf.size(); ++k) {
+    bin_hits += hits[k];
+    bin_expect += pmf[k] * draws;
+    if (bin_expect >= 5.0) {
+      observed.push_back(bin_hits);
+      expected.push_back(bin_expect);
+      bin_hits = 0;
+      bin_expect = 0.0;
+    }
+  }
+  // The upper tail left over joins the last full bin.
+  observed.back() += bin_hits;
+  expected.back() += bin_expect;
+  const double stat = chi_square_statistic(observed, expected);
+  return chi_square_sf(stat, static_cast<int>(observed.size()) - 1);
+}
+
+// Chi-square p-value of `draws` Binomial(n, p) samples against the exact pmf.
 double binomial_fit_pvalue(Xoshiro256pp& rng, std::int64_t n, double p,
                            int draws) {
   const auto size = static_cast<std::size_t>(n) + 1;
@@ -264,25 +290,7 @@ double binomial_fit_pvalue(Xoshiro256pp& rng, std::int64_t n, double p,
     EXPECT_LE(x, n);
     ++hits[static_cast<std::size_t>(x)];
   }
-  std::vector<std::int64_t> observed;
-  std::vector<double> expected;
-  std::int64_t bin_hits = 0;
-  double bin_expect = 0.0;
-  for (std::size_t k = 0; k < size; ++k) {
-    bin_hits += hits[k];
-    bin_expect += pmf[k] * draws;
-    if (bin_expect >= 5.0) {
-      observed.push_back(bin_hits);
-      expected.push_back(bin_expect);
-      bin_hits = 0;
-      bin_expect = 0.0;
-    }
-  }
-  // The upper tail left over joins the last full bin.
-  observed.back() += bin_hits;
-  expected.back() += bin_expect;
-  const double stat = chi_square_statistic(observed, expected);
-  return chi_square_sf(stat, static_cast<int>(observed.size()) - 1);
+  return pmf_fit_pvalue(hits, pmf, draws);
 }
 
 TEST(BinomialSampler, PmfFitsOnBothSidesOfTheInversionSwitch) {
@@ -350,6 +358,235 @@ TEST(MultinomialInto, MatchesTheAllocatingOverloadDrawForDraw) {
     EXPECT_EQ(buffer, multinomial(b, 1000 + round, weights));
   }
   EXPECT_EQ(a(), b());  // identical stream positions afterwards
+}
+
+// -------------------------------------------------------- hypergeometric --
+
+double log_choose(double n, double k) {
+  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+}
+
+// Chi-square p-value of `draws` Hypergeometric(N, K, m) samples against the
+// exact pmf (from lgamma, in the test only) over the support, or over
+// mean ± 12σ of it when that is narrower; a draw outside the window fails.
+double hypergeometric_fit_pvalue(Xoshiro256pp& rng, std::int64_t N,
+                                 std::int64_t K, std::int64_t m, int draws) {
+  const double nd = static_cast<double>(N);
+  const double kd = static_cast<double>(K);
+  const double md = static_cast<double>(m);
+  const double mean = kd * md / nd;
+  const double sd = std::sqrt(mean * (1.0 - kd / nd) * (nd - md) / std::max(1.0, nd - 1.0));
+  const std::int64_t lo = std::max<std::int64_t>(
+      std::max<std::int64_t>(0, m - (N - K)), static_cast<std::int64_t>(mean - 12.0 * sd));
+  const std::int64_t hi = std::min<std::int64_t>(
+      std::min(K, m), static_cast<std::int64_t>(mean + 12.0 * sd) + 1);
+  std::vector<double> pmf;
+  for (std::int64_t x = lo; x <= hi; ++x) {
+    const double xd = static_cast<double>(x);
+    pmf.push_back(std::exp(log_choose(kd, xd) + log_choose(nd - kd, md - xd) -
+                           log_choose(nd, md)));
+  }
+  std::vector<std::int64_t> hits(pmf.size(), 0);
+  for (int i = 0; i < draws; ++i) {
+    const std::int64_t x = hypergeometric(rng, N, K, m);
+    if (x < lo || x > hi) {
+      ADD_FAILURE() << "HG(" << N << ", " << K << ", " << m << ") drew " << x
+                    << " outside [" << lo << ", " << hi << "]";
+      return 0.0;
+    }
+    ++hits[static_cast<std::size_t>(x - lo)];
+  }
+  return pmf_fit_pvalue(hits, pmf, draws);
+}
+
+TEST(Hypergeometric, DegenerateCasesDrawNothing) {
+  // good or sample 0 or the whole population: the answer is fixed, and no
+  // uniform is consumed.
+  struct Case {
+    std::int64_t n, good, sample, expect;
+  };
+  const std::vector<Case> cases = {
+      {10, 0, 4, 0},   {10, 10, 4, 4},  {10, 3, 0, 0},  {10, 3, 10, 3},
+      {0, 0, 0, 0},    {1, 1, 1, 1},    {1, 0, 1, 0},   {1'000'000'000, 0, 999, 0},
+      {1'000'000'000, 1'000'000'000, 999, 999}, {1'000'000'000, 77, 1'000'000'000, 77},
+  };
+  Xoshiro256pp rng(3);
+  Xoshiro256pp twin(3);
+  for (const Case& c : cases) {
+    EXPECT_EQ(hypergeometric(rng, c.n, c.good, c.sample), c.expect)
+        << c.n << " " << c.good << " " << c.sample;
+  }
+  EXPECT_EQ(rng(), twin());
+}
+
+TEST(Hypergeometric, RejectsInvalidArguments) {
+  Xoshiro256pp rng(4);
+  EXPECT_THROW(hypergeometric(rng, 10, 11, 3), CheckFailure);
+  EXPECT_THROW(hypergeometric(rng, 10, 3, 11), CheckFailure);
+  EXPECT_THROW(hypergeometric(rng, 10, -1, 3), CheckFailure);
+  EXPECT_THROW(hypergeometric(rng, 10, 3, -1), CheckFailure);
+  EXPECT_THROW(hypergeometric(rng, -1, 0, 0), CheckFailure);
+}
+
+TEST(Hypergeometric, MomentsMatchTheory) {
+  // Both paths (a = min(good, sample) below and above 16) and each
+  // reduction: good > N/2, sample > N/2, good > sample.
+  struct Case {
+    std::int64_t n, good, sample;
+  };
+  const std::vector<Case> cases = {
+      {1000, 7, 300},        {1000, 300, 7},          {1000, 993, 300},
+      {1000, 300, 400},      {1000, 700, 900},        {1'000'000, 37'000, 627},
+      {1'000'000'000, 500'000'000, 19'800},
+  };
+  Xoshiro256pp rng(17);
+  constexpr int kDraws = 20000;
+  for (const Case& c : cases) {
+    RunningStats stats;
+    for (int i = 0; i < kDraws; ++i) {
+      stats.add(static_cast<double>(hypergeometric(rng, c.n, c.good, c.sample)));
+    }
+    const double n = static_cast<double>(c.n);
+    const double p = static_cast<double>(c.good) / n;
+    const double m = static_cast<double>(c.sample);
+    const double mean = m * p;
+    const double var = m * p * (1.0 - p) * (n - m) / (n - 1.0);
+    EXPECT_NEAR(stats.mean(), mean, 5.0 * std::sqrt(var / kDraws))
+        << c.n << " " << c.good << " " << c.sample;
+    EXPECT_NEAR(stats.variance(), var, 0.06 * var) << c.n << " " << c.good << " " << c.sample;
+  }
+}
+
+TEST(Hypergeometric, PmfFitsAtSmallPopulation) {
+  // N = 60 over the direct walk (a < 16), HRUA, and every reduction.
+  Xoshiro256pp rng(41);
+  for (const auto& [good, sample] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {5, 20}, {20, 5}, {15, 30}, {16, 30}, {20, 25}, {30, 30}, {45, 20},
+           {20, 45}, {50, 50}, {59, 1}}) {
+    EXPECT_GT(hypergeometric_fit_pvalue(rng, 60, good, sample, 100000), 1e-4)
+        << "good " << good << " sample " << sample;
+  }
+}
+
+TEST(Hypergeometric, PmfFitsAtLargePopulation) {
+  // The engine's regimes: a run's agents drawn from n = 10⁶…10⁹ (the mean
+  // from ~0.1 to ~10⁴), and the exact boundary of the 64-bit mode product.
+  Xoshiro256pp rng(42);
+  struct Case {
+    std::int64_t n, good, sample;
+  };
+  for (const Case& c : std::vector<Case>{{1'000'000, 37'000, 627},
+                                         {1'000'000, 100, 627},
+                                         {1'000'000, 500'000, 627},
+                                         {10'000'000, 370'000, 1'980},
+                                         {1'000'000'000, 37'000'000, 19'800},
+                                         {1'000'000'000, 500'000'000, 19'800},
+                                         {1'000'000'000, 20, 400'000'000}}) {
+    EXPECT_GT(hypergeometric_fit_pvalue(rng, c.n, c.good, c.sample, 100000), 1e-4)
+        << c.n << " " << c.good << " " << c.sample;
+  }
+}
+
+TEST(Hypergeometric, RatioOfUniformsHatCoversThePmf) {
+  // HRUA is exact only if its rectangle holds the whole acceptance region:
+  // |x − centre|·√(f(⌊x⌋)/f(mode)) ≤ h/2 for every real x. Checked
+  // exhaustively over the support for every reduced (N, a, b), a ≥ 16,
+  // on a grid up to N = 400, with the sampler's constants.
+  constexpr double kD1 = 1.7155277699214135;
+  constexpr double kD2 = 0.8989161620588988;
+  int checked = 0;
+  for (std::int64_t n = 32; n <= 400; n += 23) {
+    for (std::int64_t a = 16; 2 * a <= n; a += 7) {
+      for (std::int64_t b = a; 2 * b <= n; b += 5) {
+        const double nd = static_cast<double>(n);
+        const double ad = static_cast<double>(a);
+        const double bd = static_cast<double>(b);
+        const double var = ad * bd * (nd - ad) * (nd - bd) / (nd * nd * (nd - 1.0));
+        const double centre = ad * bd / nd + 0.5;
+        const double half = (kD1 * std::sqrt(var + 0.5) + kD2) / 2.0;
+        const std::int64_t mode = (a + 1) * (b + 1) / (n + 2);
+        const auto log_f = [&](std::int64_t x) {
+          const double xd = static_cast<double>(x);
+          return log_choose(ad, xd) + log_choose(nd - ad, bd - xd);
+        };
+        for (std::int64_t x = 0; x <= a; ++x) {
+          const double reach = std::max(std::abs(static_cast<double>(x) - centre),
+                                        std::abs(static_cast<double>(x + 1) - centre));
+          ASSERT_LE(reach * std::exp(0.5 * (log_f(x) - log_f(mode))), half * (1.0 + 1e-12))
+              << "N " << n << " a " << a << " b " << b << " x " << x;
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 200);
+}
+
+TEST(Hypergeometric, DrawSequenceIsPinned) {
+  // Draw-for-draw golden at a fixed seed across the paths: the direct walk,
+  // HRUA at small and large N, and the reductions. No libm call is on
+  // this path, so the values hold on any IEEE-754 host.
+  struct Regime {
+    std::int64_t n, good, sample;
+  };
+  const std::vector<Regime> regimes = {
+      {1000, 7, 300},
+      {1'000'000, 37'000, 627},
+      {1'000'000, 990'000, 627},
+      {1'000'000'000, 500'000'000, 19'800},
+      {1'000'000'000, 2'000, 999'000'000},
+  };
+  Xoshiro256pp rng(20261020);
+  std::vector<std::int64_t> draws;
+  for (const Regime& r : regimes) {
+    for (int i = 0; i < 4; ++i) draws.push_back(hypergeometric(rng, r.n, r.good, r.sample));
+  }
+  const std::vector<std::int64_t> golden = {
+      2,    5,    2,    1,    29,   22,   17,   21,   622,  622,
+      622,  621,  9775, 9837, 9931, 9923, 2000, 1999, 1998, 1999,
+  };
+  EXPECT_EQ(draws, golden);
+  // The stream position after the last draw pins how many candidates HRUA
+  // rejected along the way.
+  EXPECT_EQ(rng(), 15922820159067007262ull);
+}
+
+// --------------------------------------------------- uniform subset max --
+
+TEST(UniformSubsetMax, BoundaryCases) {
+  Xoshiro256pp rng(5);
+  EXPECT_EQ(uniform_subset_max(rng, 1, 1), 1);
+  EXPECT_EQ(uniform_subset_max(rng, 40, 40), 40);
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t x = uniform_subset_max(rng, 40, 3);
+    ASSERT_GE(x, 3);
+    ASSERT_LE(x, 40);
+  }
+  EXPECT_THROW(uniform_subset_max(rng, 5, 0), CheckFailure);
+  EXPECT_THROW(uniform_subset_max(rng, 5, 6), CheckFailure);
+}
+
+TEST(UniformSubsetMax, PmfFitsTheOrderStatistic) {
+  // P(X = j) = C(j − 1, m − 1) / C(ℓ, m), j = m … ℓ: the stopping position
+  // a batch that ends stable samples for its last non-null interaction.
+  Xoshiro256pp rng(43);
+  for (const auto& [length, size] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {50, 1}, {50, 3}, {627, 2}, {627, 40}, {2000, 1990}}) {
+    std::vector<double> pmf;
+    for (std::int64_t j = size; j <= length; ++j) {
+      pmf.push_back(std::exp(log_choose(static_cast<double>(j - 1), static_cast<double>(size - 1)) -
+                             log_choose(static_cast<double>(length), static_cast<double>(size))));
+    }
+    constexpr int kDraws = 100000;
+    std::vector<std::int64_t> hits(pmf.size(), 0);
+    for (int i = 0; i < kDraws; ++i) {
+      const std::int64_t x = uniform_subset_max(rng, length, size);
+      ASSERT_GE(x, size);
+      ASSERT_LE(x, length);
+      ++hits[static_cast<std::size_t>(x - size)];
+    }
+    EXPECT_GT(pmf_fit_pvalue(hits, pmf, kDraws), 1e-4) << length << " " << size;
+  }
 }
 
 }  // namespace

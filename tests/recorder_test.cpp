@@ -8,6 +8,9 @@
 
 #include <array>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ppsim/core/engine.hpp"
 #include "ppsim/core/runner.hpp"
@@ -259,22 +262,27 @@ TEST(RunEngineTrialTest, AttachesFinalizesAndDetachesTheRecorder) {
 TEST(RunEngineTrialTest, CheckpointsSnapshotTheEngineWithoutPerturbingIt) {
   // With a checkpoint stride every engine kind hands the recorder snapshots
   // of its own state. Taking them must not change a single draw: the trial
-  // ends exactly where an unrecorded twin on the same seed ends.
+  // ends exactly where an unrecorded twin on the same seed ends. At
+  // n = 200000 the sequential engine runs collision-free batches and
+  // observes at batch ends.
   const UndecidedStateDynamics usd(3);
-  const Configuration initial =
-      UndecidedStateDynamics::initial_configuration({900, 600, 500});
-  for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kCollapsed}) {
-    SCOPED_TRACE(to_string(kind));
+  for (const auto& [kind, opinions] :
+       std::vector<std::pair<EngineKind, std::vector<Count>>>{
+           {EngineKind::kSequential, {900, 600, 500}},
+           {EngineKind::kSequential, {90'000, 60'000, 50'000}},
+           {EngineKind::kCollapsed, {900, 600, 500}},
+           {EngineKind::kCollapsed, {90'000, 60'000, 50'000}}}) {
+    const Configuration initial = UndecidedStateDynamics::initial_configuration(opinions);
+    SCOPED_TRACE(to_string(kind) + " at n = " + std::to_string(initial.population()));
     Engine twin(kind, usd, initial, 42);
-    const TrialResult plain = run_engine_trial(twin, 5'000'000);
+    const TrialResult plain = run_engine_trial(twin, 50'000'000);
     Engine engine(kind, usd, initial, 42);
     Recorder rec(1'000);
     rec.add_channel("undecided", count_of(UndecidedStateDynamics::kUndecided));
     rec.set_checkpoint_stride(20'000);
     CapturingSink sink;
     rec.add_sink(sink);
-    const TrialResult r = run_engine_trial(engine, 5'000'000, &rec);
+    const TrialResult r = run_engine_trial(engine, 50'000'000, &rec);
 
     ASSERT_TRUE(r.stabilized);
     EXPECT_EQ(r.interactions, plain.interactions);

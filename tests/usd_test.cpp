@@ -179,10 +179,19 @@ TEST(UsdSimulatorTest, RunUntilPredicate) {
   EXPECT_GE(undecided_count(sim.configuration()), 100);
 }
 
-// The sequential Simulator draws the same pairs as the retired
+/// Steps `sim` one interaction at a time until it is stable: the path
+/// run_until takes, and run_until_stable's below the batch crossover.
+RunOutcome step_until_stable(Simulator& sim) {
+  while (!sim.is_stable()) sim.step();
+  return RunOutcome{.stabilized = true,
+                    .interactions = sim.interactions(),
+                    .consensus = sim.consensus_output()};
+}
+
+// The sequential Simulator's step() draws the same pairs as the retired
 // hand-written USD engine (PairSampler makes the same two `bounded`
-// draws), so it must stop on the very interactions that engine reported.
-// Captured from that engine on figure1_configuration(20000, 9).
+// draws), so stepping must stop on the very interactions that engine
+// reported. Captured from that engine on figure1_configuration(20000, 9).
 TEST(UsdSimulatorTest, StopsWhereTheFormerSpecializedEngineStopped) {
   const UndecidedStateDynamics usd(9);
   const Configuration initial =
@@ -191,7 +200,7 @@ TEST(UsdSimulatorTest, StopsWhereTheFormerSpecializedEngineStopped) {
       {1, 522904}, {2, 448670}, {42, 609578}};
   for (const auto& [seed, interactions] : golden) {
     Simulator sim(usd, initial, seed);
-    const RunOutcome out = sim.run_until_stable(1'000'000'000);
+    const RunOutcome out = step_until_stable(sim);
     ASSERT_TRUE(out.stabilized) << "seed " << seed;
     EXPECT_EQ(out.interactions, interactions) << "seed " << seed;
     ASSERT_TRUE(out.consensus.has_value()) << "seed " << seed;
@@ -210,11 +219,28 @@ TEST(UsdSimulatorTest, StopsWhereTheFormerUrnStoppedAtK40) {
       {1, 1062189, 0}, {2, 728037, 0}, {42, 854138, 38}};
   for (const auto& [seed, interactions, winner] : golden) {
     Simulator sim(usd, initial, seed);
-    const RunOutcome out = sim.run_until_stable(1'000'000'000);
+    const RunOutcome out = step_until_stable(sim);
     ASSERT_TRUE(out.stabilized) << "seed " << seed;
     EXPECT_EQ(out.interactions, interactions) << "seed " << seed;
     ASSERT_TRUE(out.consensus.has_value()) << "seed " << seed;
     EXPECT_EQ(*out.consensus, winner) << "seed " << seed;
+  }
+}
+
+// run_until_stable on the same starts: at n = 20000 it batches (at k = 40
+// once at most 13 opinions survive), so these pin the batch path's draws:
+// the hypergeometrics, the run lengths and the in-run stopping position.
+TEST(UsdSimulatorTest, BatchedRunsStopWherePinned) {
+  const std::tuple<std::size_t, std::uint64_t, Interactions, Opinion> golden[] = {
+      {9, 1, 427641, 0}, {9, 2, 582893, 7}, {40, 1, 1058898, 0}, {40, 42, 864225, 38}};
+  for (const auto& [k, seed, interactions, winner] : golden) {
+    const UndecidedStateDynamics usd(k);
+    Simulator sim(usd, usd_config(figure1_configuration(20000, k).opinion_counts), seed);
+    const RunOutcome out = sim.run_until_stable(1'000'000'000);
+    ASSERT_TRUE(out.stabilized) << "k " << k << " seed " << seed;
+    EXPECT_EQ(out.interactions, interactions) << "k " << k << " seed " << seed;
+    ASSERT_TRUE(out.consensus.has_value()) << "k " << k << " seed " << seed;
+    EXPECT_EQ(*out.consensus, winner) << "k " << k << " seed " << seed;
   }
 }
 
