@@ -2,8 +2,8 @@
 // on the paper's Figure-1 configuration, at paper scale by default (n = 10⁷,
 // k = 3). Both engines run the same workload to stabilization:
 //
-//   * sequential  — the exact Simulator: USD's rules inline, collision-free
-//                   batches of ~√(πn/8) interactions (stepping below its
+//   * sequential  — the exact Simulator: USD's rules inline, batches of
+//                   ~1.25·√((q + 1)n) interactions (stepping below its
 //                   crossover);
 //   * collapsed   — CollapsedSimulator with adaptive-τ rounds.
 //

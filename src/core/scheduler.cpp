@@ -1,5 +1,8 @@
 #include "ppsim/core/scheduler.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "ppsim/util/check.hpp"
 
 namespace ppsim {
@@ -48,44 +51,56 @@ std::int64_t PrefixSumTree::prefix_sum(std::size_t i) const noexcept {
   return sum;
 }
 
-Interactions collision_free_run_length(Xoshiro256pp& rng, Count n) {
+CollisionFreeRunLaw::CollisionFreeRunLaw(Count n)
+    : n_(n), inv_pairs_(1.0 / (static_cast<double>(n) * static_cast<double>(n - 1))) {
   PPSIM_CHECK(n >= 2, "a collision-free run needs at least two agents");
-  // Inversion: ℓ is the largest m with P(ℓ ≥ m) > u. Interaction m + 1
-  // meets two fresh agents with probability (n−2m)(n−2m−1)/(n(n−1)). Eight
-  // such factors are multiplied as a tree before they touch the running
-  // survival, so the loop's dependency chain is one multiply per eight
-  // steps and the factors vectorise.
-  constexpr int kLanes = 8;
+  survival_[0].push_back(1.0);
+  survival_[1].push_back(1.0);
+}
+
+Interactions CollisionFreeRunLaw::draw(Xoshiro256pp& rng, Count touched) {
+  PPSIM_CHECK(touched >= 0 && touched <= n_, "touched agents must be in [0, n]");
+  if (n_ - touched < 2) return 0;  // no two fresh agents left
   const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-  const double nd = static_cast<double>(n);
-  const double inv_pairs = 1.0 / (nd * (nd - 1.0));
-  double survival = 1.0;  // P(ℓ ≥ m)
-  double free_agents = nd - 2.0;  // n − 2m
-  Interactions m = 1;
-  for (;;) {
-    double fresh[kLanes];
-    for (int i = 0; i < kLanes; ++i) {
-      const double f = free_agents - 2.0 * i;
-      fresh[i] = f * (f - 1.0) * inv_pairs;
-    }
-    const double ahead =
-        survival * (((fresh[0] * fresh[1]) * (fresh[2] * fresh[3])) *
-                    ((fresh[4] * fresh[5]) * (fresh[6] * fresh[7])));
-    if (ahead > u) {
-      survival = ahead;
-      free_agents -= 2.0 * kLanes;
-      m += kLanes;
-      continue;
-    }
-    // ℓ ∈ [m, m + 7]. A factor of 0 (no two fresh agents left, at
-    // m = ⌊n/2⌋) makes `ahead` 0, so the walk always stops there.
-    int i = 0;
-    for (double s = survival; i + 1 < kLanes; ++i) {
-      s *= fresh[i];
-      if (s <= u) break;
-    }
-    return m + i;
+  const int parity = static_cast<int>(touched & 1);
+  std::vector<double>& s = survival_[parity];
+  const auto a = static_cast<std::size_t>(touched / 2);
+  // f(T − 2) > 0, so S_p[a] > 0 and lies in the table once a draw reached
+  // T − 2 or fewer; grow to it otherwise.
+  const double nd = static_cast<double>(n_);
+  const auto grow = [&] {
+    const double t = static_cast<double>(parity) + 2.0 * static_cast<double>(s.size() - 1);
+    s.push_back(s.back() * ((nd - t) * (nd - t - 1.0) * inv_pairs_));
+  };
+  while (s.size() <= a) grow();
+  PPSIM_CHECK(s[a] >= 0x1.0p-960, "touched agents too deep for the run-length table");
+  // ℓ is the largest m with S_p[a + m] > u·S_p[a]; the table ends at or
+  // below that threshold. A factor of 0 (no two fresh agents left) makes
+  // the products 0, so the growth always stops.
+  const double threshold = u * s[a];
+  while (s.back() > threshold) grow();
+  // Bracket ℓ, s[lo] > threshold ≥ s[hi], galloping from a guess: with
+  // P(ℓ ≥ m) ≈ exp(−(2Tm + 2m²)/n), m solves 2m² + 2Tm = −n·ln u. The
+  // guess only steers the search, so ℓ does not depend on libm's rounding.
+  const double t = static_cast<double>(touched);
+  const double guess = 0.5 * (std::sqrt(t * t - 2.0 * nd * std::log(u)) - t);
+  const std::size_t last = s.size() - 1;
+  const std::size_t g =
+      guess < static_cast<double>(last - a) ? a + static_cast<std::size_t>(guess) : last;
+  std::size_t lo = g;
+  std::size_t hi = g;
+  if (s[g] > threshold) {  // g < last: up
+    for (std::size_t step = 1; s[hi = std::min(g + step, last)] > threshold; step *= 2) lo = hi;
+  } else {  // g > a: down
+    for (std::size_t step = 1; s[lo = g - std::min(step, g - a)] <= threshold; step *= 2) hi = lo;
   }
+  // Then bisect without branches: ℓ + a is in [lo, hi).
+  for (std::size_t len = hi - lo; len > 1;) {
+    const std::size_t half = len / 2;
+    lo = s[lo + half] > threshold ? lo + half : lo;
+    len -= half;
+  }
+  return static_cast<Interactions>(lo - a);
 }
 
 PairSampler::PairSampler(const Configuration& config) : tree_(config.counts()) {

@@ -23,7 +23,7 @@
 namespace ppsim {
 
 enum class EngineKind {
-  kSequential,  ///< Simulator, exact: steps or collision-free batches
+  kSequential,  ///< Simulator, exact: steps or batches
   kCollapsed,   ///< CollapsedSimulator, adaptive τ rounds
 };
 
@@ -51,6 +51,11 @@ class Engine {
   Interactions clamped_interactions() const;
   double parallel_time() const;
 
+  /// Chunking contract (kSequential): calls with budgets n, 2n, 3n, …
+  /// (whole units of parallel time) make the same draws, and end on the
+  /// same interaction and configuration, as one call with the last budget;
+  /// see Simulator::run_until_stable. kCollapsed makes no such promise: a
+  /// budget cuts its round.
   RunOutcome run_until_stable(Interactions max_interactions);
   /// Note: kCollapsed checks the predicate once per round, the sequential
   /// engine once per interaction (run_until never batches).

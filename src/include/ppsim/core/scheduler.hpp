@@ -133,13 +133,38 @@ class PrefixSumTree {
   std::int64_t total_ = 0;
 };
 
-/// The number of interactions the scheduler makes, from a fresh start,
-/// before the first one that meets an agent an earlier one met: the length
-/// ℓ of a collision-free run, P(ℓ ≥ m) = ∏_{j<m} (n−2j)(n−2j−1)/(n(n−1)).
+/// The collision-free run law of the scheduler on n agents. With T agents
+/// already touched, a run is the interactions before the first one that
+/// meets a touched agent or an agent an earlier one in the run met. Its
+/// length ℓ has P(ℓ ≥ m) = ∏_{j<m} f(T + 2j), where
+/// f(t) = (n−t)(n−t−1)/(n(n−1)), so 0 ≤ ℓ ≤ ⌊(n−T)/2⌋. From T = 0,
 /// E[ℓ] ≈ √(πn/8) interactions (√(πn/2) agents, the birthday problem):
-/// ~627 at n = 10⁶. Drawn by inversion, one uniform and O(ℓ) multiplies,
-/// with + − × ÷ only and no table. Requires n ≥ 2; 1 ≤ ℓ ≤ n/2.
-Interactions collision_free_run_length(Xoshiro256pp& rng, Count n);
+/// ~627 at n = 10⁶.
+///
+/// A draw is one uniform u and an inversion. The law caches, per parity p
+/// of T, the survival products S_p[x] = ∏_{j<x} f(p + 2j), so that
+/// P(ℓ ≥ m) = S_p[a + m] / S_p[a] with a = ⌊T/2⌋. ℓ is the largest m with
+/// S_p[a + m] > u·S_p[a], found by galloping from an approximate quantile
+/// and then bisecting; the approximation (one log, one sqrt) steers the
+/// search only, and the tables are built with + − × ÷ only, so ℓ is the
+/// same on every host. The tables grow lazily, only as deep as a draw has
+/// needed. The products underflow past T/2 ≈ 18√n at large n, so T is
+/// checked to stay where S_p[a] ≥ 2⁻⁹⁶⁰ (the exact engine keeps
+/// T ≤ 24√n, where S_p[a] ≥ 2⁻⁵⁶⁰ at every n).
+class CollisionFreeRunLaw {
+ public:
+  /// Requires n ≥ 2.
+  explicit CollisionFreeRunLaw(Count n);
+
+  /// One run length ℓ with `touched` = T agents already touched. Requires
+  /// 0 ≤ T ≤ n.
+  Interactions draw(Xoshiro256pp& rng, Count touched);
+
+ private:
+  Count n_;
+  double inv_pairs_;                  // 1 / (n(n−1))
+  std::vector<double> survival_[2];   // S_0 and S_1
+};
 
 class PairSampler {
  public:

@@ -9,32 +9,44 @@
 //   * step() draws one pair through the PairSampler and applies it. It is
 //     run_until's path (hitting times are checked after every interaction)
 //     and run_until_stable's path for small populations.
-//   * run_until_stable's bulk path applies collision-free batches
-//     (Berenbrink et al., ESA 2020, arXiv:2005.03584). It draws the length ℓ
-//     of the run of interactions whose 2ℓ agents are all distinct
-//     (collision_free_run_length, ~√(πn/8)). Those agents are a draw
-//     without replacement, so hypergeometrics give what the run does: its
-//     ⊥ initiators, ⊥ responders and ⊥⊥ pairs, the opinions of its decided
-//     agents, and, down a balanced split tree over those opinions (the
-//     layout of kernels/pair_law.hpp), how many of each opinion meet a ⊥
-//     agent (which adopts it) and how many equal pairs they form. Distinct agents commute,
-//     so the run lands as one count update. The interaction that ends the
-//     run meets at least one touched agent; it is applied as one step on
-//     states drawn from the touched and untouched compositions. That is
-//     ~5k draws for ~√n interactions, and the exact chain, not an
-//     approximation.
+//   * run_until_stable's bulk path applies batches of up to
+//     kBatchLengthPerRootQn·√((q + 1)n) interactions for q surviving
+//     opinions (Berenbrink et al., ESA 2020, arXiv:2005.03584, with the
+//     deferred pairs of multibatching). An interaction between two
+//     agents no earlier one in the batch met (fresh) is deferred: only the
+//     count D of such pairs is kept. The runs of fresh pairs between
+//     collisions have the law CollisionFreeRunLaw gives from the T agents
+//     touched so far. In a collision, a touched agent is one of a deferred
+//     pair with probability 2D/T; that pair is resolved then, on two agents
+//     drawn from the pool (the batch-start counts less every agent revealed
+//     so far), and its agents become known. A known agent's state is drawn
+//     from the known ones' counts, an untouched agent's from the pool.
+//     Deferred and untouched agents are exchangeable, so each draw is exact.
+//     At the end the D remaining pairs are a draw without replacement from
+//     the pool, so hypergeometrics give what they do: their ⊥ initiators,
+//     ⊥ responders and ⊥⊥ pairs, the opinions of their decided agents,
+//     and, down a balanced split tree over those opinions (the layout of
+//     kernels/pair_law.hpp), how many of each opinion meet a ⊥ agent
+//     (which adopts it) and how many equal pairs they form. That is ~5q
+//     draws and a few per collision, for ~√(qn) interactions: the exact
+//     chain, not an approximation.
 //
 // Stopping times are exact on both paths. The engine counts the opinions
 // with a nonzero count, so is_stable() is O(1): a USD configuration is
 // stable iff no opinion is present, or exactly one is and no agent is
-// undecided. A batch that ends stable became stable on its last non-null
-// interaction; the interactions of a collision-free run are exchangeable, so
-// with m non-null ones among ℓ that is the largest element of a uniform
-// m-subset of 1…ℓ (uniform_subset_max). The interaction budget and the end
-// of each unit of parallel time (n interactions) cut a batch short; a
-// shorter collision-free run is still the exact chain, and because no batch
-// straddles a unit, run_until_stable called in chunks of whole units makes
-// the same draws as one call.
+// undecided. Stability needs u = 0 or no decided agent, and an interaction
+// lowers u by at most 1 and the decided count d by at most 2, so a batch
+// runs past a collision only while it is shorter than min(u, d/2). Near
+// stability a batch therefore ends at its first collision: its one run is
+// resolved, and if that made the configuration stable, the run became
+// stable on its last non-null interaction. The run's interactions are
+// exchangeable, so with m non-null ones among ℓ that is the largest element
+// of a uniform m-subset of 1…ℓ (uniform_subset_max). Otherwise the
+// collision is applied after the run. The interaction budget and the end of
+// each unit of parallel time (n interactions) cut a batch short; a shorter
+// batch is still the exact chain, and because no batch straddles a unit,
+// run_until_stable called in chunks of whole units makes the same draws as
+// one call.
 //
 // The engine owns the configuration, the pair sampler and the RNG, so a
 // Simulator is a self-contained, restartable experiment.
@@ -84,20 +96,29 @@ class Simulator {
   /// Keeps is_stable() exact after every interaction.
   bool step();
 
-  /// Performs one collision-free batch: the run of interactions before the
-  /// first one that meets an agent an earlier one met, then that one, as
-  /// one count update. The run stops early at the interaction that makes
-  /// the configuration stable, at `max_interactions` total and at the next
-  /// multiple of n interactions. A no-op when stable or out of budget.
-  /// Exact at any n; run_until_stable calls it where it costs less than
-  /// stepping (batch_pays()).
+  /// Performs one batch as one count update: up to
+  /// kBatchLengthPerRootQn·√((q + 1)n) interactions (at most
+  /// kBatchLengthCapPerRootN·√n) while the batch cannot turn stable, and
+  /// otherwise the run
+  /// of interactions before the first one that meets an agent an earlier
+  /// one met, then that one. The run stops early at the interaction that
+  /// makes the configuration stable. Every batch stops at
+  /// `max_interactions` total and at the next multiple of n interactions.
+  /// A no-op when stable or out of budget. Exact at any n; run_until_stable
+  /// calls it where it costs less than stepping (batch_pays()).
   void batch(Interactions max_interactions);
 
   /// Runs until the protocol stabilizes or `max_interactions` total
   /// interactions have been performed (counted from construction). A run
   /// that stabilizes stops on the interaction that made it stable. Runs
-  /// collision-free batches where they pay (see batch_pays()) and steps
-  /// otherwise; a recorder observes at batch ends.
+  /// batches where they pay (see batch_pays()) and steps otherwise; a
+  /// recorder observes at batch ends.
+  ///
+  /// Chunking contract: no batch straddles a multiple of n interactions,
+  /// so calls with budgets n, 2n, 3n, … (whole units of parallel time)
+  /// make the same draws, and end on the same interaction and
+  /// configuration, as one call with the last budget. A budget that is
+  /// not a multiple of n cuts a batch and so changes the draws after it.
   RunOutcome run_until_stable(Interactions max_interactions);
 
   /// Runs until `predicate(config, interactions)` is true (checked after
@@ -126,20 +147,37 @@ class Simulator {
   /// archive's checkpoint records carry.
   EngineCheckpoint checkpoint_state() const;
 
-  /// A batch costs O(q) variates for q surviving opinions and replaces
-  /// E[ℓ] ≈ √(πn/8) steps, so run_until_stable batches while
-  /// √(πn/8) ≥ kStepsPerBatchState · (q + 1).
+  /// A batch runs past collisions up to kBatchLengthPerRootQn·√((q + 1)n)
+  /// interactions for q surviving opinions, and at most
+  /// kBatchLengthCapPerRootN·√n. Resolving the deferred pairs at its end
+  /// costs R ∝ q + 1 (~5q variates) and a batch of L has ~2L²/n
+  /// collisions of cost c each, so a batch costs R/L + 2cL/n per
+  /// interaction, least at L = √(Rn/(2c)) ∝ √((q + 1)n). The cap keeps
+  /// CollisionFreeRunLaw's products above 2⁻⁵⁶⁰ at every n.
+  ///
+  /// Chosen by measurement: whole `--engine sequential` trials at
+  /// n = 10⁶, one thread, 2 runs per point (Release, gcc 12.2, 4-core Xeon
+  /// container). A fixed L = c·√n was cheapest near c = 2–4 at k = 3
+  /// (1.0–1.4 ns per interaction), c = 6–11 at k = 27 (2.7–3.9 ns) and
+  /// c = 11–16 at k = 100 (5.7–6.7 ns): c ∝ √(k + 1). Against c = 8, 3
+  /// runs each, L = 1.0 and 1.5·√((q + 1)n) both ran 0.8–1.2 ns at k = 3
+  /// (c = 8: 1.2 ns), 2.6–2.9 ns at k = 27 (2.7–3.1 ns) and 5.1–5.8 ns at
+  /// k = 100 (5.1–5.7 ns); 1.25 lies between them.
+  static constexpr double kBatchLengthPerRootQn = 1.25;
+  static constexpr double kBatchLengthCapPerRootN = 12.0;
+
+  /// A batch costs ~√((q + 1)/n) per interaction (see above) and a step a
+  /// constant, so run_until_stable batches while n ≥ kAgentsPerBatchState ·
+  /// (q + 1) and steps below that.
   ///
   /// Chosen by measurement: whole `--engine sequential` trials at one
-  /// thread, stepping only against batching only (Release, gcc 12.2, 4-core
-  /// Xeon container, one run per point). Stepping cost 33–41 ns per
-  /// interaction at k = 3, 40–53 ns at k = 27 and 81–84 ns at k = 100.
-  /// Batching was already cheaper at n = 3·10³ for k = 3 (E[ℓ] ≈
-  /// 8.5·(k + 1)) and broke even near n = 5·10⁴ at k = 27 (≈ 5·(k + 1)) and
-  /// n = 10⁵ at k = 100 (≈ 2·(k + 1)). 6 errs towards stepping, where the
-  /// two cost about the same at k ≤ 27; at k = 100 it steps up to
-  /// n ≈ 9·10⁵, where a batch would cost up to ~30% less.
-  static constexpr double kStepsPerBatchState = 6.0;
+  /// thread, stepping only against batching only (as above). Stepping cost
+  /// 30–50 ns per interaction at k = 3 and k = 27 and 45–65 ns at k = 100.
+  /// Batching cost 1.6–2.3× stepping at n = 30–100 for k = 3 and 0.75–0.86×
+  /// at n = 300; 1.2× at n = 10³ for k = 27, even at 2·10³ and 0.5× at 10⁴;
+  /// even at n = 3·10³ for k = 100 and 0.7× at 10⁴. Break-even is thus near
+  /// n = 50·(k + 1), 75·(k + 1) and 30·(k + 1).
+  static constexpr double kAgentsPerBatchState = 50.0;
 
  private:
   void observe() {
@@ -150,9 +188,29 @@ class Simulator {
     }
   }
 
-  /// True iff a collision-free batch is expected to cost less than the
-  /// steps it replaces (kStepsPerBatchState).
+  /// True iff a batch is expected to cost less than the steps it replaces
+  /// (kAgentsPerBatchState).
   bool batch_pays() const noexcept;
+
+  /// Resolves the D = deferred_ pairs left at a batch's end: they are a
+  /// collision-free run over the pool. Moves their agents from pool_ to
+  /// known_, in their states after the run, and returns how many of the D
+  /// interactions changed a state.
+  Interactions resolve_deferred();
+
+  /// Applies a collision: an interaction that meets at least one touched
+  /// agent. Both agents end in known_.
+  void collide();
+
+  /// Takes a uniform touched agent out of the touched ones and returns its
+  /// state. A deferred agent's pair is resolved first.
+  State take_touched();
+
+  /// Takes a uniform agent out of the pool and returns its state.
+  State take_pooled();
+
+  /// Sets the configuration to pool_ + known_.
+  void assign_batch_counts();
 
   /// Down the split tree over branch_[lo, hi), the run's decided agents
   /// there: `adopters` of them are partnered with ⊥ and 2·`pairs` are in
@@ -176,12 +234,21 @@ class Simulator {
   std::size_t surviving_opinions_ = 0;  // opinions with a nonzero count
   bool sampler_stale_ = false;          // a batch moved counts past sampler_
 
-  // Batch scratch, one entry per state (⊥ first) unless noted.
-  std::vector<Count> touched_;    // the run's decided agents (W_i)
+  CollisionFreeRunLaw run_law_;
+  double root_n_;                       // √n
+
+  // Batch state, one entry per state (⊥ first) unless noted. The pool
+  // holds the agents whose state at the batch's start is not yet drawn:
+  // the untouched ones and the 2·deferred_ agents of the deferred pairs.
+  std::vector<Count> pool_;       // by state at the batch's start
+  std::vector<Count> known_;      // touched agents with a drawn state, by it
+  Count pool_size_ = 0;
+  Count known_size_ = 0;
+  Count deferred_ = 0;            // deferred fresh×fresh pairs (D)
+  std::vector<Count> touched_;    // the deferred pairs' decided agents (W_i)
   std::vector<Count> adopters_;   // of those, partnered with ⊥ (A_i)
   std::vector<Count> same_;       // equal decided×decided pairs (D_i)
-  std::vector<Count> next_;       // counts after the run
-  std::vector<Count> untouched_;  // agents the run did not meet
+  std::vector<Count> next_;       // counts after the batch
   std::vector<State> branch_;     // opinions with W_i > 0, the tree's leaves
   std::vector<Count> prefix_;     // prefix sums of W over branch_ (size + 1)
 };

@@ -263,7 +263,7 @@ TEST(RunEngineTrialTest, CheckpointsSnapshotTheEngineWithoutPerturbingIt) {
   // With a checkpoint stride every engine kind hands the recorder snapshots
   // of its own state. Taking them must not change a single draw: the trial
   // ends exactly where an unrecorded twin on the same seed ends. At
-  // n = 200000 the sequential engine runs collision-free batches and
+  // n = 200000 the sequential engine runs batches and
   // observes at batch ends.
   const UndecidedStateDynamics usd(3);
   for (const auto& [kind, opinions] :

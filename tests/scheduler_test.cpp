@@ -6,8 +6,8 @@
 // without-replacement behaviour on singleton states, and pin the draws
 // draw-for-draw against a naive urn. PrefixSumTree, the inverse-CDF structure
 // under the sampler, is checked against a naive reference under random moves,
-// at sizes on both sides of its node width. collision_free_run_length, the
-// exact engine's batch length, is checked against its exact law.
+// at sizes on both sides of its node width. CollisionFreeRunLaw, the
+// exact engine's run lengths, is checked against its exact law.
 #include "ppsim/core/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -329,57 +329,77 @@ TEST(PairSamplerTest, DrawsMatchTheNaiveUrnDrawForDraw) {
 
 TEST(CollisionFreeRun, SmallPopulationsHitTheirBounds) {
   Xoshiro256pp rng(8);
+  CollisionFreeRunLaw two(2);
+  CollisionFreeRunLaw three(3);
+  CollisionFreeRunLaw nine(9);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(collision_free_run_length(rng, 2), 1);  // one pair, then a repeat
-    EXPECT_EQ(collision_free_run_length(rng, 3), 1);
-    const Interactions l = collision_free_run_length(rng, 9);
+    EXPECT_EQ(two.draw(rng, 0), 1);  // one pair, then a repeat
+    EXPECT_EQ(three.draw(rng, 0), 1);
+    const Interactions l = nine.draw(rng, 0);
     EXPECT_GE(l, 1);
     EXPECT_LE(l, 4);  // ⌊n/2⌋ interactions use up the agents
+    EXPECT_LE(nine.draw(rng, 5), 2);  // ⌊(n − T)/2⌋
+    EXPECT_LE(nine.draw(rng, 7), 1);
+    EXPECT_EQ(nine.draw(rng, 8), 0);  // no two fresh agents
+    EXPECT_EQ(nine.draw(rng, 9), 0);
   }
-  EXPECT_THROW(collision_free_run_length(rng, 1), CheckFailure);
+  EXPECT_THROW(CollisionFreeRunLaw(1), CheckFailure);
+  EXPECT_THROW(nine.draw(rng, 10), CheckFailure);
+  EXPECT_THROW(nine.draw(rng, -1), CheckFailure);
 }
 
 TEST(CollisionFreeRun, LengthFitsTheBirthdayLaw) {
-  // P(ℓ ≥ m) = ∏_{j<m} (n−2j)(n−2j−1)/(n(n−1)); chi-square over the exact
-  // pmf, at even and odd n and at the engine's scale.
+  // P(ℓ ≥ m) = ∏_{j<m} (n−T−2j)(n−T−2j−1)/(n(n−1)); chi-square over the
+  // exact pmf, at even and odd n, at T = 0 and at odd and even T > 0, and
+  // at the engine's scale. One law per n serves every T, deepest first,
+  // so draws also come from a table grown by deeper ones.
+  struct Case {
+    Count n;
+    std::vector<Count> touched;
+  };
   Xoshiro256pp rng(44);
-  for (const Count n : {Count{12}, Count{31}, Count{1000}, Count{1'000'000}}) {
-    std::vector<double> pmf;
-    const double nd = static_cast<double>(n);
-    double survival = 1.0;  // P(ℓ ≥ m), from m = 1
-    for (Count m = 1; 2 * m <= n; ++m) {
-      const double f = nd - 2.0 * static_cast<double>(m);
-      const double next = survival * f * (f - 1.0) / (nd * (nd - 1.0));
-      pmf.push_back(survival - next);
-      survival = next;
-    }
-    constexpr int kDraws = 100000;
-    std::vector<std::int64_t> hits(pmf.size(), 0);
-    for (int i = 0; i < kDraws; ++i) {
-      const Interactions l = collision_free_run_length(rng, n);
-      ASSERT_GE(l, 1);
-      ASSERT_LE(2 * l, n);
-      ++hits[static_cast<std::size_t>(l - 1)];
-    }
-    std::vector<std::int64_t> observed;
-    std::vector<double> expected;
-    std::int64_t bin_hits = 0;
-    double bin_expect = 0.0;
-    for (std::size_t m = 0; m < pmf.size(); ++m) {
-      bin_hits += hits[m];
-      bin_expect += pmf[m] * kDraws;
-      if (bin_expect >= 5.0) {
-        observed.push_back(bin_hits);
-        expected.push_back(bin_expect);
-        bin_hits = 0;
-        bin_expect = 0.0;
+  for (const Case& c : {Case{12, {6, 3, 0}}, Case{31, {10, 7, 0}},
+                        Case{1000, {250, 101, 0}},
+                        Case{1'000'000, {30'000, 2'001, 0}}}) {
+    CollisionFreeRunLaw law(c.n);
+    for (const Count t : c.touched) {
+      std::vector<double> pmf;
+      const double nd = static_cast<double>(c.n);
+      double survival = 1.0;  // P(ℓ ≥ m), from m = 0
+      for (Count m = 0; t + 2 * m <= c.n; ++m) {
+        const double f = nd - static_cast<double>(t + 2 * m);
+        const double next = survival * f * (f - 1.0) / (nd * (nd - 1.0));
+        pmf.push_back(survival - next);
+        survival = next;
       }
+      constexpr int kDraws = 100000;
+      std::vector<std::int64_t> hits(pmf.size(), 0);
+      for (int i = 0; i < kDraws; ++i) {
+        const Interactions l = law.draw(rng, t);
+        ASSERT_GE(l, 0);
+        ASSERT_LE(t + 2 * l, c.n);
+        ++hits[static_cast<std::size_t>(l)];
+      }
+      std::vector<std::int64_t> observed;
+      std::vector<double> expected;
+      std::int64_t bin_hits = 0;
+      double bin_expect = 0.0;
+      for (std::size_t m = 0; m < pmf.size(); ++m) {
+        bin_hits += hits[m];
+        bin_expect += pmf[m] * kDraws;
+        if (bin_expect >= 5.0) {
+          observed.push_back(bin_hits);
+          expected.push_back(bin_expect);
+          bin_hits = 0;
+          bin_expect = 0.0;
+        }
+      }
+      observed.back() += bin_hits;
+      expected.back() += bin_expect;
+      const double p = chi_square_sf(chi_square_statistic(observed, expected),
+                                     static_cast<int>(observed.size()) - 1);
+      EXPECT_GT(p, 1e-4) << "n = " << c.n << ", T = " << t;
     }
-    observed.back() += bin_hits;
-    expected.back() += bin_expect;
-    const double p = chi_square_sf(chi_square_statistic(observed, expected),
-                                   static_cast<int>(observed.size()) - 1);
-    EXPECT_GT(p, 1e-4) << "n = " << n;
   }
 }
 

@@ -1,6 +1,6 @@
 // The exact USD engine: conservation, determinism, exact stability-driven
-// termination, predicates, the recorder, and the collision-free batch path
-// against a labelled-agent chain and against stepping.
+// termination, predicates, the recorder, and the batch path against a
+// labelled-agent chain and against stepping.
 #include "ppsim/core/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "ppsim/core/engine.hpp"
 #include "ppsim/core/recorder.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
@@ -119,8 +120,12 @@ bool brute_force_stable(const UndecidedStateDynamics& usd, const Configuration& 
 TEST(SimulatorTest, StopsOnTheExactStabilizingInteraction) {
   // The stopping interaction changed a state, and the same-seed run one
   // interaction shorter is not yet stable: the stopping time is not rounded.
+  // n = 99 < kAgentsPerBatchState·2, so run_until_stable steps throughout
+  // (a budget cuts a batch and changes the draws after it, so a shorter
+  // same-seed run follows the same path only when stepping).
   const UndecidedStateDynamics usd(3);
-  const Configuration initial({0, 40, 30, 30});
+  const Configuration initial({0, 39, 30, 30});
+  ASSERT_LT(99, Simulator::kAgentsPerBatchState * 2);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Simulator sim(usd, initial, seed);
@@ -208,12 +213,37 @@ std::pair<std::vector<Count>, Interactions> labelled_batch(
   }
 }
 
+/// Two-sample chi-square homogeneity of two equal-size samples, given each
+/// outcome's (first, second) hits: pooled expected counts, outcomes merged
+/// in order until each side expects at least 5. Returns the p-value and
+/// the number of bins.
+template <typename Outcome>
+std::pair<double, int> homogeneity_pvalue(
+    const std::map<Outcome, std::pair<std::int64_t, std::int64_t>>& joint) {
+  std::int64_t ref = 0;
+  std::int64_t got = 0;
+  int bins = 0;
+  double stat = 0.0;
+  for (const auto& [outcome, hits] : joint) {
+    ref += hits.first;
+    got += hits.second;
+    if (ref + got < 10) continue;
+    const double e = 0.5 * static_cast<double>(ref + got);
+    stat += (ref - e) * (ref - e) / e + (got - e) * (got - e) / e;
+    ++bins;
+    ref = got = 0;
+  }
+  return {bins > 1 ? chi_square_sf(stat, bins - 1) : 1.0, bins};
+}
+
 TEST(SimulatorTest, OneBatchMatchesTheLabelledAgentChain) {
   // The joint law of (counts after, interactions made) of one batch(),
   // against the labelled chain it stands for, at populations small enough
   // that every branch runs: runs that use up every agent, each kind of
-  // colliding pair, and batches that end stable inside the run. Two-sample
-  // chi-square over the joint outcomes.
+  // colliding pair, and batches that end stable inside the run. Every
+  // start has min(u − 1, (d − 1)/2) ≤ 1, so each batch ends at its first
+  // collision, as the labelled chain does. Two-sample chi-square over the
+  // joint outcomes.
   struct Case {
     std::size_t k;
     std::vector<Count> counts;  // ⊥ first
@@ -232,25 +262,48 @@ TEST(SimulatorTest, OneBatchMatchesTheLabelledAgentChain) {
       ASSERT_EQ(sim.configuration().population(), Configuration(c.counts).population());
       ++joint[{sim.configuration().counts(), sim.interactions()}].second;
     }
-    // Homogeneity: pooled expected counts, bins merged until each side
-    // expects at least 5.
-    std::vector<std::int64_t> observed;
-    std::vector<double> expected;
-    std::int64_t ref = 0;
-    std::int64_t got = 0;
-    int bins = 0;
-    double stat = 0.0;
-    for (const auto& [outcome, hits] : joint) {
-      ref += hits.first;
-      got += hits.second;
-      if (ref + got < 10) continue;
-      const double e = 0.5 * static_cast<double>(ref + got);
-      stat += (ref - e) * (ref - e) / e + (got - e) * (got - e) / e;
-      ++bins;
-      ref = got = 0;
-    }
+    const auto [p, bins] = homogeneity_pvalue(joint);
     ASSERT_GT(bins, 2);
-    EXPECT_GT(chi_square_sf(stat, bins - 1), 1e-4) << bins << " bins";
+    EXPECT_GT(p, 1e-4) << bins << " bins";
+  }
+}
+
+TEST(SimulatorTest, LongBatchMatchesSteppingAtFixedLength) {
+  // A batch that runs past collisions: the counts after one batch() of L
+  // interactions against L step() calls from the same start. L is the
+  // longest a batch may run from the start, min(u − 1, (d − 1)/2), so the
+  // batch makes exactly L; at these n that is 3.2–4.1 collisions on
+  // average, so deferred pairs are resolved inside the batch, touched
+  // agents meet each other, and the pool runs out of rare opinions and of
+  // ⊥. (At n ≤ 16 no L the rule allows averages even 1.4 collisions.)
+  // Two-sample chi-square over the counts. Resolving deferred pairs from
+  // the batch-start counts instead of the pool fails the last case at
+  // p < 10⁻¹⁵.
+  struct Case {
+    std::size_t k;
+    std::vector<Count> counts;  // ⊥ first
+    Interactions length;
+  };
+  for (const Case& c : {Case{2, {10, 10, 9}, 9}, Case{3, {11, 12, 5, 4}, 10},
+                        Case{4, {9, 1, 1, 14, 1}, 8}, Case{2, {9, 2, 15}, 8}}) {
+    const UndecidedStateDynamics usd(c.k);
+    SCOPED_TRACE(Configuration(c.counts).to_string());
+    constexpr int kDraws = 200000;
+    std::map<std::vector<Count>, std::pair<std::int64_t, std::int64_t>> joint;
+    for (int i = 0; i < kDraws; ++i) {
+      Simulator sim(usd, Configuration(c.counts), 5000 + static_cast<std::uint64_t>(i));
+      for (Interactions t = 0; t < c.length; ++t) sim.step();
+      ++joint[sim.configuration().counts()].first;
+    }
+    for (int i = 0; i < kDraws; ++i) {
+      Simulator sim(usd, Configuration(c.counts), 1000 + static_cast<std::uint64_t>(i));
+      sim.batch(c.length);
+      ASSERT_EQ(sim.interactions(), c.length);
+      ++joint[sim.configuration().counts()].second;
+    }
+    const auto [p, bins] = homogeneity_pvalue(joint);
+    ASSERT_GT(bins, 20);
+    EXPECT_GT(p, 1e-4) << bins << " bins";
   }
 }
 
@@ -341,16 +394,17 @@ std::vector<double> stopping_times(const UndecidedStateDynamics& usd,
 
 TEST(SimulatorTest, BatchedStabilizationTimesMatchStepping) {
   // Two-sample KS on 300 stopping times each. At k = 3, n = 5000
-  // run_until_stable batches (E[ℓ] = √(πn/8) ≈ 44 ≥ kStepsPerBatchState·4);
-  // at k = 27 the crossover would step at any n this test can afford, so
-  // batch() is driven by hand at n = 3000. The 0.159 bound is the α = 0.001
-  // critical value for 300 against 300.
+  // run_until_stable batches (n ≥ kAgentsPerBatchState·4); at k = 27,
+  // n = 3000 batch() is driven by hand, so that batches run whatever q is;
+  // at k = 5, n = 10⁴ run_until_stable's batches run up to
+  // 1.25·√(6n) ≈ 306 interactions, past ~19 collisions. The 0.159 bound is
+  // the α = 0.001 critical value for 300 against 300.
   constexpr std::size_t kTrials = 300;
   constexpr double kCritical = 0.159;
   {
     const UndecidedStateDynamics usd(3);
     const Configuration initial({0, 2000, 1500, 1500});
-    ASSERT_GE(std::sqrt(3.14159 * 5000 / 8), Simulator::kStepsPerBatchState * 4);
+    ASSERT_GE(5000, Simulator::kAgentsPerBatchState * 4);
     const double d = testutil::ks_distance(stopping_times(usd, initial, kTrials, 3, 1),
                                            stopping_times(usd, initial, kTrials, 4, 0));
     EXPECT_LE(d, kCritical) << "k = 3";
@@ -363,6 +417,38 @@ TEST(SimulatorTest, BatchedStabilizationTimesMatchStepping) {
     const double d = testutil::ks_distance(stopping_times(usd, initial, kTrials, 5, 2),
                                            stopping_times(usd, initial, kTrials, 6, 0));
     EXPECT_LE(d, kCritical) << "k = 27";
+  }
+  {
+    const UndecidedStateDynamics usd(5);
+    const Configuration initial({0, 2400, 2000, 2000, 2000, 1600});
+    const double d = testutil::ks_distance(stopping_times(usd, initial, kTrials, 7, 1),
+                                           stopping_times(usd, initial, kTrials, 8, 0));
+    EXPECT_LE(d, kCritical) << "k = 5";
+  }
+}
+
+TEST(SimulatorTest, EngineRunInWholeUnitsDrawsAsOneRun) {
+  // The chunking contract through Engine, at n = 10⁵ and k = 27, where
+  // run_until_stable batches and its batches run past collisions: calls
+  // with budgets n, 2n, … end on the interaction and configuration that
+  // one call ends on.
+  const UndecidedStateDynamics usd(27);
+  std::vector<Count> opinions(27, 3700);
+  opinions[0] += 100;
+  const Configuration initial = UndecidedStateDynamics::initial_configuration(opinions);
+  const Count n = initial.population();
+  ASSERT_EQ(n, 100'000);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    Engine whole(EngineKind::kSequential, usd, initial, seed);
+    const RunOutcome one = whole.run_until_stable(1'000'000'000);
+    ASSERT_TRUE(one.stabilized);
+    Engine cut(EngineKind::kSequential, usd, initial, seed);
+    RunOutcome chunked;
+    for (Interactions target = n; !chunked.stabilized; target += n) {
+      chunked = cut.run_until_stable(target);
+    }
+    EXPECT_EQ(chunked.interactions, one.interactions) << "seed " << seed;
+    EXPECT_EQ(cut.configuration(), whole.configuration()) << "seed " << seed;
   }
 }
 

@@ -227,12 +227,13 @@ TEST(UsdSimulatorTest, StopsWhereTheFormerUrnStoppedAtK40) {
   }
 }
 
-// run_until_stable on the same starts: at n = 20000 it batches (at k = 40
-// once at most 13 opinions survive), so these pin the batch path's draws:
-// the hypergeometrics, the run lengths and the in-run stopping position.
+// run_until_stable on the same starts: at n = 20000 it batches from the
+// start, so these pin the batch path's draws: the hypergeometrics, the run
+// lengths, the collisions and deferred pairs, and the in-run stopping
+// position.
 TEST(UsdSimulatorTest, BatchedRunsStopWherePinned) {
   const std::tuple<std::size_t, std::uint64_t, Interactions, Opinion> golden[] = {
-      {9, 1, 427641, 0}, {9, 2, 582893, 7}, {40, 1, 1058898, 0}, {40, 42, 864225, 38}};
+      {9, 1, 465215, 0}, {9, 2, 502581, 0}, {40, 1, 660492, 0}, {40, 42, 785533, 0}};
   for (const auto& [k, seed, interactions, winner] : golden) {
     const UndecidedStateDynamics usd(k);
     Simulator sim(usd, usd_config(figure1_configuration(20000, k).opinion_counts), seed);
